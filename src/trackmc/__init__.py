@@ -48,7 +48,6 @@ from .simulate import (
 )
 from .stats import (
     Direction,
-    StatisticValue,
     binomial_lower_pvalue,
     binomial_lower_strict,
     binomial_pvalue,
@@ -84,6 +83,9 @@ from .tracks import (
     load_point_track,
     load_segment_track,
     merge_overlapping,
+    partition,
+    read_points,
+    read_segments,
     save_point_track,
     save_segment_track,
     to_binary_sequence,

@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
-
-import numpy as np
 
 from . import __version__
 from .mc import ConfigError, Direction, EstimatorMode, MCConfig, run_mc_batch, run_mc_test, write_results_tsv
@@ -34,31 +31,28 @@ from .study import (
 )
 from .tracks import (
     Bin,
-    PointTrack,
-    SegmentTrack,
     TrackFormatError,
     TrackValidationError,
     _data_rows,
-    _parse_int,
+    fmt,
     load_bins,
     load_point_track,
     load_segment_track,
-    merge_overlapping,
+    partition,
+    read_points,
+    read_segments,
     save_point_track,
     save_segment_track,
+    write_tsv,
 )
 
 _DIRECTIONS = {d.value: d for d in Direction}
 _ESTIMATORS = {m.value: m for m in EstimatorMode}
 
 
-@contextmanager
-def _open_out(path: str):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+def _out(path: str):
+    """Where a writer should write: stdout for '-', else the path."""
+    return sys.stdout if path == "-" else path
 
 
 def _add_bin_args(p: argparse.ArgumentParser) -> None:
@@ -102,25 +96,15 @@ def _cmd_test(args: argparse.Namespace) -> int:
         "direction": cfg.direction.value,
         "estimator": cfg.estimator_mode.value,
     }
-    with _open_out(args.out) as fh:
-        write_results_tsv([result], fh, echo, n_points={result.bin_id: len(points)})
+    write_results_tsv([result], _out(args.out), echo, n_points={result.bin_id: len(points)})
     return 0
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     bins = load_bins(args.bins)
-    points_rows = _read_positions(args.points)
-    segment_rows = _read_intervals(args.segments)
-    points_by_bin: dict[str, PointTrack] = {}
-    segments_by_bin: dict[str, SegmentTrack] = {}
-    for b in bins:
-        pos = np.array(sorted(p for p in points_rows if b.start <= p < b.end), dtype=np.int64)
-        points_by_bin[b.id] = PointTrack(b, pos)
-        segs = merge_overlapping(
-            [(max(s, b.start), min(e, b.end)) for s, e in segment_rows
-             if s < b.end and e > b.start]
-        )
-        segments_by_bin[b.id] = SegmentTrack(b, segs)
+    points_by_bin, segments_by_bin = partition(
+        bins, read_points(args.points), read_segments(args.segments)
+    )
     kept = filter_bins(bins, points_by_bin, segments_by_bin, args.min_points, args.min_segments)
     spec = NullModelSpec.from_string(args.null_model)
     cfg = _mc_config(args)
@@ -139,77 +123,47 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         "min_points": args.min_points,
         "min_segments": args.min_segments,
     }
-    with _open_out(args.out) as fh:
-        write_results_tsv(
-            results, fh, echo, n_points={b.id: len(points_by_bin[b.id]) for b in kept}
-        )
+    write_results_tsv(
+        results, _out(args.out), echo, n_points={b.id: len(points_by_bin[b.id]) for b in kept}
+    )
     for err in errors:
         print(f"warning: {err}", file=sys.stderr)
     return 0
 
 
-def _read_positions(path: str) -> list[int]:
-    out = []
-    for lineno, fields in _data_rows(path):
-        if len(fields) == 1:
-            out.append(_parse_int(fields[0], path, lineno))
-        elif len(fields) == 2:
-            s = _parse_int(fields[0], path, lineno)
-            e = _parse_int(fields[1], path, lineno)
-            out.append((s + e) // 2)
-        else:
-            raise TrackFormatError(f"{path}: line {lineno}: expected 1 or 2 columns")
-    return out
-
-
-def _read_intervals(path: str) -> list[tuple[int, int]]:
-    out = []
-    for lineno, fields in _data_rows(path):
-        if len(fields) != 2:
-            raise TrackFormatError(f"{path}: line {lineno}: expected 2 columns")
-        s = _parse_int(fields[0], path, lineno)
-        e = _parse_int(fields[1], path, lineno)
-        if e <= s:
-            raise TrackValidationError(f"{path}: line {lineno}: segment end must exceed start")
-        out.append((s, e))
-    return out
-
-
 def _cmd_qvalue(args: argparse.Namespace) -> int:
-    header: list[str] = []
-    rows: list[list[str]] = []
-    with open(args.input, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                continue
-            if not header:
-                header = line.split("\t")
-            else:
-                rows.append(line.split("\t"))
+    rows = list(_data_rows(args.input))
+    header = rows.pop(0)[1] if rows else []
     if args.column not in header:
         raise ConfigError(f"column {args.column!r} not found in {args.input}")
     col = header.index(args.column)
-    ps = [float(r[col]) for r in rows]
+    ps = []
+    for lineno, fields in rows:
+        if len(fields) != len(header):
+            raise TrackFormatError(
+                f"{args.input}: line {lineno}: expected {len(header)} columns, got {len(fields)}"
+            )
+        try:
+            ps.append(float(fields[col]))
+        except ValueError:
+            raise TrackFormatError(
+                f"{args.input}: line {lineno}: expected a p-value, got {fields[col]!r}"
+            ) from None
     pi0 = args.pi0 if args.pi0 is not None else estimate_pi0(ps)
     report = qvalues(ps, pi0)
+    echo = {"command": "qvalue", "pi0": fmt(report.pi0)}
+    extra = ["q_value"]
     if args.fdr is not None:
         report = reject_at_fdr(report, args.fdr)
-    echo = {"command": "qvalue", "pi0": format(report.pi0, ".12g")}
-    if args.fdr is not None:
-        echo["fdr"] = format(args.fdr, ".12g")
-    with _open_out(args.out) as fh:
-        for line in (f"# {k}={v}" for k, v in echo.items()):
-            fh.write(line + "\n")
-        extra = ["q_value"] + (["rejected"] if args.fdr is not None else [])
-        fh.write("\t".join(header + extra) + "\n")
-        for row, entry in zip(rows, report.entries):
-            cells = row + [format(entry.q_value, ".12g")]
-            if args.fdr is not None:
-                cells.append("1" if entry.rejected else "0")
-            fh.write("\t".join(cells) + "\n")
+        echo["fdr"] = fmt(args.fdr)
+        extra.append("rejected")
+    lines = ["\t".join(header + extra)]
+    for (_, fields), entry in zip(rows, report.entries):
+        cells = fields + [fmt(entry.q_value)]
+        if args.fdr is not None:
+            cells.append("1" if entry.rejected else "0")
+        lines.append("\t".join(cells))
+    write_tsv(_out(args.out), echo, lines)
     return 0
 
 
@@ -221,13 +175,13 @@ def _cmd_ripley(args: argparse.Namespace) -> int:
     if failures:
         raise ConfigError(failures[0][2])
     echo = {"command": "ripley", "scales": args.scales, "n_points": len(track)}
-    with _open_out(args.out) as fh:
-        write_survey_tsv(rows, fh, echo)
+    write_survey_tsv(rows, _out(args.out), echo)
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     bin = Bin(args.bin_id, 0, args.bin_length)
+    echo = {"command": "simulate", "kind": args.kind, "bin_length": args.bin_length}
     if args.kind == "points":
         cfg = PointGenConfig(
             mode=PointMode.CLUSTERED if args.mode == "clustered" else PointMode.INDEPENDENT,
@@ -235,11 +189,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             lambda_intra=args.lambda_intra,
             new_cluster_prob=args.new_cluster_prob,
         )
+        echo["mode"] = args.mode
         track = generate_points(bin, cfg, args.seed)
-        with _open_out(args.out) as fh:
-            fh.write(f"# command=simulate kind=points bin_length={args.bin_length} "
-                     f"mode={args.mode} seed={args.seed}\n")
-            save_point_track(track, fh)
+        save = save_point_track
     else:
         cfg = SegmentGenConfig(
             gap_lambda=args.gap_lambda,
@@ -249,11 +201,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             lambda_intra=args.lambda_intra,
             new_cluster_prob=args.new_cluster_prob,
         )
+        echo["clustered"] = int(args.clustered)
         track = generate_segments(bin, cfg, args.seed)
-        with _open_out(args.out) as fh:
-            fh.write(f"# command=simulate kind=segments bin_length={args.bin_length} "
-                     f"clustered={int(args.clustered)} seed={args.seed}\n")
-            save_segment_track(track, fh)
+        save = save_segment_track
+    echo["seed"] = args.seed
+    save(track, _out(args.out), echo)
     return 0
 
 
@@ -278,11 +230,10 @@ def _cmd_study(args: argparse.Namespace) -> int:
         "replicates": cfg.n_replicates,
         "bin_length": cfg.bin_length,
         "samples": cfg.mc_samples,
-        "fdr": format(cfg.fdr_threshold, ".12g"),
+        "fdr": fmt(cfg.fdr_threshold),
         "seed": cfg.master_seed,
     }
-    with _open_out(args.out) as fh:
-        write_study_tsv(report, fh, echo)
+    write_study_tsv(report, _out(args.out), echo)
     return 0
 
 
@@ -296,11 +247,9 @@ def _cmd_ordering(args: argparse.Namespace) -> int:
         "samples": cfg.mc_samples,
         "seed": cfg.master_seed,
     }
-    with _open_out(args.out) as fh:
-        write_ordering_tsv(result, fh, echo)
+    write_ordering_tsv(result, _out(args.out), echo)
     if args.deciles_out:
-        with _open_out(args.deciles_out) as fh:
-            write_deciles_tsv(result, fh, echo)
+        write_deciles_tsv(result, _out(args.deciles_out), echo)
     return 0
 
 

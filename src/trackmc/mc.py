@@ -9,17 +9,16 @@ worker count.
 from __future__ import annotations
 
 import enum
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
 from .null_models import NullModelSpec, RandomizedSide, resample_track
 from .seeding import derive_seed
 from .stats import Direction, _count_in_intervals, count_points_in_segments
-from .tracks import PathLike, PointTrack, SegmentTrack
+from .tracks import PathLike, PointTrack, SegmentTrack, fmt, write_tsv
 
 
 class ConfigError(ValueError):
@@ -132,12 +131,23 @@ def run_mc_test(
     return TestResult(bin_id, float(observed), p, cfg.n_samples, n_exceed, spec)
 
 
-def _run_one(args: tuple) -> tuple[int, TestResult | None, str | None]:
-    idx, points, segments, spec, cfg = args
+def map_jobs(fn: Callable, jobs: Sequence, workers: int) -> list:
+    """``[fn(job) for job in jobs]``, on a process pool when ``workers > 1``.
+
+    Results come back in job order either way.
+    """
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
+
+
+def _run_one(args: tuple) -> tuple[TestResult | None, str | None]:
+    points, segments, spec, cfg = args
     try:
-        return idx, run_mc_test(points, segments, spec, cfg), None
+        return run_mc_test(points, segments, spec, cfg), None
     except Exception as exc:  # collected by the batch driver
-        return idx, None, f"{points.bin.id}: {exc}"
+        return None, f"{points.bin.id}: {exc}"
 
 
 def run_mc_batch(
@@ -153,24 +163,10 @@ def run_mc_batch(
     """
     if not tests:
         raise ValueError("empty batch")
-    jobs = [(i, pts, segs, spec, cfg) for i, (pts, segs) in enumerate(tests)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_one, jobs))
-    else:
-        outcomes = [_run_one(job) for job in jobs]
-    outcomes.sort(key=lambda o: o[0])
-    results = [r for _, r, _ in outcomes if r is not None]
-    errors = [e for _, _, e in outcomes if e is not None]
+    outcomes = map_jobs(_run_one, [(pts, segs, spec, cfg) for pts, segs in tests], workers)
+    results = [r for r, _ in outcomes if r is not None]
+    errors = [e for _, e in outcomes if e is not None]
     return results, errors
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
-
-
-def echo_header(config_echo: dict) -> list[str]:
-    return [f"# {key}={value}" for key, value in config_echo.items()]
 
 
 def write_results_tsv(
@@ -180,44 +176,11 @@ def write_results_tsv(
     n_points: dict[str, int] | None = None,
 ) -> None:
     """TSV: bin_id, n_points, statistic, p_value, n_samples, null_model."""
-    lines: list[str] = []
-    if config_echo:
-        lines.extend(echo_header(config_echo))
-    lines.append("bin_id\tn_points\tstatistic\tp_value\tn_samples\tnull_model")
+    lines = ["bin_id\tn_points\tstatistic\tp_value\tn_samples\tnull_model"]
     for r in results:
         npts = "" if n_points is None else str(n_points.get(r.bin_id, ""))
         lines.append(
-            f"{r.bin_id}\t{npts}\t{_fmt(r.observed)}\t{_fmt(r.p_value)}"
+            f"{r.bin_id}\t{npts}\t{fmt(r.observed)}\t{fmt(r.p_value)}"
             f"\t{r.n_samples}\t{r.null_model.to_string()}"
         )
-    text = "\n".join(lines) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def write_results_json(
-    results: Iterable[TestResult],
-    path: PathLike,
-    config_echo: dict | None = None,
-) -> None:
-    """JSON document with full config echo for provenance."""
-    doc = {
-        "config": config_echo or {},
-        "results": [
-            {
-                "bin_id": r.bin_id,
-                "observed": r.observed,
-                "p_value": r.p_value,
-                "n_samples": r.n_samples,
-                "n_exceed": r.n_exceed,
-                "null_model": r.null_model.to_string(),
-            }
-            for r in results
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_tsv(path_or_file, config_echo, lines)

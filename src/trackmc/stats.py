@@ -9,7 +9,6 @@ stationarity assumption with a decaying correlation function.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import binom
@@ -24,15 +23,6 @@ class Direction(enum.Enum):
     GREATER = "greater"
     LESS = "less"
     TWO_SIDED = "two-sided"
-
-
-@dataclass(frozen=True)
-class StatisticValue:
-    """An observed statistic plus the tail that counts as evidence."""
-
-    value: float
-    n_points: int
-    direction: Direction = Direction.GREATER
 
 
 def count_points_in_segments(points: PointTrack, segments: SegmentTrack) -> int:

@@ -16,13 +16,12 @@ index); worker count never changes any output.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .mc import Direction, MCConfig, echo_header, run_mc_test
+from .mc import Direction, MCConfig, map_jobs, run_mc_test
 from .null_models import (
     NullModelSpec,
     PRESERVE_INTERPOINT,
@@ -47,7 +46,9 @@ from .tracks import (
     PointTrack,
     SegmentTrack,
     coverage_fraction,
+    fmt,
     to_binary_sequence,
+    write_tsv,
 )
 
 
@@ -185,13 +186,6 @@ def _study_replicate(args: tuple) -> tuple[str, int, dict[str, float]]:
     return column, rep, out
 
 
-def _run_jobs(fn, jobs: list, workers: int) -> list:
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
-    return [fn(job) for job in jobs]
-
-
 def run_false_rejection_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
     """Rejection counts per (assumption row, generation column) cell.
 
@@ -204,7 +198,7 @@ def run_false_rejection_study(cfg: StudyConfig, workers: int = 1) -> StudyReport
         for column in GENERATION_COLUMNS
         for rep in range(cfg.n_replicates)
     ]
-    outcomes = _run_jobs(_study_replicate, jobs, workers)
+    outcomes = map_jobs(_study_replicate, jobs, workers)
     pvals: dict[tuple[str, str], list[float]] = {
         (a.label, col): [0.0] * cfg.n_replicates
         for a in cfg.assumptions
@@ -227,7 +221,7 @@ def run_false_rejection_study(cfg: StudyConfig, workers: int = 1) -> StudyReport
     )
 
 
-def _ordering_replicate(args: tuple) -> tuple[int, dict[str, float]]:
+def _ordering_replicate(args: tuple) -> dict[str, float]:
     cfg, rep = args
     bin = Bin(f"ordering-{rep:04d}", 0, cfg.bin_length)
     points = generate_points(
@@ -241,7 +235,7 @@ def _ordering_replicate(args: tuple) -> tuple[int, dict[str, float]]:
         master_seed=cfg.master_seed,
         direction=Direction.TWO_SIDED,
     )
-    return rep, {
+    return {
         model.to_string(): run_mc_test(points, segments, model, mc_cfg).p_value
         for model in ORDERING_MODELS
     }
@@ -262,11 +256,9 @@ def run_ordering_experiment(cfg: StudyConfig, workers: int = 1) -> OrderingResul
     model against the other side's preserve model.
     """
     jobs = [(cfg, rep) for rep in range(cfg.n_replicates)]
-    outcomes = sorted(_run_jobs(_ordering_replicate, jobs, workers))
+    outcomes = map_jobs(_ordering_replicate, jobs, workers)
     labels = tuple(m.to_string() for m in ORDERING_MODELS)
-    pvalues = {
-        label: np.array([row[label] for _, row in outcomes]) for label in labels
-    }
+    pvalues = {label: np.array([row[label] for row in outcomes]) for label in labels}
     return OrderingResult(labels=labels, pvalues=pvalues, n_replicates=cfg.n_replicates)
 
 
@@ -307,52 +299,38 @@ def run_clustering_survey(
     return rows, failures
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
-
-
-def _write_lines(path_or_file: PathLike | TextIO, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def write_study_tsv(
     report: StudyReport, path_or_file: PathLike | TextIO, config_echo: dict | None = None
 ) -> None:
-    lines = echo_header(config_echo or {})
-    lines.append(f"# rejected_out_of={report.n_replicates}")
-    lines.append(f"# fdr_threshold={_fmt(report.fdr_threshold)}")
-    lines.append("assumption\t" + "\t".join(report.columns))
+    lines = [
+        f"# rejected_out_of={report.n_replicates}",
+        f"# fdr_threshold={fmt(report.fdr_threshold)}",
+        "assumption\t" + "\t".join(report.columns),
+    ]
     for row in report.rows:
         cells = "\t".join(str(report.counts[(row, col)]) for col in report.columns)
         lines.append(f"{row}\t{cells}")
-    _write_lines(path_or_file, lines)
+    write_tsv(path_or_file, config_echo, lines)
 
 
 def write_ordering_tsv(
     result: OrderingResult, path_or_file: PathLike | TextIO, config_echo: dict | None = None
 ) -> None:
-    lines = echo_header(config_echo or {})
-    lines.append("replicate\t" + "\t".join(result.labels))
+    lines = ["replicate\t" + "\t".join(result.labels)]
     for rep in range(result.n_replicates):
-        cells = "\t".join(_fmt(float(result.pvalues[lab][rep])) for lab in result.labels)
+        cells = "\t".join(fmt(float(result.pvalues[lab][rep])) for lab in result.labels)
         lines.append(f"{rep}\t{cells}")
-    _write_lines(path_or_file, lines)
+    write_tsv(path_or_file, config_echo, lines)
 
 
 def write_deciles_tsv(
     result: OrderingResult, path_or_file: PathLike | TextIO, config_echo: dict | None = None
 ) -> None:
-    lines = echo_header(config_echo or {})
-    lines.append("decile\t" + "\t".join(result.labels))
+    lines = ["decile\t" + "\t".join(result.labels)]
     for q, row in decile_table(result):
-        cells = "\t".join(_fmt(row[lab]) for lab in result.labels)
-        lines.append(f"{_fmt(q)}\t{cells}")
-    _write_lines(path_or_file, lines)
+        cells = "\t".join(fmt(row[lab]) for lab in result.labels)
+        lines.append(f"{fmt(q)}\t{cells}")
+    write_tsv(path_or_file, config_echo, lines)
 
 
 def write_survey_tsv(
@@ -360,8 +338,7 @@ def write_survey_tsv(
     path_or_file: PathLike | TextIO,
     config_echo: dict | None = None,
 ) -> None:
-    lines = echo_header(config_echo or {})
-    lines.append("track\tbin_id\ttau\tk_hat\tl_hat")
+    lines = ["track\tbin_id\ttau\tk_hat\tl_hat"]
     for idx, bin_id, tau, k_hat, l_hat in rows:
-        lines.append(f"{idx}\t{bin_id}\t{tau}\t{_fmt(k_hat)}\t{_fmt(l_hat)}")
-    _write_lines(path_or_file, lines)
+        lines.append(f"{idx}\t{bin_id}\t{tau}\t{fmt(k_hat)}\t{fmt(l_hat)}")
+    write_tsv(path_or_file, config_echo, lines)

@@ -163,14 +163,15 @@ def _parse_int(field: str, path: PathLike, lineno: int) -> int:
         ) from None
 
 
-def load_point_track(path: PathLike, bin: Bin) -> PointTrack:
-    """Read a point track from a tab-separated file.
+def read_points(path: PathLike) -> np.ndarray:
+    """Sorted point coordinates from a tab-separated file.
 
     Accepts either one coordinate per line or a (start, end) interval per
-    line; interval rows are reduced to their midpoints,
-    ``floor((start + end) / 2)``. Lines starting with '#' are skipped.
+    line, fixed by the first data row; interval rows are reduced to their
+    midpoints, ``floor((start + end) / 2)``. Lines starting with '#' are
+    skipped. A repeated coordinate is rejected with its line.
     """
-    positions: list[int] = []
+    first_line: dict[int, int] = {}
     ncols: int | None = None
     for lineno, fields in _data_rows(path):
         if ncols is None:
@@ -184,7 +185,7 @@ def load_point_track(path: PathLike, bin: Bin) -> PointTrack:
                 f"{path}: line {lineno}: expected {ncols} columns, got {len(fields)}"
             )
         if ncols == 1:
-            positions.append(_parse_int(fields[0], path, lineno))
+            pos = _parse_int(fields[0], path, lineno)
         else:
             start = _parse_int(fields[0], path, lineno)
             end = _parse_int(fields[1], path, lineno)
@@ -192,15 +193,18 @@ def load_point_track(path: PathLike, bin: Bin) -> PointTrack:
                 raise TrackValidationError(
                     f"{path}: line {lineno}: interval end must exceed start"
                 )
-            positions.append((start + end) // 2)
-    arr = np.array(sorted(positions), dtype=np.int64)
-    if arr.size and np.any(np.diff(arr) == 0):
-        raise TrackValidationError(f"{path}: duplicate point coordinate")
-    return PointTrack(bin, arr)
+            pos = (start + end) // 2
+        if pos in first_line:
+            raise TrackValidationError(
+                f"{path}: line {lineno}: duplicate point coordinate {pos} "
+                f"(first at line {first_line[pos]})"
+            )
+        first_line[pos] = lineno
+    return np.sort(np.fromiter(first_line, dtype=np.int64, count=len(first_line)))
 
 
-def load_segment_track(path: PathLike, bin: Bin) -> SegmentTrack:
-    """Read a segment track from a 2-column tab-separated file.
+def read_segments(path: PathLike) -> np.ndarray:
+    """Sorted disjoint segments from a 2-column tab-separated file.
 
     Overlapping input intervals are merged into maximal disjoint intervals;
     intervals that merely touch are kept separate.
@@ -218,7 +222,17 @@ def load_segment_track(path: PathLike, bin: Bin) -> SegmentTrack:
                 f"{path}: line {lineno}: segment end must exceed start"
             )
         raw.append((start, end))
-    return SegmentTrack(bin, merge_overlapping(raw))
+    return merge_overlapping(raw)
+
+
+def load_point_track(path: PathLike, bin: Bin) -> PointTrack:
+    """Read a point track (see ``read_points``); every point must lie in ``bin``."""
+    return PointTrack(bin, read_points(path))
+
+
+def load_segment_track(path: PathLike, bin: Bin) -> SegmentTrack:
+    """Read a segment track (see ``read_segments``); every segment must lie in ``bin``."""
+    return SegmentTrack(bin, read_segments(path))
 
 
 def merge_overlapping(intervals: Iterable[tuple[int, int]]) -> np.ndarray:
@@ -233,37 +247,80 @@ def merge_overlapping(intervals: Iterable[tuple[int, int]]) -> np.ndarray:
 
 
 def load_bins(path: PathLike) -> list[Bin]:
-    """Read bins from a 3-column (id, start, end) tab-separated file."""
+    """Read bins from a 3-column (id, start, end) tab-separated file.
+
+    A bin id may appear only once.
+    """
     bins: list[Bin] = []
+    first_line: dict[str, int] = {}
     for lineno, fields in _data_rows(path):
         if len(fields) != 3:
             raise TrackFormatError(
                 f"{path}: line {lineno}: expected 3 columns (id, start, end), got {len(fields)}"
             )
+        if fields[0] in first_line:
+            raise TrackValidationError(
+                f"{path}: line {lineno}: duplicate bin id {fields[0]!r} "
+                f"(first at line {first_line[fields[0]]})"
+            )
+        first_line[fields[0]] = lineno
         bins.append(
             Bin(fields[0], _parse_int(fields[1], path, lineno), _parse_int(fields[2], path, lineno))
         )
     return bins
 
 
-def save_point_track(track: PointTrack, path_or_file: PathLike | TextIO) -> None:
-    """Write one coordinate per line (the loadable 1-column format)."""
-    _write_rows(path_or_file, (f"{p}\n" for p in track.positions))
+def partition(
+    bins: Iterable[Bin], positions: np.ndarray, segments: np.ndarray
+) -> tuple[dict[str, PointTrack], dict[str, SegmentTrack]]:
+    """Per-bin tracks, keyed by bin id, from whole-file tracks.
+
+    ``positions`` must be sorted and ``segments`` sorted and disjoint, as
+    ``read_points`` and ``read_segments`` return them. Points outside a bin
+    are left out of it; segments crossing a bin edge are clipped to it.
+    """
+    points_by_bin: dict[str, PointTrack] = {}
+    segments_by_bin: dict[str, SegmentTrack] = {}
+    for b in bins:
+        lo, hi = np.searchsorted(positions, (b.start, b.end))
+        points_by_bin[b.id] = PointTrack(b, positions[lo:hi])
+        # Disjoint sorted segments have sorted ends, so both searches are valid.
+        first = np.searchsorted(segments[:, 1], b.start, side="right")
+        last = np.searchsorted(segments[:, 0], b.end)
+        segments_by_bin[b.id] = SegmentTrack(b, np.clip(segments[first:last], b.start, b.end))
+    return points_by_bin, segments_by_bin
 
 
-def save_segment_track(track: SegmentTrack, path_or_file: PathLike | TextIO) -> None:
-    """Write one (start, end) pair per line."""
-    _write_rows(path_or_file, (f"{s}\t{e}\n" for s, e in track.segments))
+def fmt(x: float) -> str:
+    """The float format of every output: 12 significant digits."""
+    return format(x, ".12g")
 
 
-def _write_rows(path_or_file: PathLike | TextIO, rows: Iterable[str]) -> None:
+def write_tsv(
+    path_or_file: PathLike | TextIO, config_echo: dict | None, lines: Iterable[str]
+) -> None:
+    """Write one ``# key=value`` line per ``config_echo`` item, then ``lines``."""
+    echo = (f"# {key}={value}\n" for key, value in (config_echo or {}).items())
+    text = "".join(echo) + "".join(f"{line}\n" for line in lines)
     if hasattr(path_or_file, "write"):
-        for row in rows:
-            path_or_file.write(row)
+        path_or_file.write(text)
     else:
         with open(path_or_file, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(row)
+            fh.write(text)
+
+
+def save_point_track(
+    track: PointTrack, path_or_file: PathLike | TextIO, config_echo: dict | None = None
+) -> None:
+    """Write one coordinate per line (the loadable 1-column format)."""
+    write_tsv(path_or_file, config_echo, (str(p) for p in track.positions))
+
+
+def save_segment_track(
+    track: SegmentTrack, path_or_file: PathLike | TextIO, config_echo: dict | None = None
+) -> None:
+    """Write one (start, end) pair per line."""
+    write_tsv(path_or_file, config_echo, (f"{s}\t{e}" for s, e in track.segments))
 
 
 def to_binary_sequence(track: PointTrack) -> BinarySequence:

@@ -114,6 +114,34 @@ class TestBatchCommand:
                        "--min-points", "10")
         assert code == 1
 
+    def test_duplicate_bin_id_fails(self, tmp_path, capsys):
+        bins = write_lines(tmp_path / "bins.tsv", ["a\t0\t100", "a\t100\t200"])
+        points = write_lines(tmp_path / "p.tsv", ["5", "150"])
+        segments = write_lines(tmp_path / "s.tsv", ["0\t50", "120\t180"])
+        code = run_cli("batch", "--bins", bins, "--points", points, "--segments", segments)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 2: duplicate bin id 'a'" in err
+
+
+class TestSharedPointRules:
+    """`batch` and `test` read points files through one parser."""
+
+    @pytest.mark.parametrize("rows,message", [
+        (["10\t20", "30", "50\t60"], "line 2: expected 2 columns, got 1"),
+        (["10", "40", "10"], "line 3: duplicate point coordinate 10 (first at line 1)"),
+    ])
+    def test_same_rejection(self, tmp_path, capsys, rows, message):
+        points = write_lines(tmp_path / "p.tsv", rows)
+        segments = write_lines(tmp_path / "s.tsv", ["0\t50"])
+        bins = write_lines(tmp_path / "bins.tsv", ["a\t0\t100"])
+        errors = []
+        for argv in (["test", "--bin-end", "100"], ["batch", "--bins", bins]):
+            code = run_cli(*argv, "--points", points, "--segments", segments, "--samples", "10")
+            assert code == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == f"error: {points}: {message}\n"
+
 
 class TestQvalueCommand:
     def test_appends_qvalues_and_flags(self, tmp_path):
@@ -133,6 +161,17 @@ class TestQvalueCommand:
         table = write_lines(tmp_path / "p.tsv", ["x\ty", "1\t2"])
         assert run_cli("qvalue", "--input", table) == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_short_row_fails(self, tmp_path, capsys):
+        table = write_lines(tmp_path / "p.tsv", ["bin_id\tp_value", "a\t0.1", "b"])
+        assert run_cli("qvalue", "--input", table) == 1
+        assert capsys.readouterr().err == f"error: {table}: line 3: expected 2 columns, got 1\n"
+
+    def test_non_numeric_pvalue_fails(self, tmp_path, capsys):
+        table = write_lines(tmp_path / "p.tsv", ["# seed=1", "bin_id\tp_value", "a\tlow"])
+        assert run_cli("qvalue", "--input", table) == 1
+        assert capsys.readouterr().err == (
+            f"error: {table}: line 3: expected a p-value, got 'low'\n")
 
 
 class TestRipleyCommand:
@@ -160,6 +199,8 @@ class TestSimulateCommand:
         code = run_cli("simulate", "points", "--bin-length", "5000", "--mode", "clustered",
                        "--seed", "3", "--out", str(out))
         assert code == 0
+        assert out.read_text().startswith(
+            "# command=simulate\n# kind=points\n# bin_length=5000\n# mode=clustered\n# seed=3\n")
         code = run_cli("test", "--points", str(out), "--segments",
                        write_lines(tmp_path / "s.tsv", ["0\t1000"]),
                        "--bin-end", "5000", "--samples", "50")

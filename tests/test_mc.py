@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -22,7 +20,7 @@ from trackmc import (
     run_mc_batch,
     run_mc_test,
 )
-from trackmc.mc import count_exceedances, write_results_json, write_results_tsv
+from trackmc.mc import count_exceedances, write_results_tsv
 from trackmc.null_models import NullModelSpec, Preservation, RandomizedSide
 
 
@@ -226,14 +224,3 @@ class TestWriters:
         assert lines[1] == "bin_id\tn_points\tstatistic\tp_value\tn_samples\tnull_model"
         fields = lines[2].split("\t")
         assert fields[0] == "case" and fields[1] == "6" and fields[5] == "uniform-points"
-
-    def test_json_round_trip(self, tmp_path):
-        points, segments = small_case()
-        cfg = MCConfig(n_samples=80, master_seed=6)
-        result = run_mc_test(points, segments, PRESERVE_INTERPOINT, cfg)
-        out = tmp_path / "res.json"
-        write_results_json([result], out, {"seed": 6})
-        doc = json.loads(out.read_text())
-        assert doc["config"] == {"seed": 6}
-        assert doc["results"][0]["null_model"] == "preserve-interpoint"
-        assert doc["results"][0]["n_samples"] == 80

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trackmc import (
     Bin,
@@ -15,6 +16,9 @@ from trackmc import (
     load_point_track,
     load_segment_track,
     merge_overlapping,
+    partition,
+    read_points,
+    read_segments,
     save_point_track,
     save_segment_track,
     to_binary_sequence,
@@ -89,6 +93,12 @@ class TestLoadPointTrack:
         path = write_lines(tmp_path / "p.tsv", ["3", "3"])
         with pytest.raises(TrackValidationError):
             load_point_track(path, bin10)
+
+    def test_duplicate_midpoint_reports_both_lines(self, tmp_path):
+        path = write_lines(tmp_path / "p.tsv", ["0\t10", "20\t30", "4\t7"])
+        with pytest.raises(TrackValidationError,
+                           match=r"p\.tsv: line 3: duplicate point coordinate 5 \(first at line 1\)"):
+            read_points(path)
 
     def test_malformed_line_reports_line_number(self, tmp_path, bin10):
         path = write_lines(tmp_path / "p.tsv", ["1", "oops", "3"])
@@ -209,11 +219,71 @@ class TestRoundTrip:
         save_point_track(PointTrack(bin10, [1, 5]), buf)
         assert buf.getvalue() == "1\n5\n"
 
+    def test_save_with_config_echo(self, bin10, tmp_path):
+        path = tmp_path / "s.tsv"
+        save_segment_track(SegmentTrack(bin10, [(1, 4)]), path, {"kind": "segments", "seed": 3})
+        assert path.read_text() == "# kind=segments\n# seed=3\n1\t4\n"
+        assert load_segment_track(path, bin10).segments.tolist() == [[1, 4]]
+
 
 def test_load_bins(tmp_path):
     path = write_lines(tmp_path / "bins.tsv", ["# id\tstart\tend", "a\t0\t100", "b\t100\t250"])
     bins = load_bins(path)
     assert [(b.id, b.start, b.end) for b in bins] == [("a", 0, 100), ("b", 100, 250)]
+
+
+def test_load_bins_rejects_duplicate_id(tmp_path):
+    path = write_lines(tmp_path / "bins.tsv", ["a\t0\t100", "b\t100\t200", "a\t200\t300"])
+    with pytest.raises(TrackValidationError,
+                       match=r"bins\.tsv: line 3: duplicate bin id 'a' \(first at line 1\)"):
+        load_bins(path)
+
+
+def _reference_partition(b, positions, rows):
+    """Per-bin filter, clip and merge, one bin at a time."""
+    points = sorted(p for p in positions if b.start <= p < b.end)
+    clipped = sorted(
+        (max(s, b.start), min(e, b.end)) for s, e in rows if s < b.end and e > b.start
+    )
+    merged = []
+    for s, e in clipped:
+        if merged and s < merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], e)
+        else:
+            merged.append([s, e])
+    return points, merged
+
+
+_coord = st.integers(0, 80)
+_interval = st.tuples(_coord, st.integers(1, 25)).map(lambda t: (t[0], t[0] + t[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    positions=st.sets(st.integers(0, 110)),
+    rows=st.lists(_interval, max_size=12),
+    bin_spans=st.lists(_interval, min_size=1, max_size=5),
+)
+def test_partition_matches_per_bin_reference(positions, rows, bin_spans):
+    bins = [Bin(f"b{i}", s, e) for i, (s, e) in enumerate(bin_spans)]
+    points_by_bin, segments_by_bin = partition(
+        bins, np.sort(np.array(list(positions), dtype=np.int64)), merge_overlapping(rows)
+    )
+    for b in bins:
+        points, segments = _reference_partition(b, positions, rows)
+        assert points_by_bin[b.id].positions.tolist() == points
+        assert segments_by_bin[b.id].segments.tolist() == segments
+
+
+def test_partition_of_read_tracks(tmp_path):
+    points = write_lines(tmp_path / "p.tsv", ["5", "150", "99", "250"])
+    segments = write_lines(tmp_path / "s.tsv", ["90\t110", "95\t120", "180\t200", "200\t210"])
+    bins = [Bin("a", 0, 100), Bin("b", 100, 200), Bin("c", 190, 300)]
+    points_by_bin, segments_by_bin = partition(bins, read_points(points), read_segments(segments))
+    assert {k: v.positions.tolist() for k, v in points_by_bin.items()} == {
+        "a": [5, 99], "b": [150], "c": [250]}
+    assert {k: v.segments.tolist() for k, v in segments_by_bin.items()} == {
+        "a": [[90, 100]], "b": [[100, 120], [180, 200]], "c": [[190, 200], [200, 210]]}
 
 
 def test_binary_sequence_validation():
