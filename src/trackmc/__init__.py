@@ -17,7 +17,6 @@ from .null_models import (
     PRESERVE_INTERPOINT,
     PRESERVE_INTERSEGMENT,
     RandomizedSide,
-    Resample,
     UNIFORM_POINTS,
     UNIFORM_SEGMENTS,
     block_permutation,
@@ -26,6 +25,7 @@ from .null_models import (
     resample_segments_preserve_distances,
     resample_segments_uniform,
     resample_track,
+    sample_counts,
     state_space_size,
 )
 from .qvalues import QValueEntry, QValueReport, estimate_pi0, qvalues, reject_at_fdr

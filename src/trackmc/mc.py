@@ -1,9 +1,13 @@
 """Monte Carlo testing engine: sample the statistic under a null model and
 estimate the empirical p-value.
 
-Per-sample generator streams are a pure function of (master seed, bin id,
-sample index), so batch results are independent of execution order and
-worker count.
+Seed contract: a test's samples are drawn in chunks of
+``null_models.chunk_rows`` rows, a number fixed by the two tracks and the
+null model alone. Chunk ``c`` draws from
+``default_rng(derive_seed(master seed, bin id, "chunk", c))``, and the last
+chunk draws only the rows still needed. So batch results are independent
+of execution order and worker count, and the first k samples do not depend
+on the number of samples whenever k is a multiple of the chunk size.
 """
 
 from __future__ import annotations
@@ -15,9 +19,12 @@ from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .null_models import NullModelSpec, RandomizedSide, resample_track
+from .null_models import NullModelSpec, chunk_rows, sample_counts
+# Not called here; the benchmark's tracer (perfbench/tracer.py) looks this
+# name up as trackmc.mc.resample_track.
+from .null_models import resample_track  # noqa: F401
 from .seeding import derive_seed
-from .stats import Direction, _count_in_intervals, count_points_in_segments
+from .stats import Direction, count_points_in_segments
 from .tracks import PathLike, PointTrack, SegmentTrack, fmt, write_tsv
 
 
@@ -81,6 +88,22 @@ def count_exceedances(samples: np.ndarray, observed: float, direction: Direction
     return min(int((samples >= observed).sum()), int((samples <= observed).sum()))
 
 
+def null_counts(
+    points: PointTrack,
+    segments: SegmentTrack,
+    spec: NullModelSpec,
+    cfg: MCConfig,
+) -> np.ndarray:
+    """The ``cfg.n_samples`` null counts of one test, in stream order."""
+    rows = chunk_rows(points, segments, spec)
+    samples = np.empty(cfg.n_samples, dtype=np.int64)
+    for chunk, lo in enumerate(range(0, cfg.n_samples, rows)):
+        hi = min(lo + rows, cfg.n_samples)
+        rng = np.random.default_rng(derive_seed(cfg.master_seed, points.bin.id, "chunk", chunk))
+        samples[lo:hi] = sample_counts(points, segments, spec, rng, hi - lo)
+    return samples
+
+
 def run_mc_test(
     points: PointTrack,
     segments: SegmentTrack,
@@ -97,21 +120,7 @@ def run_mc_test(
             f"bin mismatch: points in {points.bin.id!r}, segments in {segments.bin.id!r}"
         )
     observed = count_points_in_segments(points, segments)
-    bin_id = points.bin.id
-    randomize_points = (
-        spec.randomized_side is RandomizedSide.POINTS or spec.block_size is not None
-    )
-    target = points if randomize_points else segments
-    fixed_positions = points.positions
-    fixed_intervals = segments.segments
-
-    samples = np.empty(cfg.n_samples, dtype=np.int64)
-    for i in range(cfg.n_samples):
-        replicate = resample_track(target, spec, derive_seed(cfg.master_seed, bin_id, i)).track
-        if randomize_points:
-            samples[i] = _count_in_intervals(replicate.positions, fixed_intervals)
-        else:
-            samples[i] = _count_in_intervals(fixed_positions, replicate.segments)
+    samples = null_counts(points, segments, spec, cfg)
 
     if cfg.direction is Direction.TWO_SIDED:
         c_ge = count_exceedances(samples, observed, Direction.GREATER)
@@ -128,7 +137,7 @@ def run_mc_test(
     else:
         n_exceed = count_exceedances(samples, observed, cfg.direction)
         p = empirical_pvalue(n_exceed, cfg.n_samples, cfg.estimator_mode)
-    return TestResult(bin_id, float(observed), p, cfg.n_samples, n_exceed, spec)
+    return TestResult(points.bin.id, float(observed), p, cfg.n_samples, n_exceed, spec)
 
 
 def map_jobs(fn: Callable, jobs: Sequence, workers: int) -> list:
@@ -158,7 +167,7 @@ def run_mc_batch(
 ) -> tuple[list[TestResult], list[str]]:
     """One test per (points, segments) pair; failures are collected, not fatal.
 
-    Per-bin sample streams are keyed by (master_seed, bin_id, index), so
+    Per-bin sample streams are keyed by (master_seed, bin_id, chunk), so
     results do not depend on input order or on ``workers``.
     """
     if not tests:

@@ -9,8 +9,11 @@ p-values up. Models that randomize different sides have no containment
 between them. ``state_space_size`` makes the containment quantitative on
 small instances.
 
-All resamplers are pure in (input, seed); see :mod:`trackmc.seeding` for
-the seed-derivation contract used by batch drivers.
+The per-sample resamplers are pure in (input, seed) and serve as the
+reference implementations. The Monte Carlo engine draws through
+``sample_counts`` instead: one count kernel per model, vectorized over the
+rows of a chunk, whose counts follow exactly the distribution of the
+matching resampler's track counted against the fixed track.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Union
 import numpy as np
 
 from .seeding import rng_for
+from .stats import _count_in_intervals
 from .tracks import BinarySequence, PointTrack, SegmentTrack
 
 
@@ -97,14 +101,6 @@ PRESERVE_INTERSEGMENT = NullModelSpec(
 )
 
 
-@dataclass(frozen=True)
-class Resample:
-    """One randomized replicate together with the seed that produced it."""
-
-    track: Union[PointTrack, SegmentTrack, BinarySequence]
-    source_seed: int
-
-
 def _uniform_subset(rng: np.random.Generator, size: int, count: int) -> np.ndarray:
     """Sorted uniform random count-subset of range(size), exactly uniform.
 
@@ -144,14 +140,56 @@ def _uniform_composition(rng: np.random.Generator, total: int, parts: int) -> np
     return out
 
 
+# --- feasibility checks shared by the resamplers and the count kernels ----
+
+def _check_uniform_points(track: PointTrack) -> None:
+    if len(track) > track.bin.length:
+        raise ValueError(
+            f"bin of length {track.bin.length} cannot host {len(track)} distinct points"
+        )
+
+
+def _interpoint_gaps(track: PointTrack) -> tuple[np.ndarray, int]:
+    """The n-1 inter-point gaps and the number of feasible first positions."""
+    if len(track) < 1:
+        raise ValueError("distance-preserving resample needs at least one point")
+    gaps = np.diff(track.positions)
+    span = int(gaps.sum())
+    if span >= track.bin.length:
+        raise ValueError("point span exceeds bin length")
+    return gaps, track.bin.length - span
+
+
+def _segment_slack(track: SegmentTrack) -> int:
+    """Uncovered base pairs of the bin."""
+    slack = track.bin.length - track.total_length
+    if slack < 0:
+        raise ValueError("total segment length exceeds bin length")
+    return slack
+
+
+def _intersegment_gaps(track: SegmentTrack) -> tuple[np.ndarray, int]:
+    """The k-1 inter-segment gaps and the number of feasible first starts."""
+    if len(track) < 1:
+        raise ValueError("distance-preserving resample needs at least one segment")
+    gaps = track.segments[1:, 0] - track.segments[:-1, 1]
+    span = track.total_length + int(gaps.sum())
+    return gaps, track.bin.length - span + 1
+
+
+def _check_block_size(block_size: int, length: int) -> None:
+    if block_size < 1 or block_size > length:
+        raise ValueError(f"block size must be in [1, {length}], got {block_size}")
+
+
+# --- reference resamplers: one randomized track per seed --------------------
+
 def resample_points_uniform(track: PointTrack, rng_seed: int) -> PointTrack:
     """n points drawn uniformly without replacement from the bin."""
-    n = len(track)
-    length = track.bin.length
-    if n > length:
-        raise ValueError(f"bin of length {length} cannot host {n} distinct points")
+    _check_uniform_points(track)
     rng = rng_for(rng_seed)
-    return PointTrack(track.bin, _uniform_subset(rng, length, n) + track.bin.start)
+    positions = _uniform_subset(rng, track.bin.length, len(track)) + track.bin.start
+    return PointTrack(track.bin, positions)
 
 
 def resample_points_preserve_distances(track: PointTrack, rng_seed: int) -> PointTrack:
@@ -160,19 +198,9 @@ def resample_points_preserve_distances(track: PointTrack, rng_seed: int) -> Poin
     The multiset of n-1 gaps is preserved exactly; only their order and the
     block's start position are randomized.
     """
-    n = len(track)
-    if n < 1:
-        raise ValueError("distance-preserving resample needs at least one point")
+    gaps, n_offsets = _interpoint_gaps(track)
     rng = rng_for(rng_seed)
-    length = track.bin.length
-    if n == 1:
-        pos = track.bin.start + rng.integers(0, length, dtype=np.int64)
-        return PointTrack(track.bin, np.array([pos], dtype=np.int64))
-    gaps = np.diff(track.positions)
-    span = int(gaps.sum())
-    if span >= length:
-        raise ValueError("point span exceeds bin length")
-    offset = int(rng.integers(0, length - span))
+    offset = int(rng.integers(0, n_offsets))
     steps = np.concatenate(([0], np.cumsum(rng.permutation(gaps))))
     return PointTrack(track.bin, track.bin.start + offset + steps)
 
@@ -187,12 +215,9 @@ def resample_segments_uniform(track: SegmentTrack, rng_seed: int) -> SegmentTrac
     k = len(track)
     if k == 0:
         return SegmentTrack(track.bin, np.empty((0, 2), dtype=np.int64))
-    lengths = track.lengths
-    slack = track.bin.length - int(lengths.sum())
-    if slack < 0:
-        raise ValueError("total segment length exceeds bin length")
+    slack = _segment_slack(track)
     rng = rng_for(rng_seed)
-    new_lengths = rng.permutation(lengths)
+    new_lengths = rng.permutation(track.lengths)
     gaps = _uniform_composition(rng, slack, k + 1)
     starts = track.bin.start + np.cumsum(gaps[:-1]) + np.concatenate(
         ([0], np.cumsum(new_lengths[:-1]))
@@ -205,16 +230,11 @@ def resample_segments_preserve_distances(track: SegmentTrack, rng_seed: int) -> 
 
     Both empirical multisets (gaps and lengths) are preserved exactly.
     """
-    k = len(track)
-    if k < 1:
-        raise ValueError("distance-preserving resample needs at least one segment")
+    gaps, n_offsets = _intersegment_gaps(track)
     rng = rng_for(rng_seed)
-    lengths = track.lengths
-    gaps = track.segments[1:, 0] - track.segments[:-1, 1]
-    span = int(lengths.sum()) + int(gaps.sum())
-    offset = int(rng.integers(0, track.bin.length - span + 1))
+    offset = int(rng.integers(0, n_offsets))
     new_gaps = rng.permutation(gaps)
-    new_lengths = rng.permutation(lengths)
+    new_lengths = rng.permutation(track.lengths)
     starts = track.bin.start + offset + np.concatenate(
         ([0], np.cumsum(new_lengths[:-1] + new_gaps))
     )
@@ -229,8 +249,7 @@ def block_permutation(seq: BinarySequence, block_size: int, rng_seed: int) -> Bi
     stays in place.
     """
     n = len(seq)
-    if block_size < 1 or block_size > n:
-        raise ValueError(f"block size must be in [1, {n}], got {block_size}")
+    _check_block_size(block_size, n)
     m = n // block_size
     rng = rng_for(rng_seed)
     order = rng.permutation(m)
@@ -242,7 +261,7 @@ def resample_track(
     track: Union[PointTrack, SegmentTrack],
     spec: NullModelSpec,
     rng_seed: int,
-) -> Resample:
+) -> Union[PointTrack, SegmentTrack]:
     """Draw one replicate under ``spec``; dispatches to the right resampler."""
     if spec.block_size is not None:
         from .tracks import to_binary_sequence
@@ -251,7 +270,7 @@ def resample_track(
             raise TypeError("block permutation requires a point track")
         seq = block_permutation(to_binary_sequence(track), spec.block_size, rng_seed)
         positions = np.flatnonzero(seq.values).astype(np.int64) + track.bin.start
-        return Resample(PointTrack(track.bin, positions), rng_seed)
+        return PointTrack(track.bin, positions)
     if spec.randomized_side is RandomizedSide.POINTS:
         if not isinstance(track, PointTrack):
             raise TypeError("null model randomizes points but a segment track was given")
@@ -260,7 +279,7 @@ def resample_track(
             if spec.preservation is Preservation.UNIFORM_LOCATION
             else resample_points_preserve_distances
         )
-        return Resample(fn(track, rng_seed), rng_seed)
+        return fn(track, rng_seed)
     if not isinstance(track, SegmentTrack):
         raise TypeError("null model randomizes segments but a point track was given")
     fn = (
@@ -268,7 +287,148 @@ def resample_track(
         if spec.preservation is Preservation.UNIFORM_LOCATION
         else resample_segments_preserve_distances
     )
-    return Resample(fn(track, rng_seed), rng_seed)
+    return fn(track, rng_seed)
+
+
+# --- count kernels: many samples per call, no tracks built ------------------
+
+# numpy's hypergeometric sampler takes fewer than 10**9 good and bad items.
+_HYPERGEOMETRIC_LIMIT = 10**9
+# A chunk's temporaries hold at most this many int64 elements (8 MB).
+_CHUNK_ELEMENTS = 2**20
+_MAX_CHUNK_ROWS = 64
+
+
+def chunk_rows(points: PointTrack, segments: SegmentTrack, spec: NullModelSpec) -> int:
+    """Samples per seeded chunk: ``min(64, max(1, 2**20 // size))``.
+
+    ``size`` is how many elements one sample permutes: n-1 gaps under
+    preserve-interpoint, k lengths plus k-1 gaps under the segment models,
+    L // b blocks under ``block:b`` and 1 under uniform-points. It depends
+    on the tracks alone, so chunk boundaries never move with the number of
+    samples or workers.
+    """
+    if spec.block_size is not None:
+        size = points.bin.length // spec.block_size
+    elif spec.randomized_side is RandomizedSide.SEGMENTS:
+        size = 2 * len(segments) - 1
+    elif spec.preservation is Preservation.PRESERVE_INTER_DISTANCES:
+        size = len(points) - 1
+    else:
+        size = 1
+    return min(_MAX_CHUNK_ROWS, max(1, _CHUNK_ELEMENTS // max(1, size)))
+
+
+def sample_counts(
+    points: PointTrack,
+    segments: SegmentTrack,
+    spec: NullModelSpec,
+    rng: np.random.Generator,
+    m: int,
+) -> np.ndarray:
+    """``m`` null samples of the points-in-segments count, as int64[m].
+
+    The side ``spec`` randomizes is redrawn for every sample and the other
+    track stays fixed. Each count has exactly the distribution of
+    ``_count_in_intervals`` on the matching reference resampler's track;
+    infeasible inputs raise the resampler's ``ValueError``.
+    """
+    if spec.block_size is not None:
+        return _block_counts(points, segments, spec.block_size, rng, m)
+    if spec.randomized_side is RandomizedSide.POINTS:
+        if spec.preservation is Preservation.UNIFORM_LOCATION:
+            return _uniform_point_counts(points, segments, rng, m)
+        return _preserve_point_counts(points, segments, rng, m)
+    if spec.preservation is Preservation.UNIFORM_LOCATION:
+        return _uniform_segment_counts(points, segments, rng, m)
+    return _preserve_segment_counts(points, segments, rng, m)
+
+
+def _uniform_point_counts(
+    points: PointTrack, segments: SegmentTrack, rng: np.random.Generator, m: int
+) -> np.ndarray:
+    # n points uniform without replacement: the covered ones are
+    # Hypergeometric(covered bp, uncovered bp, n).
+    _check_uniform_points(points)
+    n, length = len(points), points.bin.length
+    covered = segments.total_length
+    if max(covered, length - covered) < _HYPERGEOMETRIC_LIMIT:
+        return rng.hypergeometric(covered, length - covered, n, size=m)
+    draws = (points.bin.start + _uniform_subset(rng, length, n) for _ in range(m))
+    return np.array([_count_in_intervals(d, segments.segments) for d in draws], dtype=np.int64)
+
+
+def _preserve_point_counts(
+    points: PointTrack, segments: SegmentTrack, rng: np.random.Generator, m: int
+) -> np.ndarray:
+    gaps, n_offsets = _interpoint_gaps(points)
+    offsets = rng.integers(0, n_offsets, size=m)
+    positions = np.empty((m, len(points)), dtype=np.int64)
+    positions[:, 0] = 0
+    np.cumsum(rng.permuted(np.broadcast_to(gaps, (m, gaps.size)), axis=1), axis=1,
+              out=positions[:, 1:])
+    positions += (points.bin.start + offsets)[:, None]
+    return _count_in_intervals(positions, segments.segments)
+
+
+def _uniform_segment_counts(
+    points: PointTrack, segments: SegmentTrack, rng: np.random.Generator, m: int
+) -> np.ndarray:
+    k = len(segments)
+    if k == 0:
+        return np.zeros(m, dtype=np.int64)
+    slack = _segment_slack(segments)
+    lengths = rng.permuted(np.broadcast_to(segments.lengths, (m, k)), axis=1)
+    # Stars and bars: k sorted bars among slack + k slots give a uniform
+    # composition of the slack into k+1 gaps; the gaps before segment j sum
+    # to bars[j] - j.
+    bars = np.empty((m, k), dtype=np.int64)
+    for row in bars:
+        row[:] = rng.choice(slack + k, k, replace=False, shuffle=False)
+    bars.sort(axis=1)
+    ends = np.cumsum(lengths, axis=1)
+    ends += bars - np.arange(k) + segments.bin.start
+    return _count_between(points.positions, ends - lengths, ends)
+
+
+def _preserve_segment_counts(
+    points: PointTrack, segments: SegmentTrack, rng: np.random.Generator, m: int
+) -> np.ndarray:
+    gaps, n_offsets = _intersegment_gaps(segments)
+    k = len(segments)
+    offsets = rng.integers(0, n_offsets, size=m)
+    lengths = rng.permuted(np.broadcast_to(segments.lengths, (m, k)), axis=1)
+    # Segment j ends after the first j+1 lengths and the first j gaps.
+    ends = lengths.copy()
+    ends[:, 1:] += rng.permuted(np.broadcast_to(gaps, (m, k - 1)), axis=1)
+    np.cumsum(ends, axis=1, out=ends)
+    ends += (segments.bin.start + offsets)[:, None]
+    return _count_between(points.positions, ends - lengths, ends)
+
+
+def _block_counts(
+    points: PointTrack, segments: SegmentTrack, block_size: int, rng: np.random.Generator, m: int
+) -> np.ndarray:
+    # A point in block i moves to block slot[i], keeping its offset within
+    # the block. The reference moves block order[j] to j, so slot is the
+    # inverse of order; the inverse of a uniform permutation is uniform, so
+    # a drawn permutation serves as slot directly. Points in the trailing
+    # partial block stay in place.
+    _check_block_size(block_size, points.bin.length)
+    n_blocks = points.bin.length // block_size
+    rel = points.positions - points.bin.start
+    in_head = rel < n_blocks * block_size
+    block, within = np.divmod(rel[in_head], block_size)
+    slot = rng.permuted(np.broadcast_to(np.arange(n_blocks), (m, n_blocks)), axis=1)
+    moved = slot[:, block] * block_size + (within + points.bin.start)
+    fixed = _count_in_intervals(points.positions[~in_head], segments.segments)
+    return _count_in_intervals(moved, segments.segments) + fixed
+
+
+def _count_between(positions: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Per row, the sorted positions inside the half-open [starts, ends) intervals."""
+    inside = np.searchsorted(positions, ends) - np.searchsorted(positions, starts)
+    return inside.sum(axis=-1)
 
 
 def _multiset_permutations(values: np.ndarray) -> int:

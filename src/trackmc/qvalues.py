@@ -73,11 +73,8 @@ def qvalues(
 
     m = p.size
     order = np.argsort(p, kind="stable")
-    q_sorted = np.empty(m, dtype=np.float64)
-    running = np.inf
-    for pos in range(m - 1, -1, -1):
-        running = min(running, m * pi0 * p[order[pos]] / (pos + 1))
-        q_sorted[pos] = running
+    terms = m * pi0 * p[order] / np.arange(1, m + 1)
+    q_sorted = np.minimum.accumulate(terms[::-1])[::-1]
     q = np.empty(m, dtype=np.float64)
     q[order] = np.minimum(q_sorted, 1.0)
 

@@ -34,18 +34,18 @@ def count_points_in_segments(points: PointTrack, segments: SegmentTrack) -> int:
         raise ValueError(
             f"bin mismatch: points in {points.bin.id!r}, segments in {segments.bin.id!r}"
         )
-    return _count_in_intervals(points.positions, segments.segments)
+    return int(_count_in_intervals(points.positions, segments.segments))
 
 
-def _count_in_intervals(positions: np.ndarray, intervals: np.ndarray) -> int:
-    # Disjoint sorted intervals: locate each point's candidate interval by
-    # binary search on the starts, then test against that interval's end.
-    if positions.size == 0 or intervals.shape[0] == 0:
-        return 0
-    idx = np.searchsorted(intervals[:, 0], positions, side="right") - 1
-    hit = idx >= 0
-    hit[hit] = positions[hit] < intervals[idx[hit], 1]
-    return int(hit.sum())
+def _count_in_intervals(positions: np.ndarray, intervals: np.ndarray) -> np.ndarray:
+    """Positions inside any of the disjoint sorted intervals, counted along
+    the last axis, so a 2-D array of positions gives one count per row."""
+    # Locate each position's candidate interval by binary search on the
+    # starts, then test against that interval's end; the sentinel end
+    # rejects positions before the first start.
+    ends = np.concatenate(([np.iinfo(np.int64).min], intervals[:, 1]))
+    idx = np.searchsorted(intervals[:, 0], positions, side="right")
+    return (positions < ends[idx]).sum(axis=-1)
 
 
 def segment_indicator_weights(segments: SegmentTrack) -> np.ndarray:

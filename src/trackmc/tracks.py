@@ -154,13 +154,21 @@ def _data_rows(path: PathLike) -> Iterable[tuple[int, list[str]]]:
             yield lineno, [f.strip() for f in line.split("\t")]
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def _parse_int(field: str, path: PathLike, lineno: int) -> int:
     try:
-        return int(field)
+        value = int(field)
     except ValueError:
         raise TrackFormatError(
             f"{path}: line {lineno}: expected integer, got {field!r}"
         ) from None
+    if not _INT64.min <= value <= _INT64.max:
+        raise TrackFormatError(
+            f"{path}: line {lineno}: coordinate out of range (outside int64): {field!r}"
+        )
+    return value
 
 
 def read_points(path: PathLike) -> np.ndarray:

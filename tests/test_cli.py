@@ -143,6 +143,37 @@ class TestSharedPointRules:
         assert errors[0] == errors[1] == f"error: {points}: {message}\n"
 
 
+class TestOutOfRangeCoordinate:
+    """A coordinate beyond int64 is a format error with its line, not a traceback."""
+
+    HUGE = "99999999999999999999"
+
+    @pytest.mark.parametrize("bad", ["points", "segments", "bins"])
+    def test_rejected_with_line(self, tmp_path, capsys, bad):
+        rows = {
+            "points": ["5", self.HUGE],
+            "segments": ["0\t50", f"60\t{self.HUGE}"],
+            "bins": ["a\t0\t100", f"b\t100\t{self.HUGE}"],
+        }
+        defaults = {"points": ["5", "150"], "segments": ["0\t50"], "bins": ["a\t0\t100"]}
+        files = {
+            kind: write_lines(tmp_path / f"{kind}.tsv", (rows if kind == bad else defaults)[kind])
+            for kind in ("points", "segments", "bins")
+        }
+        if bad == "points":
+            argv = ["test", "--bin-end", "200"]
+        else:
+            argv = ["batch", "--bins", files["bins"]]
+        code = run_cli(*argv, "--points", files["points"], "--segments", files["segments"],
+                       "--samples", "10")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {files[bad]}: line 2: coordinate out of range (outside int64): "
+            f"{self.HUGE!r}\n"
+        )
+
+
 class TestQvalueCommand:
     def test_appends_qvalues_and_flags(self, tmp_path):
         table = write_lines(tmp_path / "p.tsv", [

@@ -9,6 +9,7 @@ from trackmc import (
     MCConfig,
     PointTrack,
     PRESERVE_INTERPOINT,
+    PRESERVE_INTERSEGMENT,
     SegmentTrack,
     UNIFORM_POINTS,
     UNIFORM_SEGMENTS,
@@ -16,12 +17,21 @@ from trackmc import (
     coverage_fraction,
     derive_seed,
     empirical_pvalue,
-    resample_points_uniform,
+    resample_track,
     run_mc_batch,
     run_mc_test,
 )
-from trackmc.mc import count_exceedances, write_results_tsv
-from trackmc.null_models import NullModelSpec, Preservation, RandomizedSide
+import trackmc.mc
+from trackmc.mc import count_exceedances, null_counts, write_results_tsv
+from trackmc.null_models import NullModelSpec, Preservation, RandomizedSide, chunk_rows
+
+ALL_MODELS = (
+    UNIFORM_POINTS,
+    PRESERVE_INTERPOINT,
+    UNIFORM_SEGMENTS,
+    PRESERVE_INTERSEGMENT,
+    NullModelSpec.from_string("block:4"),
+)
 
 
 def small_case():
@@ -144,23 +154,86 @@ class TestRunMcTest:
 
 
 class TestEstimatorValidity:
-    def test_add_one_pvalue_is_valid_under_true_null(self):
-        # Observed data drawn from the same resampler: P(p <= a) <= a for
-        # every achievable a, up to Monte Carlo noise (3 SEs).
-        b = Bin("v", 0, 20)
-        template = PointTrack(b, [0, 1, 2])
-        segments = SegmentTrack(b, [(0, 8)])
+    # Each model's observed track is a reference draw from a template, and
+    # the model's state space is the same from any of its states, so the
+    # observed and sampled counts are exchangeable.
+    VALIDITY_BIN = Bin("v", 0, 20)
+    TEMPLATES = {
+        "points": (PointTrack(VALIDITY_BIN, [0, 1, 2]), SegmentTrack(VALIDITY_BIN, [(0, 8)])),
+        "segments": (
+            PointTrack(VALIDITY_BIN, [1, 6, 12]),
+            SegmentTrack(VALIDITY_BIN, [(0, 4), (9, 11)]),
+        ),
+    }
+
+    @pytest.mark.parametrize("spec", ALL_MODELS, ids=lambda s: s.to_string())
+    def test_add_one_pvalue_is_valid_under_true_null(self, spec):
+        # Observed data drawn from the same null: P(p <= a) <= a for every
+        # achievable a, up to Monte Carlo noise (3 SEs).
+        side = "segments" if spec.randomized_side is RandomizedSide.SEGMENTS else "points"
+        points, segments = self.TEMPLATES[side]
         n_rep, n_samples = 10_000, 99
         pvals = np.empty(n_rep)
         for rep in range(n_rep):
-            observed = resample_points_uniform(template, derive_seed("obs", rep))
+            if side == "points":
+                points = resample_track(self.TEMPLATES[side][0], spec, derive_seed("obs", rep))
+            else:
+                segments = resample_track(self.TEMPLATES[side][1], spec, derive_seed("obs", rep))
             cfg = MCConfig(n_samples=n_samples, master_seed=derive_seed("val", rep))
-            pvals[rep] = run_mc_test(observed, segments, UNIFORM_POINTS, cfg).p_value
+            pvals[rep] = run_mc_test(points, segments, spec, cfg).p_value
         for k in range(1, n_samples + 2):
             alpha = k / (n_samples + 1)
             phat = float((pvals <= alpha).mean())
             slack = 3 * np.sqrt(alpha * (1 - alpha) / n_rep)
             assert phat <= alpha + slack, f"alpha={alpha}: phat={phat}"
+
+
+class TestSampleStream:
+    @pytest.mark.parametrize("spec", ALL_MODELS, ids=lambda s: s.to_string())
+    def test_prefix_is_stable(self, spec):
+        points, segments = small_case()
+        r = chunk_rows(points, segments, spec)
+        short = null_counts(points, segments, spec, MCConfig(n_samples=r, master_seed=7))
+        longer = null_counts(points, segments, spec, MCConfig(n_samples=3 * r + 5, master_seed=7))
+        longest = null_counts(points, segments, spec, MCConfig(n_samples=3 * r + 9, master_seed=7))
+        assert np.array_equal(short, longer[:r])
+        assert np.array_equal(longer[: 3 * r], longest[: 3 * r])
+
+    @staticmethod
+    def _big_case():
+        # 40,001 points and 30,000 segments in a 200 kb bin: every model's
+        # chunk is narrower than 64 rows.
+        b = Bin("big", 0, 200_000)
+        points = PointTrack(b, np.arange(0, 200_001, 5)[:-1])
+        starts = np.arange(30_000) * 6
+        segments = SegmentTrack(b, np.column_stack((starts, starts + 3)))
+        return points, segments
+
+    @pytest.mark.parametrize("name,size", [
+        ("uniform-points", 1),
+        ("preserve-interpoint", 39_999),
+        ("uniform-segments", 59_999),
+        ("preserve-intersegment", 59_999),
+        ("block:10", 20_000),
+        ("block:1", 200_000),
+    ])
+    def test_rows_per_chunk_are_bounded(self, monkeypatch, name, size):
+        spec = NullModelSpec.from_string(name)
+        points, segments = self._big_case()
+        rows = []
+        real = trackmc.mc.sample_counts
+
+        def recording(points, segments, spec, rng, m):
+            rows.append(m)
+            return real(points, segments, spec, rng, m)
+
+        monkeypatch.setattr(trackmc.mc, "sample_counts", recording)
+        n_samples = 150
+        counts = null_counts(points, segments, spec, MCConfig(n_samples=n_samples, master_seed=3))
+        assert counts.shape == (n_samples,)
+        bound = min(64, max(1, 2**20 // size))
+        assert sum(rows) == n_samples and max(rows) <= bound
+        assert rows[:-1] == [bound] * (len(rows) - 1)
 
 
 class TestRunMcBatch:

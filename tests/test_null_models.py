@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -17,15 +18,22 @@ from trackmc import (
     UNIFORM_POINTS,
     UNIFORM_SEGMENTS,
     block_permutation,
+    count_points_in_segments,
     derive_seed,
     resample_points_preserve_distances,
     resample_points_uniform,
     resample_segments_preserve_distances,
     resample_segments_uniform,
     resample_track,
+    sample_counts,
     state_space_size,
 )
-from conftest import assert_uniform_chisquare
+from conftest import (
+    assert_chisquare_fit,
+    assert_same_distribution,
+    assert_uniform_chisquare,
+    pool_columns,
+)
 
 BLOCK2 = NullModelSpec(RandomizedSide.POINTS, Preservation.UNIFORM_LOCATION, block_size=2)
 
@@ -342,22 +350,21 @@ class TestResampleTrackDispatch:
         points = PointTrack(b, [1, 4, 9])
         for spec in (UNIFORM_POINTS, PRESERVE_INTERPOINT):
             rep = resample_track(points, spec, 11)
-            assert rep.source_seed == 11
-            assert isinstance(rep.track, PointTrack) and len(rep.track) == 3
+            assert isinstance(rep, PointTrack) and len(rep) == 3
 
     def test_segment_specs(self):
         b = Bin("b", 0, 30)
         segments = SegmentTrack(b, [(0, 4), (10, 11)])
         for spec in (UNIFORM_SEGMENTS, PRESERVE_INTERSEGMENT):
             rep = resample_track(segments, spec, 11)
-            assert isinstance(rep.track, SegmentTrack) and len(rep.track) == 2
+            assert isinstance(rep, SegmentTrack) and len(rep) == 2
 
     def test_block_spec_yields_point_track(self):
         b = Bin("b", 2, 14)
         points = PointTrack(b, [2, 3, 8, 9])
         rep = resample_track(points, BLOCK2, 5)
-        assert isinstance(rep.track, PointTrack)
-        assert len(rep.track) == 4
+        assert isinstance(rep, PointTrack)
+        assert len(rep) == 4
 
     def test_wrong_track_type_rejected(self):
         b = Bin("b", 0, 30)
@@ -369,6 +376,138 @@ class TestResampleTrackDispatch:
             resample_track(segments, UNIFORM_POINTS, 0)
         with pytest.raises(TypeError):
             resample_track(segments, BLOCK2, 0)
+
+
+# --- count kernels against the reference resamplers -----------------------
+
+KERNEL_BIN = Bin("k", 5, 65)
+KERNEL_POINTS = PointTrack(KERNEL_BIN, [6, 9, 10, 22, 31, 40, 47, 55, 63])
+KERNEL_SEGMENTS = SegmentTrack(KERNEL_BIN, [(7, 12), (20, 30), (41, 44), (50, 58)])
+ALL_MODELS = (
+    UNIFORM_POINTS,
+    PRESERVE_INTERPOINT,
+    UNIFORM_SEGMENTS,
+    PRESERVE_INTERSEGMENT,
+    NullModelSpec.from_string("block:4"),
+)
+
+
+def randomizes_points(spec):
+    return spec.block_size is not None or spec.randomized_side is RandomizedSide.POINTS
+
+
+def reference_counts(points, segments, spec, n_draws, tag):
+    """Counts of ``n_draws`` reference replicates against the fixed track."""
+    out = np.empty(n_draws, dtype=np.int64)
+    for i in range(n_draws):
+        seed = derive_seed(tag, i)
+        if randomizes_points(spec):
+            out[i] = count_points_in_segments(resample_track(points, spec, seed), segments)
+        else:
+            out[i] = count_points_in_segments(points, resample_track(segments, spec, seed))
+    return out
+
+
+def exact_count_law(points, segments, spec):
+    """{count: number of equally likely reference states giving it}."""
+    if spec.block_size is not None:
+        # Every block order is equally likely (not only the distinct states).
+        values = np.zeros(points.bin.length, dtype=np.uint8)
+        values[points.positions - points.bin.start] = 1
+        n_blocks = points.bin.length // spec.block_size
+        head = values[: n_blocks * spec.block_size].reshape(n_blocks, spec.block_size)
+        law = Counter()
+        for order in itertools.permutations(range(n_blocks)):
+            moved = np.concatenate((head[list(order)].reshape(-1), values[head.size :]))
+            track = PointTrack(points.bin, np.flatnonzero(moved) + points.bin.start)
+            law[count_points_in_segments(track, segments)] += 1
+        return law
+    enumerate_states = {
+        UNIFORM_POINTS: enumerate_uniform_points,
+        PRESERVE_INTERPOINT: enumerate_preserve_points,
+        UNIFORM_SEGMENTS: enumerate_uniform_segments,
+        PRESERVE_INTERSEGMENT: enumerate_preserve_segments,
+    }[spec]
+    if randomizes_points(spec):
+        tracks = (PointTrack(points.bin, s) for s in enumerate_states(points))
+        return Counter(count_points_in_segments(t, segments) for t in tracks)
+    tracks = (SegmentTrack(segments.bin, s) for s in enumerate_states(segments))
+    return Counter(count_points_in_segments(points, t) for t in tracks)
+
+
+def hypergeometric_law(length, covered, n):
+    """{x: C(covered, x) * C(length - covered, n - x)}, proportional to the pmf."""
+    return {x: math.comb(covered, x) * math.comb(length - covered, n - x) for x in range(n + 1)}
+
+
+def assert_counts_follow(got, law):
+    """Chi-square fit of integer draws to the law {value: weight}."""
+    assert set(got.tolist()) <= set(law)
+    support = sorted(law)
+    counts = np.array([np.count_nonzero(got == v) for v in support])
+    expected = np.array([law[v] for v in support], dtype=float)
+    expected *= got.size / expected.sum()
+    assert_chisquare_fit(pool_columns(counts, expected), pool_columns(expected, expected))
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize("spec", ALL_MODELS, ids=lambda s: s.to_string())
+    def test_matches_reference_resampler(self, spec):
+        n_draws = 40_000
+        rng = np.random.default_rng(derive_seed("kernel", spec.to_string()))
+        got = sample_counts(KERNEL_POINTS, KERNEL_SEGMENTS, spec, rng, n_draws)
+        assert got.shape == (n_draws,) and got.dtype == np.int64
+        want = reference_counts(KERNEL_POINTS, KERNEL_SEGMENTS, spec, n_draws, spec.to_string())
+        assert_same_distribution(got, want)
+
+    @pytest.mark.parametrize("spec", ALL_MODELS, ids=lambda s: s.to_string())
+    def test_matches_exact_law_on_enumerable_bin(self, spec):
+        # Distinct reference states are equally likely, so enumerating them
+        # gives the exact law of the count.
+        b = Bin("tiny", 3, 21)
+        points = PointTrack(b, [4, 5, 9, 15])
+        segments = SegmentTrack(b, [(5, 7), (10, 13), (17, 18)])
+        rng = np.random.default_rng(derive_seed("kernel-exact", spec.to_string()))
+        got = sample_counts(points, segments, spec, rng, 200_000)
+        assert_counts_follow(got, exact_count_law(points, segments, spec))
+
+    def test_uniform_points_is_exactly_hypergeometric(self):
+        rng = np.random.default_rng(derive_seed("kernel", "hypergeometric"))
+        got = sample_counts(KERNEL_POINTS, KERNEL_SEGMENTS, UNIFORM_POINTS, rng, 40_000)
+        assert_counts_follow(got, hypergeometric_law(
+            KERNEL_BIN.length, KERNEL_SEGMENTS.total_length, len(KERNEL_POINTS)))
+
+    def test_bin_too_large_for_numpy_hypergeometric(self):
+        # 1.2e9 covered bp exceeds numpy's hypergeometric limit of 1e9, so
+        # every sample draws its points.
+        b = Bin("big", 0, 2_000_000_000)
+        points = PointTrack(b, [10, 500_000_000, 1_500_000_000, 1_999_999_999])
+        segments = SegmentTrack(b, [(0, 1_200_000_000)])
+        rng = np.random.default_rng(derive_seed("kernel", "big"))
+        got = sample_counts(points, segments, UNIFORM_POINTS, rng, 4_000)
+        law = hypergeometric_law(b.length, segments.total_length, len(points))
+        assert_counts_follow(got, law)
+
+    @pytest.mark.parametrize("spec,points,segments", [
+        (PRESERVE_INTERPOINT, PointTrack(KERNEL_BIN, []), KERNEL_SEGMENTS),
+        (PRESERVE_INTERSEGMENT, KERNEL_POINTS, SegmentTrack(KERNEL_BIN, [])),
+        (NullModelSpec.from_string("block:61"), KERNEL_POINTS, KERNEL_SEGMENTS),
+    ], ids=["empty-points", "empty-segments", "block-too-large"])
+    def test_infeasible_inputs_raise_reference_error(self, spec, points, segments):
+        target = points if randomizes_points(spec) else segments
+        with pytest.raises(ValueError) as want:
+            resample_track(target, spec, 0)
+        with pytest.raises(ValueError) as got:
+            sample_counts(points, segments, spec, np.random.default_rng(0), 3)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("spec", ALL_MODELS, ids=lambda s: s.to_string())
+    def test_nothing_to_count_gives_zeros(self, spec):
+        points, segments = KERNEL_POINTS, SegmentTrack(KERNEL_BIN, [])
+        if spec == PRESERVE_INTERSEGMENT:  # needs a segment; empty the points instead
+            points, segments = PointTrack(KERNEL_BIN, []), KERNEL_SEGMENTS
+        got = sample_counts(points, segments, spec, np.random.default_rng(1), 5)
+        assert got.tolist() == [0] * 5
 
 
 # --- state space sizes and hierarchy containment -------------------------
