@@ -1,6 +1,13 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import trackmc
 from trackmc.cli import main
 from conftest import write_lines
 
@@ -285,3 +292,26 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: importing the package and running a
+    # study (whose analytic row needs the binomial tail) must not load it.
+    package = Path(trackmc.__file__).resolve().parent
+    code = (
+        "import sys, trackmc, trackmc.cli\n"
+        "code = trackmc.cli.main(['study', '--replicates', '1', '--bin-length', '5000',"
+        " '--samples', '20', '--workers', '1', '--out', sys.argv[1]])\n"
+        "assert code == 0, code\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "study.tsv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "study.tsv").read_text().count("\n") > 1
+    for source in package.glob("*.py"):
+        assert not re.search(r"^\s*(import|from)\s+scipy\b", source.read_text(), re.M), source

@@ -97,6 +97,44 @@ class TestEstimateK:
             assert estimate_k(seq, tau) == pytest.approx(direct, rel=1e-12)
 
 
+def estimate_k_loop(seq, tau):
+    # The per-point loop over inverse pair weights that estimate_k replaced.
+    n = len(seq)
+    positions = np.flatnonzero(seq.values).astype(np.int64) + 1
+    m = positions.size
+    lam = m / n
+    total = 0.0
+    for idx in range(m - 1):
+        i = int(positions[idx])
+        hi = int(np.searchsorted(positions, i + tau, side="right"))
+        js = positions[idx + 1 : hi]
+        if js.size == 0:
+            continue
+        w = (np.minimum(js, n) - max(i, 1)) / (js - i)
+        assert np.all(w > 0)
+        total += float((1.0 / w).sum())
+    return 2.0 * total / (n * lam * lam)
+
+
+def test_estimate_k_equals_pair_weight_loop():
+    rng = np.random.default_rng(8)
+    for rep in range(60):
+        n = int(np.exp(rng.uniform(np.log(10), np.log(1_000_000))))
+        if rep % 2:
+            track = generate_points(
+                Bin("b", 0, n),
+                PointGenConfig(mode=PointMode.CLUSTERED, new_cluster_prob=0.3),
+                derive_seed("k-loop", rep),
+            )
+            seq = to_binary_sequence(track)
+        else:
+            seq = BinarySequence(rng.random(n) < min(rng.uniform(0.0005, 0.3), 20_000 / n))
+        if seq.values.sum() < 2:
+            continue
+        tau = int(rng.integers(1, min(n, 2000)))
+        assert estimate_k(seq, tau) == estimate_k_loop(seq, tau), (rep, n, tau)
+
+
 class TestEstimateLProfile:
     def test_duplicate_scales_kept(self):
         seq = BinarySequence([1, 1, 0, 1] + [0] * 8)

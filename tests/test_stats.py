@@ -89,6 +89,19 @@ class TestWeightedSumStatistic:
             weighted_sum_statistic(seq, np.ones(9))
 
 
+def log_space_pmf_sum(start, stop, n, p):
+    # Sum of the Binomial(n, p) pmf over start <= k < stop, from lgamma
+    # terms in log space, so terms below the double range still count.
+    from scipy.special import gammaln, logsumexp
+
+    k = np.arange(start, stop, dtype=np.float64)
+    logs = (
+        gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+        + k * math.log(p) + (n - k) * math.log1p(-p)
+    )
+    return float(np.exp(logsumexp(logs)))
+
+
 def binomial_tail_oracle(t, n, p):
     # Independent direct summation over the upper tail.
     return sum(math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(t, n + 1))
@@ -129,24 +142,74 @@ class TestBinomialPvalues:
     def test_stable_extreme_tails_at_large_n(self):
         # Term-wise pmf values underflow here; a log-space oracle still
         # agrees, so the implementation is not summing raw terms.
-        from scipy.special import logsumexp
-
-        def log_tail_oracle(t, n, p):
-            ks = range(t, n + 1)
-            logs = [
-                math.lgamma(n + 1)
-                - math.lgamma(k + 1)
-                - math.lgamma(n - k + 1)
-                + k * math.log(p)
-                + (n - k) * math.log1p(-p)
-                for k in ks
-            ]
-            return float(np.exp(logsumexp(logs)))
-
         for t, n, p in [(9000, 10_000, 0.8), (5300, 10_000, 0.5), (120, 10_000, 0.005)]:
             assert binomial_upper_pvalue(t, n, p) == pytest.approx(
-                log_tail_oracle(t, n, p), rel=1e-8
+                log_space_pmf_sum(t, n + 1, n, p), rel=1e-8
             )
+        # Lower tails far below 1: a lower tail formed as 1 - upper loses
+        # them (0.0 for the first two, a 3e-11 relative error for the third).
+        for t, n, p in [(4500, 10_000, 0.5), (7600, 10_000, 0.8), (20, 10_000, 0.005)]:
+            assert binomial_lower_pvalue(t, n, p) == pytest.approx(
+                log_space_pmf_sum(0, t + 1, n, p), rel=1e-8, abs=0.0
+            )
+
+    def test_matches_scipy_sweep(self):
+        # n log-uniform up to 10^7; t either anywhere or within 3 sd of
+        # the mean, where the continued fraction works hardest.
+        from scipy.stats import binom
+
+        rng = np.random.default_rng(29)
+        cases = [(38, 609, 0.7426913776344557), (936, 970, 0.4525770728597671)]
+        for _ in range(1500):
+            n = int(np.exp(rng.uniform(0.0, math.log(1e7))))
+            p = float(rng.uniform(0.0, 1.0))
+            if rng.uniform() < 0.5:
+                t = int(rng.integers(0, n + 1))
+            else:
+                sd = math.sqrt(n * p * (1.0 - p))
+                t = int(np.clip(round(n * p + rng.uniform(-3.0, 3.0) * sd), 0, n))
+            cases.append((t, n, p))
+        for t, n, p in cases:
+            # Each tail with scipy's value and the range of k it sums over.
+            for got, want, ks in [
+                (binomial_upper_pvalue(t, n, p), binom.sf(t - 1, n, p), (t, n + 1)),
+                (binomial_lower_strict(t, n, p), binom.cdf(t - 1, n, p), (0, t)),
+                (binomial_lower_pvalue(t, n, p), binom.cdf(t, n, p), (0, t + 1)),
+            ]:
+                if want >= 1e-280:
+                    assert got == pytest.approx(want, rel=1e-10, abs=0.0), (t, n, p)
+                    continue
+                # scipy flushes some tails below ~1e-260 to 0.0 (the first two
+                # cases: P(T < 38) = 2.6e-283, P(T >= 936) = 4.7e-269), so sum
+                # these in log space over the 20,000 terms nearest t, which
+                # hold the mass.
+                start, stop = ks
+                if start == 0:
+                    start = max(0, stop - 20_000)
+                else:
+                    stop = min(stop, start + 20_000)
+                oracle = log_space_pmf_sum(start, stop, n, p)
+                assert got == pytest.approx(oracle, rel=1e-6, abs=1e-290), (t, n, p)
+
+    def test_edges_match_scipy_exactly(self):
+        from scipy.stats import binom
+
+        cases = [(0, 0, p) for p in (0.0, 0.3, 1.0)]
+        cases += [(t, n, p) for n in (1, 7) for t in range(n + 1) for p in (0.0, 1.0)]
+        cases += [(t, n, p) for n in (1, 7, 10**6) for t in (0, n) for p in (0.3, 0.999)]
+        for t, n, p in cases:
+            if t == 0 or p in (0.0, 1.0):
+                assert binomial_upper_pvalue(t, n, p) == binom.sf(t - 1, n, p), (t, n, p)
+                assert binomial_lower_strict(t, n, p) == binom.cdf(t - 1, n, p), (t, n, p)
+            if t == n or p in (0.0, 1.0):
+                assert binomial_lower_pvalue(t, n, p) == binom.cdf(t, n, p), (t, n, p)
+            if t == n:
+                # P(T = n) is p**n; scipy rounds it differently in the last
+                # ulp or two for some (n, p), so only closeness is asserted.
+                assert binomial_upper_pvalue(t, n, p) == p**n
+                assert binomial_upper_pvalue(t, n, p) == pytest.approx(
+                    binom.sf(t - 1, n, p), rel=1e-15, abs=1e-300
+                )
 
     def test_two_sided_doubles_smaller_tail(self):
         upper = binomial_upper_pvalue(8, 10, 0.5)
