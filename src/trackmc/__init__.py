@@ -58,8 +58,7 @@ from .stats import (
     weighted_sum_statistic,
 )
 from .study import (
-    Assumption,
-    DEFAULT_ASSUMPTIONS,
+    ASSUMPTIONS,
     GENERATION_COLUMNS,
     ORDERING_MODELS,
     OrderingResult,

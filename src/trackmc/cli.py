@@ -4,13 +4,17 @@ Subcommands: test, batch, qvalue, ripley, simulate, study, ordering.
 All outputs are TSV with '#'-prefixed header lines echoing the run
 configuration (execution knobs like --workers are deliberately not echoed,
 so outputs are byte-identical across worker counts).
+
+Each subcommand accepts only the flags it reads, so no flag is a silent
+no-op: ``simulate points`` and ``simulate segments`` take their own
+generator flags, --fdr belongs to study, --cluster-segments and
+--deciles-out to ordering.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .mc import ConfigError, Direction, EstimatorMode, MCConfig, run_mc_batch, run_mc_test, write_results_tsv
@@ -81,6 +85,18 @@ def _mc_config(args: argparse.Namespace) -> MCConfig:
     )
 
 
+def _mc_echo(command: str, spec: NullModelSpec, cfg: MCConfig) -> dict:
+    """The header lines that test and batch share."""
+    return {
+        "command": command,
+        "null_model": spec.to_string(),
+        "samples": cfg.n_samples,
+        "seed": cfg.master_seed,
+        "direction": cfg.direction.value,
+        "estimator": cfg.estimator_mode.value,
+    }
+
+
 def _cmd_test(args: argparse.Namespace) -> int:
     bin = Bin(args.bin_id, args.bin_start, args.bin_end)
     points = load_point_track(args.points, bin)
@@ -88,14 +104,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
     spec = NullModelSpec.from_string(args.null_model)
     cfg = _mc_config(args)
     result = run_mc_test(points, segments, spec, cfg)
-    echo = {
-        "command": "test",
-        "null_model": spec.to_string(),
-        "samples": cfg.n_samples,
-        "seed": cfg.master_seed,
-        "direction": cfg.direction.value,
-        "estimator": cfg.estimator_mode.value,
-    }
+    echo = _mc_echo("test", spec, cfg)
     write_results_tsv([result], _out(args.out), echo, n_points={result.bin_id: len(points)})
     return 0
 
@@ -113,12 +122,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         raise ConfigError("no bins left after filtering")
     results, errors = run_mc_batch(tests, spec, cfg, workers=args.workers)
     echo = {
-        "command": "batch",
-        "null_model": spec.to_string(),
-        "samples": cfg.n_samples,
-        "seed": cfg.master_seed,
-        "direction": cfg.direction.value,
-        "estimator": cfg.estimator_mode.value,
+        **_mc_echo("batch", spec, cfg),
         "bins_tested": len(kept),
         "min_points": args.min_points,
         "min_segments": args.min_segments,
@@ -209,21 +213,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _study_config(args: argparse.Namespace) -> StudyConfig:
-    cfg = StudyConfig(
-        n_replicates=args.replicates,
-        bin_length=args.bin_length,
-        fdr_threshold=args.fdr,
-        mc_samples=args.samples,
-        master_seed=args.seed,
-    )
-    if args.cluster_segments:
-        cfg = replace(cfg, segment_config=replace(cfg.segment_config, clustered=True))
-    return cfg
+def _study_fields(args: argparse.Namespace) -> dict:
+    """The StudyConfig fields that study and ordering both take from flags."""
+    return {
+        "n_replicates": args.replicates,
+        "bin_length": args.bin_length,
+        "mc_samples": args.samples,
+        "master_seed": args.seed,
+    }
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
-    cfg = _study_config(args)
+    cfg = StudyConfig(fdr_threshold=args.fdr, **_study_fields(args))
     report = run_false_rejection_study(cfg, workers=args.workers)
     echo = {
         "command": "study",
@@ -238,7 +239,9 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_ordering(args: argparse.Namespace) -> int:
-    cfg = _study_config(args)
+    cfg = StudyConfig(
+        segment_config=SegmentGenConfig(clustered=args.cluster_segments), **_study_fields(args)
+    )
     result = run_ordering_experiment(cfg, workers=args.workers)
     echo = {
         "command": "ordering",
@@ -296,38 +299,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_ripley)
 
     p = sub.add_parser("simulate", help="generate a synthetic track")
-    p.add_argument("kind", choices=("points", "segments"))
-    p.add_argument("--bin-id", default="sim")
-    p.add_argument("--bin-length", type=int, required=True)
-    p.add_argument("--mode", choices=("independent", "clustered"), default="independent")
-    p.add_argument("--lambda-inter", type=float, default=0.01)
-    p.add_argument("--lambda-intra", type=float, default=0.1)
-    p.add_argument("--new-cluster-prob", type=float, default=0.3)
-    p.add_argument("--gap-lambda", type=float, default=0.01)
-    p.add_argument("--length-min", type=int, default=10)
-    p.add_argument("--length-max", type=int, default=100)
-    p.add_argument("--clustered", action="store_true", help="cluster segment starts")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="-")
     p.set_defaults(fn=_cmd_simulate)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    points = kinds.add_parser("points", help="renewal point track")
+    points.add_argument("--mode", choices=("independent", "clustered"), default="independent")
+    points.add_argument("--lambda-inter", type=float, default=0.01)
+    segments = kinds.add_parser("segments", help="segments at renewal start positions")
+    segments.add_argument("--gap-lambda", type=float, default=0.01)
+    segments.add_argument("--length-min", type=int, default=10)
+    segments.add_argument("--length-max", type=int, default=100)
+    segments.add_argument("--clustered", action="store_true", help="cluster segment starts")
+    for p in (points, segments):
+        p.add_argument("--bin-id", default="sim")
+        p.add_argument("--bin-length", type=int, required=True)
+        p.add_argument("--lambda-intra", type=float, default=0.1)
+        p.add_argument("--new-cluster-prob", type=float, default=0.3)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default="-")
 
+    experiments = {}
     for name, fn, help_text in (
         ("study", _cmd_study, "false-rejection study across null models"),
         ("ordering", _cmd_ordering, "p-value ordering across the four null models"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = experiments[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--replicates", type=int, default=100)
         p.add_argument("--bin-length", type=int, default=100_000)
         p.add_argument("--samples", type=int, default=1000)
-        p.add_argument("--fdr", type=float, default=0.20)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--cluster-segments", action="store_true",
-                       help="use the clustered segment generator")
         p.add_argument("--out", default="-")
-        if name == "ordering":
-            p.add_argument("--deciles-out", default=None)
         p.set_defaults(fn=fn)
+    experiments["study"].add_argument("--fdr", type=float, default=0.20)
+    experiments["ordering"].add_argument("--cluster-segments", action="store_true",
+                                         help="use the clustered segment generator")
+    experiments["ordering"].add_argument("--deciles-out", default=None)
 
     return parser
 

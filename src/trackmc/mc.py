@@ -113,30 +113,15 @@ def run_mc_test(
     """Monte Carlo test of the points-in-segments count under ``spec``.
 
     The side named by the null model is resampled; the other track is held
-    fixed at its observed location.
+    fixed at its observed location. A two-sided p-value is twice the
+    smaller tail's, capped at 1.
     """
-    if points.bin != segments.bin:
-        raise ValueError(
-            f"bin mismatch: points in {points.bin.id!r}, segments in {segments.bin.id!r}"
-        )
     observed = count_points_in_segments(points, segments)
     samples = null_counts(points, segments, spec, cfg)
-
+    n_exceed = count_exceedances(samples, observed, cfg.direction)
+    p = empirical_pvalue(n_exceed, cfg.n_samples, cfg.estimator_mode)
     if cfg.direction is Direction.TWO_SIDED:
-        c_ge = count_exceedances(samples, observed, Direction.GREATER)
-        c_le = count_exceedances(samples, observed, Direction.LESS)
-        p = min(
-            1.0,
-            2.0
-            * min(
-                empirical_pvalue(c_ge, cfg.n_samples, cfg.estimator_mode),
-                empirical_pvalue(c_le, cfg.n_samples, cfg.estimator_mode),
-            ),
-        )
-        n_exceed = min(c_ge, c_le)
-    else:
-        n_exceed = count_exceedances(samples, observed, cfg.direction)
-        p = empirical_pvalue(n_exceed, cfg.n_samples, cfg.estimator_mode)
+        p = min(1.0, 2.0 * p)
     return TestResult(points.bin.id, float(observed), p, cfg.n_samples, n_exceed, spec)
 
 
@@ -181,15 +166,14 @@ def run_mc_batch(
 def write_results_tsv(
     results: Iterable[TestResult],
     path_or_file: PathLike | TextIO,
-    config_echo: dict | None = None,
-    n_points: dict[str, int] | None = None,
+    config_echo: dict,
+    n_points: dict[str, int],
 ) -> None:
     """TSV: bin_id, n_points, statistic, p_value, n_samples, null_model."""
     lines = ["bin_id\tn_points\tstatistic\tp_value\tn_samples\tnull_model"]
     for r in results:
-        npts = "" if n_points is None else str(n_points.get(r.bin_id, ""))
         lines.append(
-            f"{r.bin_id}\t{npts}\t{fmt(r.observed)}\t{fmt(r.p_value)}"
+            f"{r.bin_id}\t{n_points[r.bin_id]}\t{fmt(r.observed)}\t{fmt(r.p_value)}"
             f"\t{r.n_samples}\t{r.null_model.to_string()}"
         )
     write_tsv(path_or_file, config_echo, lines)

@@ -46,12 +46,8 @@ def estimate_pi0(pvalues: Sequence[float]) -> float:
     return min(1.0, 2.0 * float(np.mean(p)))
 
 
-def qvalues(
-    pvalues: Sequence[float],
-    pi0: float | None = None,
-    ids: Sequence[str] | None = None,
-) -> QValueReport:
-    """q-value per test, reported in input order.
+def qvalues(pvalues: Sequence[float], pi0: float | None = None) -> QValueReport:
+    """q-value per test, reported in input order; entry ids are the indices.
 
     ``pi0=None`` uses :func:`estimate_pi0`; pass a value to substitute any
     other estimator. Ties in p-values are ranked stably by input index,
@@ -66,10 +62,6 @@ def qvalues(
         pi0 = estimate_pi0(p)
     if not 0.0 < pi0 <= 1.0:
         raise ValueError(f"pi0 must lie in (0, 1], got {pi0}")
-    if ids is None:
-        ids = [str(i) for i in range(p.size)]
-    elif len(ids) != p.size:
-        raise ValueError("ids and pvalues must have equal length")
 
     m = p.size
     order = np.argsort(p, kind="stable")
@@ -78,9 +70,7 @@ def qvalues(
     q = np.empty(m, dtype=np.float64)
     q[order] = np.minimum(q_sorted, 1.0)
 
-    entries = tuple(
-        QValueEntry(str(ids[i]), float(p[i]), float(q[i])) for i in range(m)
-    )
+    entries = tuple(QValueEntry(str(i), float(p[i]), float(q[i])) for i in range(m))
     return QValueReport(entries=entries, pi0=float(pi0))
 
 

@@ -52,23 +52,23 @@ from .tracks import (
 )
 
 
-@dataclass(frozen=True)
-class Assumption:
-    """One testing-assumption row: a null model, or None for the analytic
-    binomial resolution of the uniform-points null."""
-
-    label: str
-    null_model: NullModelSpec | None
-
-
-DEFAULT_ASSUMPTIONS = (
-    Assumption("uniform-point-location-analytic", None),
-    Assumption("uniform-point-location-mc", UNIFORM_POINTS),
-    Assumption("preserve-interpoint-distances", PRESERVE_INTERPOINT),
-    Assumption("uniform-segment-location-mc", UNIFORM_SEGMENTS),
+# The study's rows: a testing assumption's label and its null model, or None
+# for the analytic binomial resolution of the uniform-points null.
+ASSUMPTIONS: tuple[tuple[str, NullModelSpec | None], ...] = (
+    ("uniform-point-location-analytic", None),
+    ("uniform-point-location-mc", UNIFORM_POINTS),
+    ("preserve-interpoint-distances", PRESERVE_INTERPOINT),
+    ("uniform-segment-location-mc", UNIFORM_SEGMENTS),
 )
 
-GENERATION_COLUMNS = ("uniform", "clustered-points", "clustered-segments")
+# The study's columns: each generation procedure's point mode and whether
+# its segment starts are clustered.
+_COLUMN_GENERATION = {
+    "uniform": (PointMode.INDEPENDENT, False),
+    "clustered-points": (PointMode.CLUSTERED, False),
+    "clustered-segments": (PointMode.INDEPENDENT, True),
+}
+GENERATION_COLUMNS = tuple(_COLUMN_GENERATION)
 
 ORDERING_MODELS = (
     UNIFORM_POINTS,
@@ -89,7 +89,6 @@ class StudyConfig:
         default_factory=lambda: PointGenConfig(mode=PointMode.CLUSTERED)
     )
     segment_config: SegmentGenConfig = field(default_factory=SegmentGenConfig)
-    assumptions: tuple[Assumption, ...] = DEFAULT_ASSUMPTIONS
 
     def __post_init__(self) -> None:
         if self.n_replicates < 1:
@@ -136,53 +135,40 @@ def filter_bins(
     ]
 
 
-def _column_configs(
-    column: str, base_points: PointGenConfig, base_segments: SegmentGenConfig
-) -> tuple[PointGenConfig, SegmentGenConfig]:
-    if column == "uniform":
-        return replace(base_points, mode=PointMode.INDEPENDENT), replace(
-            base_segments, clustered=False
-        )
-    if column == "clustered-points":
-        return replace(base_points, mode=PointMode.CLUSTERED), replace(
-            base_segments, clustered=False
-        )
-    if column == "clustered-segments":
-        return replace(base_points, mode=PointMode.INDEPENDENT), replace(
-            base_segments, clustered=True
-        )
-    raise ValueError(f"unknown generation column {column!r}")
-
-
 def _generate_pair(
-    cfg: StudyConfig, experiment: str, column: str, rep: int
+    cfg: StudyConfig,
+    point_config: PointGenConfig,
+    segment_config: SegmentGenConfig,
+    bin_id: str,
+    key: tuple,
 ) -> tuple[PointTrack, SegmentTrack]:
-    pt_cfg, seg_cfg = _column_configs(column, cfg.point_config, cfg.segment_config)
-    bin = Bin(f"{column}-{rep:04d}", 0, cfg.bin_length)
-    points = generate_points(
-        bin, pt_cfg, derive_seed(cfg.master_seed, experiment, column, rep, "points")
-    )
+    """Independent point and segment tracks in one bin, seeded by ``key``."""
+    bin = Bin(bin_id, 0, cfg.bin_length)
+    points = generate_points(bin, point_config, derive_seed(cfg.master_seed, *key, "points"))
     segments = generate_segments(
-        bin, seg_cfg, derive_seed(cfg.master_seed, experiment, column, rep, "segments")
+        bin, segment_config, derive_seed(cfg.master_seed, *key, "segments")
     )
     return points, segments
 
 
 def _study_replicate(args: tuple) -> tuple[str, int, dict[str, float]]:
     cfg, column, rep = args
-    points, segments = _generate_pair(cfg, "study", column, rep)
+    mode, clustered = _COLUMN_GENERATION[column]
+    points, segments = _generate_pair(
+        cfg,
+        replace(cfg.point_config, mode=mode),
+        replace(cfg.segment_config, clustered=clustered),
+        f"{column}-{rep:04d}",
+        ("study", column, rep),
+    )
     mc_cfg = MCConfig(n_samples=cfg.mc_samples, master_seed=cfg.master_seed)
     out: dict[str, float] = {}
-    for assumption in cfg.assumptions:
-        if assumption.null_model is None:
+    for label, null_model in ASSUMPTIONS:
+        if null_model is None:
             t = count_points_in_segments(points, segments)
-            out[assumption.label] = binomial_upper_pvalue(
-                t, len(points), coverage_fraction(segments)
-            )
+            out[label] = binomial_upper_pvalue(t, len(points), coverage_fraction(segments))
         else:
-            out[assumption.label] = run_mc_test(
-                points, segments, assumption.null_model, mc_cfg
-            ).p_value
+            out[label] = run_mc_test(points, segments, null_model, mc_cfg).p_value
     return column, rep, out
 
 
@@ -200,8 +186,8 @@ def run_false_rejection_study(cfg: StudyConfig, workers: int = 1) -> StudyReport
     ]
     outcomes = map_jobs(_study_replicate, jobs, workers)
     pvals: dict[tuple[str, str], list[float]] = {
-        (a.label, col): [0.0] * cfg.n_replicates
-        for a in cfg.assumptions
+        (label, col): [0.0] * cfg.n_replicates
+        for label, _ in ASSUMPTIONS
         for col in GENERATION_COLUMNS
     }
     for column, rep, row_p in outcomes:
@@ -212,7 +198,7 @@ def run_false_rejection_study(cfg: StudyConfig, workers: int = 1) -> StudyReport
         report = reject_at_fdr(qvalues(ps, estimate_pi0(ps)), cfg.fdr_threshold)
         counts[key] = report.n_rejected
     return StudyReport(
-        rows=tuple(a.label for a in cfg.assumptions),
+        rows=tuple(label for label, _ in ASSUMPTIONS),
         columns=GENERATION_COLUMNS,
         counts=counts,
         pvalues={k: tuple(v) for k, v in pvals.items()},
@@ -223,12 +209,8 @@ def run_false_rejection_study(cfg: StudyConfig, workers: int = 1) -> StudyReport
 
 def _ordering_replicate(args: tuple) -> dict[str, float]:
     cfg, rep = args
-    bin = Bin(f"ordering-{rep:04d}", 0, cfg.bin_length)
-    points = generate_points(
-        bin, cfg.point_config, derive_seed(cfg.master_seed, "ordering", rep, "points")
-    )
-    segments = generate_segments(
-        bin, cfg.segment_config, derive_seed(cfg.master_seed, "ordering", rep, "segments")
+    points, segments = _generate_pair(
+        cfg, cfg.point_config, cfg.segment_config, f"ordering-{rep:04d}", ("ordering", rep)
     )
     mc_cfg = MCConfig(
         n_samples=cfg.mc_samples,

@@ -288,6 +288,59 @@ class TestStudyAndOrderingCommands:
         assert len(dec_rows) == 1 + 9
 
 
+SMALL_STUDY_ARGS = ("--replicates", "1", "--bin-length", "5000", "--samples", "20")
+
+
+def _case_id(argv):
+    return argv[1] if argv[0] == "simulate" else argv[0]
+
+
+class TestEveryFlagIsRead:
+    """A flag the command would not read is an error, and every flag it
+    accepts changes the data it writes."""
+
+    @pytest.mark.parametrize("base, flag", [
+        (("study", *SMALL_STUDY_ARGS), ("--cluster-segments",)),
+        (("ordering", *SMALL_STUDY_ARGS), ("--fdr", "0.05")),
+        (("simulate", "points", "--bin-length", "5000"), ("--gap-lambda", "0.02")),
+        (("simulate", "points", "--bin-length", "5000"), ("--length-min", "20")),
+        (("simulate", "points", "--bin-length", "5000"), ("--length-max", "150")),
+        (("simulate", "points", "--bin-length", "5000"), ("--clustered",)),
+        (("simulate", "segments", "--bin-length", "5000"), ("--mode", "clustered")),
+        (("simulate", "segments", "--bin-length", "5000"), ("--lambda-inter", "0.02")),
+    ], ids=_case_id)
+    def test_unread_flag_rejected(self, tmp_path, capsys, base, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*base, *flag, "--out", str(tmp_path / "out.tsv"))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base, flag", [
+        (("simulate", "points"), ("--mode", "clustered")),
+        (("simulate", "points"), ("--lambda-inter", "0.02")),
+        (("simulate", "points", "--mode", "clustered"), ("--lambda-intra", "0.2")),
+        (("simulate", "points", "--mode", "clustered"), ("--new-cluster-prob", "0.6")),
+        (("simulate", "segments"), ("--gap-lambda", "0.02")),
+        (("simulate", "segments"), ("--length-min", "20")),
+        (("simulate", "segments"), ("--length-max", "150")),
+        (("simulate", "segments"), ("--clustered",)),
+        (("simulate", "segments", "--clustered"), ("--lambda-intra", "0.2")),
+        (("simulate", "segments", "--clustered"), ("--new-cluster-prob", "0.6")),
+        (("ordering", "--replicates", "3", "--bin-length", "8000", "--samples", "40"),
+         ("--cluster-segments",)),
+    ], ids=_case_id)
+    def test_accepted_flag_changes_rows(self, tmp_path, base, flag):
+        if base[0] == "simulate":
+            base = (*base, "--bin-length", "5000", "--seed", "2")
+        rows = []
+        for name, extra in (("default.tsv", ()), ("flag.tsv", flag)):
+            out = tmp_path / name
+            assert run_cli(*base, *extra, "--out", str(out)) == 0
+            rows.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
+        assert len(rows[0]) > 1
+        assert rows[0] != rows[1]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
