@@ -28,14 +28,12 @@ from .null_models import (
     sample_counts,
     state_space_size,
 )
-from .qvalues import QValueEntry, QValueReport, estimate_pi0, qvalues, reject_at_fdr
+from .qvalues import estimate_pi0, qvalues, reject_at_fdr
 from .ripley import (
-    ClusteringProfile,
     DEFAULT_SCALES,
     estimate_k,
     estimate_l,
     estimate_l_profile,
-    estimate_lambda,
     pair_weight,
 )
 from .seeding import derive_seed, rng_for
@@ -61,7 +59,6 @@ from .study import (
     ASSUMPTIONS,
     GENERATION_COLUMNS,
     ORDERING_MODELS,
-    OrderingResult,
     StudyConfig,
     StudyReport,
     decile_table,

@@ -154,18 +154,18 @@ def _cmd_qvalue(args: argparse.Namespace) -> int:
                 f"{args.input}: line {lineno}: expected a p-value, got {fields[col]!r}"
             ) from None
     pi0 = args.pi0 if args.pi0 is not None else estimate_pi0(ps)
-    report = qvalues(ps, pi0)
-    echo = {"command": "qvalue", "pi0": fmt(report.pi0)}
+    q = qvalues(ps, pi0)
+    echo = {"command": "qvalue", "pi0": fmt(pi0)}
     extra = ["q_value"]
     if args.fdr is not None:
-        report = reject_at_fdr(report, args.fdr)
+        rejected = reject_at_fdr(q, args.fdr)
         echo["fdr"] = fmt(args.fdr)
         extra.append("rejected")
     lines = ["\t".join(header + extra)]
-    for (_, fields), entry in zip(rows, report.entries):
-        cells = fields + [fmt(entry.q_value)]
+    for i, (_, fields) in enumerate(rows):
+        cells = fields + [fmt(float(q[i]))]
         if args.fdr is not None:
-            cells.append("1" if entry.rejected else "0")
+            cells.append("1" if rejected[i] else "0")
         lines.append("\t".join(cells))
     write_tsv(_out(args.out), echo, lines)
     return 0
@@ -184,7 +184,7 @@ def _cmd_ripley(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    bin = Bin(args.bin_id, 0, args.bin_length)
+    bin = Bin("sim", 0, args.bin_length)
     echo = {"command": "simulate", "kind": args.kind, "bin_length": args.bin_length}
     if args.kind == "points":
         cfg = PointGenConfig(
@@ -310,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     segments.add_argument("--length-max", type=int, default=100)
     segments.add_argument("--clustered", action="store_true", help="cluster segment starts")
     for p in (points, segments):
-        p.add_argument("--bin-id", default="sim")
         p.add_argument("--bin-length", type=int, required=True)
         p.add_argument("--lambda-intra", type=float, default=0.1)
         p.add_argument("--new-cluster-prob", type=float, default=0.3)

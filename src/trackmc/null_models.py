@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
@@ -432,9 +431,10 @@ def _count_between(positions: np.ndarray, starts: np.ndarray, ends: np.ndarray) 
 
 
 def _multiset_permutations(values: np.ndarray) -> int:
-    counts = Counter(values.tolist())
+    """Distinct orders of the rows of ``values`` (a 1-D array's elements)."""
+    _, counts = np.unique(values, axis=0, return_counts=True)
     out = math.factorial(len(values))
-    for c in counts.values():
+    for c in counts.tolist():
         out //= math.factorial(c)
     return out
 
@@ -455,41 +455,27 @@ def state_space_size(
             if not isinstance(obj, PointTrack):
                 raise TypeError("block permutation applies to binary sequences or point tracks")
             obj = to_binary_sequence(obj)
+        _check_block_size(spec.block_size, len(obj))
         m = len(obj) // spec.block_size
-        blocks = [tuple(b) for b in obj.values[: m * spec.block_size].reshape(m, spec.block_size)]
-        out = math.factorial(m)
-        for c in Counter(blocks).values():
-            out //= math.factorial(c)
-        return out
+        return _multiset_permutations(obj.values[: m * spec.block_size].reshape(m, -1))
 
     if spec.randomized_side is RandomizedSide.POINTS:
         if not isinstance(obj, PointTrack):
             raise TypeError("expected a point track")
-        n = len(obj)
-        length = obj.bin.length
         if spec.preservation is Preservation.UNIFORM_LOCATION:
-            return math.comb(length, n)
-        if n == 0:
+            return math.comb(obj.bin.length, len(obj))
+        if len(obj) == 0:
             return 1
-        if n == 1:
-            return length
-        gaps = np.diff(obj.positions)
-        return _multiset_permutations(gaps) * (length - int(gaps.sum()))
+        gaps, n_offsets = _interpoint_gaps(obj)
+        return _multiset_permutations(gaps) * n_offsets
 
     if not isinstance(obj, SegmentTrack):
         raise TypeError("expected a segment track")
     k = len(obj)
-    length = obj.bin.length
     if k == 0:
         return 1
-    lengths = obj.lengths
+    orders = _multiset_permutations(obj.lengths)
     if spec.preservation is Preservation.UNIFORM_LOCATION:
-        slack = length - int(lengths.sum())
-        return _multiset_permutations(lengths) * math.comb(slack + k, k)
-    gaps = obj.segments[1:, 0] - obj.segments[:-1, 1]
-    span = int(lengths.sum()) + int(gaps.sum())
-    return (
-        _multiset_permutations(lengths)
-        * _multiset_permutations(gaps)
-        * (length - span + 1)
-    )
+        return orders * math.comb(_segment_slack(obj) + k, k)
+    gaps, n_offsets = _intersegment_gaps(obj)
+    return orders * _multiset_permutations(gaps) * n_offsets

@@ -7,29 +7,9 @@ estimated proportion of truly null hypotheses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class QValueEntry:
-    id: str
-    p_value: float
-    q_value: float
-    rejected: bool = False
-
-
-@dataclass(frozen=True)
-class QValueReport:
-    entries: tuple[QValueEntry, ...]
-    pi0: float
-    fdr_threshold: float | None = None
-
-    @property
-    def n_rejected(self) -> int:
-        return sum(e.rejected for e in self.entries)
 
 
 def estimate_pi0(pvalues: Sequence[float]) -> float:
@@ -46,11 +26,11 @@ def estimate_pi0(pvalues: Sequence[float]) -> float:
     return min(1.0, 2.0 * float(np.mean(p)))
 
 
-def qvalues(pvalues: Sequence[float], pi0: float | None = None) -> QValueReport:
-    """q-value per test, reported in input order; entry ids are the indices.
+def qvalues(pvalues: Sequence[float], pi0: float) -> np.ndarray:
+    """q-value per test, as a float64 array in input order.
 
-    ``pi0=None`` uses :func:`estimate_pi0`; pass a value to substitute any
-    other estimator. Ties in p-values are ranked stably by input index,
+    ``pi0`` is the proportion of true nulls, for example from
+    :func:`estimate_pi0`. Ties in p-values are ranked stably by input index,
     which cannot change the q-values.
     """
     p = np.asarray(pvalues, dtype=np.float64)
@@ -58,8 +38,6 @@ def qvalues(pvalues: Sequence[float], pi0: float | None = None) -> QValueReport:
         raise ValueError("empty p-value list")
     if np.any((p < 0.0) | (p > 1.0)):
         raise ValueError("p-values must lie in [0, 1]")
-    if pi0 is None:
-        pi0 = estimate_pi0(p)
     if not 0.0 < pi0 <= 1.0:
         raise ValueError(f"pi0 must lie in (0, 1], got {pi0}")
 
@@ -69,16 +47,11 @@ def qvalues(pvalues: Sequence[float], pi0: float | None = None) -> QValueReport:
     q_sorted = np.minimum.accumulate(terms[::-1])[::-1]
     q = np.empty(m, dtype=np.float64)
     q[order] = np.minimum(q_sorted, 1.0)
-
-    entries = tuple(QValueEntry(str(i), float(p[i]), float(q[i])) for i in range(m))
-    return QValueReport(entries=entries, pi0=float(pi0))
+    return q
 
 
-def reject_at_fdr(report: QValueReport, threshold: float) -> QValueReport:
-    """Flag every entry with q-value at or below the FDR threshold."""
+def reject_at_fdr(q_values: np.ndarray, threshold: float) -> np.ndarray:
+    """Boolean mask of the tests whose q-value is at or below the FDR threshold."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"FDR threshold must lie in (0, 1), got {threshold}")
-    entries = tuple(
-        replace(e, rejected=bool(e.q_value <= threshold)) for e in report.entries
-    )
-    return QValueReport(entries=entries, pi0=report.pi0, fdr_threshold=threshold)
+    return np.asarray(q_values) <= threshold

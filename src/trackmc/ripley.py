@@ -11,7 +11,6 @@ the module boundary accepts ordinary 0-indexed sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,26 +18,6 @@ import numpy as np
 from .tracks import BinarySequence
 
 DEFAULT_SCALES = (10, 25, 50, 100, 250, 500)
-
-
-@dataclass(frozen=True)
-class ClusteringProfile:
-    """Scaled L values across a grid of distances."""
-
-    scales: tuple[int, ...]
-    l_values: tuple[float, ...]
-    lambda_hat: float
-
-    def __post_init__(self) -> None:
-        if len(self.scales) != len(self.l_values):
-            raise ValueError("scales and l_values must have equal length")
-        if not self.lambda_hat > 0:
-            raise ValueError("lambda_hat must be positive")
-
-
-def estimate_lambda(seq: BinarySequence) -> float:
-    """Mean of the indicators (points per base pair)."""
-    return float(seq.values.mean())
 
 
 def pair_weight(i: int, j: int, n: int) -> float:
@@ -81,11 +60,6 @@ def estimate_l(seq: BinarySequence, tau: int) -> float:
     return estimate_k(seq, tau) / (2.0 * tau)
 
 
-def estimate_l_profile(seq: BinarySequence, scales: Sequence[int]) -> ClusteringProfile:
-    """L across a scale grid (duplicates evaluated as given, no dedup)."""
-    l_values = tuple(estimate_l(seq, int(tau)) for tau in scales)
-    return ClusteringProfile(
-        scales=tuple(int(t) for t in scales),
-        l_values=l_values,
-        lambda_hat=estimate_lambda(seq),
-    )
+def estimate_l_profile(seq: BinarySequence, scales: Sequence[int]) -> tuple[float, ...]:
+    """L at each scale of the grid, in grid order (duplicates evaluated as given)."""
+    return tuple(estimate_l(seq, int(tau)) for tau in scales)

@@ -8,7 +8,9 @@ cell, and so measures how many false positives an under-preserving null
 model produces.
 
 ``run_ordering_experiment`` scores identical data under all four
-track-level null models to expose the preservation ordering of p-values.
+track-level null models to expose the preservation ordering of p-values;
+it returns one p-value array per model name, which ``decile_table`` and the
+ordering writers take as they are.
 
 Replicates are pure functions of (master seed, experiment, replicate
 index); worker count never changes any output.
@@ -109,16 +111,6 @@ class StudyReport:
     fdr_threshold: float
 
 
-@dataclass(frozen=True)
-class OrderingResult:
-    labels: tuple[str, ...]
-    pvalues: Mapping[str, np.ndarray]
-    n_replicates: int
-
-    def median(self, label: str) -> float:
-        return float(np.median(self.pvalues[label]))
-
-
 def filter_bins(
     bins: Sequence[Bin],
     points_by_bin: Mapping[str, PointTrack],
@@ -195,8 +187,7 @@ def run_false_rejection_study(cfg: StudyConfig, workers: int = 1) -> StudyReport
             pvals[(label, column)][rep] = p
     counts: dict[tuple[str, str], int] = {}
     for key, ps in pvals.items():
-        report = reject_at_fdr(qvalues(ps, estimate_pi0(ps)), cfg.fdr_threshold)
-        counts[key] = report.n_rejected
+        counts[key] = int(reject_at_fdr(qvalues(ps, estimate_pi0(ps)), cfg.fdr_threshold).sum())
     return StudyReport(
         rows=tuple(label for label, _ in ASSUMPTIONS),
         columns=GENERATION_COLUMNS,
@@ -223,8 +214,11 @@ def _ordering_replicate(args: tuple) -> dict[str, float]:
     }
 
 
-def run_ordering_experiment(cfg: StudyConfig, workers: int = 1) -> OrderingResult:
+def run_ordering_experiment(cfg: StudyConfig, workers: int = 1) -> dict[str, np.ndarray]:
     """p-values for identical data under all four track-level null models.
+
+    Returns one array of per-replicate p-values per model name, in
+    ``ORDERING_MODELS`` order.
 
     Meant to be run with clustered generation; the headline comparison is
     the median p under preserve-interpoint versus uniform-points.
@@ -239,24 +233,15 @@ def run_ordering_experiment(cfg: StudyConfig, workers: int = 1) -> OrderingResul
     """
     jobs = [(cfg, rep) for rep in range(cfg.n_replicates)]
     outcomes = map_jobs(_ordering_replicate, jobs, workers)
-    labels = tuple(m.to_string() for m in ORDERING_MODELS)
-    pvalues = {label: np.array([row[label] for row in outcomes]) for label in labels}
-    return OrderingResult(labels=labels, pvalues=pvalues, n_replicates=cfg.n_replicates)
+    labels = [m.to_string() for m in ORDERING_MODELS]
+    return {label: np.array([row[label] for row in outcomes]) for label in labels}
 
 
-def decile_table(
-    result: OrderingResult, probs: Sequence[float] = tuple(i / 10 for i in range(1, 10))
-) -> list[tuple[float, dict[str, float]]]:
-    """Per-model p-value quantiles at the given probabilities."""
+def decile_table(pvalues: Mapping[str, np.ndarray]) -> list[tuple[float, dict[str, float]]]:
+    """Per-model p-value quantiles at the nine deciles 0.1, ..., 0.9."""
     return [
-        (
-            float(q),
-            {
-                label: float(np.quantile(result.pvalues[label], q))
-                for label in result.labels
-            },
-        )
-        for q in probs
+        (q, {label: float(np.quantile(p, q)) for label, p in pvalues.items()})
+        for q in (i / 10 for i in range(1, 10))
     ]
 
 
@@ -272,11 +257,11 @@ def run_clustering_survey(
     failures: list[tuple[int, str, str]] = []
     for idx, track in enumerate(tracks):
         try:
-            profile = estimate_l_profile(to_binary_sequence(track), scales)
+            l_values = estimate_l_profile(to_binary_sequence(track), scales)
         except ValueError as exc:
             failures.append((idx, track.bin.id, str(exc)))
             continue
-        for tau, l_val in zip(profile.scales, profile.l_values):
+        for tau, l_val in zip(map(int, scales), l_values):
             rows.append((idx, track.bin.id, tau, l_val * 2.0 * tau, l_val))
     return rows, failures
 
@@ -296,21 +281,25 @@ def write_study_tsv(
 
 
 def write_ordering_tsv(
-    result: OrderingResult, path_or_file: PathLike | TextIO, config_echo: dict | None = None
+    pvalues: Mapping[str, np.ndarray],
+    path_or_file: PathLike | TextIO,
+    config_echo: dict | None = None,
 ) -> None:
-    lines = ["replicate\t" + "\t".join(result.labels)]
-    for rep in range(result.n_replicates):
-        cells = "\t".join(fmt(float(result.pvalues[lab][rep])) for lab in result.labels)
+    lines = ["replicate\t" + "\t".join(pvalues)]
+    for rep, row in enumerate(zip(*pvalues.values())):
+        cells = "\t".join(fmt(float(p)) for p in row)
         lines.append(f"{rep}\t{cells}")
     write_tsv(path_or_file, config_echo, lines)
 
 
 def write_deciles_tsv(
-    result: OrderingResult, path_or_file: PathLike | TextIO, config_echo: dict | None = None
+    pvalues: Mapping[str, np.ndarray],
+    path_or_file: PathLike | TextIO,
+    config_echo: dict | None = None,
 ) -> None:
-    lines = ["decile\t" + "\t".join(result.labels)]
-    for q, row in decile_table(result):
-        cells = "\t".join(fmt(row[lab]) for lab in result.labels)
+    lines = ["decile\t" + "\t".join(pvalues)]
+    for q, row in decile_table(pvalues):
+        cells = "\t".join(fmt(v) for v in row.values())
         lines.append(f"{fmt(q)}\t{cells}")
     write_tsv(path_or_file, config_echo, lines)
 

@@ -308,6 +308,8 @@ class TestEveryFlagIsRead:
         (("simulate", "points", "--bin-length", "5000"), ("--clustered",)),
         (("simulate", "segments", "--bin-length", "5000"), ("--mode", "clustered")),
         (("simulate", "segments", "--bin-length", "5000"), ("--lambda-inter", "0.02")),
+        (("simulate", "points", "--bin-length", "5000"), ("--bin-id", "other")),
+        (("simulate", "segments", "--bin-length", "5000"), ("--bin-id", "other")),
     ], ids=_case_id)
     def test_unread_flag_rejected(self, tmp_path, capsys, base, flag):
         with pytest.raises(SystemExit) as exc:

@@ -558,6 +558,18 @@ class TestStateSpaceSize:
         assert state_space_size(BinarySequence([1, 1, 0, 0]), BLOCK2) == 2
         assert state_space_size(BinarySequence([1, 0, 1, 0]), BLOCK2) == 1
 
+    def test_block_longer_than_bin_rejected_like_the_samplers(self):
+        track = PointTrack(Bin("b", 0, 10), [2, 5])
+        block = NullModelSpec.from_string("block:20")
+        message = r"block size must be in \[1, 10\], got 20"
+        with pytest.raises(ValueError, match=message):
+            resample_track(track, block, 0)
+        with pytest.raises(ValueError, match=message):
+            sample_counts(track, SegmentTrack(track.bin, [(0, 4)]), block,
+                          np.random.default_rng(0), 1)
+        with pytest.raises(ValueError, match=message):
+            state_space_size(track, block)
+
 
 class TestHierarchyContainment:
     def test_small_sweep(self):

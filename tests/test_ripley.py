@@ -4,29 +4,16 @@ import pytest
 from trackmc import (
     Bin,
     BinarySequence,
-    ClusteringProfile,
     PointGenConfig,
     PointMode,
     derive_seed,
     estimate_k,
     estimate_l,
     estimate_l_profile,
-    estimate_lambda,
     generate_points,
     pair_weight,
     to_binary_sequence,
 )
-
-
-class TestEstimateLambda:
-    def test_all_zeros(self):
-        assert estimate_lambda(BinarySequence([0, 0, 0])) == 0.0
-
-    def test_all_ones(self):
-        assert estimate_lambda(BinarySequence([1, 1])) == 1.0
-
-    def test_half(self):
-        assert estimate_lambda(BinarySequence([1, 0, 1, 0])) == 0.5
 
 
 class TestPairWeight:
@@ -138,26 +125,18 @@ def test_estimate_k_equals_pair_weight_loop():
 class TestEstimateLProfile:
     def test_duplicate_scales_kept(self):
         seq = BinarySequence([1, 1, 0, 1] + [0] * 8)
-        profile = estimate_l_profile(seq, [2, 2, 3])
-        assert profile.scales == (2, 2, 3)
-        assert profile.l_values[0] == profile.l_values[1]
+        l_values = estimate_l_profile(seq, [2, 2, 3])
+        assert len(l_values) == 3
+        assert l_values[0] == l_values[1]
 
     def test_single_scale_matches_estimate_k(self):
         seq = BinarySequence([1, 0, 1, 0, 0, 1, 0, 0])
-        profile = estimate_l_profile(seq, [3])
-        assert profile.l_values[0] == pytest.approx(estimate_k(seq, 3) / 6.0)
-        assert profile.lambda_hat == pytest.approx(3 / 8)
+        l_values = estimate_l_profile(seq, [3])
+        assert l_values[0] == pytest.approx(estimate_k(seq, 3) / 6.0)
 
     def test_empty_scales(self):
         seq = BinarySequence([1, 1, 0])
-        profile = estimate_l_profile(seq, [])
-        assert profile.scales == () and profile.l_values == ()
-
-    def test_profile_invariants(self):
-        with pytest.raises(ValueError):
-            ClusteringProfile((1, 2), (0.5,), 0.1)
-        with pytest.raises(ValueError):
-            ClusteringProfile((1,), (0.5,), 0.0)
+        assert estimate_l_profile(seq, []) == ()
 
 
 def simulate_markov_chain(rng, n, lam, r):

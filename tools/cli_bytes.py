@@ -52,7 +52,11 @@ def calls(seed: int, genome_length: int) -> list[list[str]]:
                         "--samples", "100", "--seed", s, "--direction", direction,
                         "--estimator", estimator, "--out", f"test{i}_{direction}.tsv"])
     out += [
+        ["qvalue", "--input", "batch0.tsv", "--out", "qvalue_plain.tsv"],
+        ["qvalue", "--input", "batch1.tsv", "--pi0", "0.5", "--fdr", "0.2",
+         "--out", "qvalue_pi0.tsv"],
         ["ripley", *whole, "--scales", "10,100,500", "--out", "ripley.tsv"],
+        ["ripley", *whole, "--out", "ripley_default.tsv"],
         ["study", "--replicates", "2", "--bin-length", "20000", "--samples", "100",
          "--fdr", "0.3", "--seed", s, "--out", "study.tsv"],
         ["ordering", "--cluster-segments", "--replicates", "3", "--bin-length", "20000",
