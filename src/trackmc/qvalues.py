@@ -12,17 +12,23 @@ from typing import Sequence
 import numpy as np
 
 
+def _as_pvalues(pvalues: Sequence[float]) -> np.ndarray:
+    """The p-values as a float64 array; NaN fails the range check too."""
+    p = np.asarray(pvalues, dtype=np.float64)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("p-values must lie in [0, 1]")
+    return p
+
+
 def estimate_pi0(pvalues: Sequence[float]) -> float:
     """Pounds-Cheng style estimate: min(1, 2 * mean(p)).
 
     Cheap, and conservative whenever the p-value distribution is a mixture
     of uniform nulls and small alternatives.
     """
-    p = np.asarray(pvalues, dtype=np.float64)
+    p = _as_pvalues(pvalues)
     if p.size == 0:
         raise ValueError("cannot estimate pi0 from an empty p-value list")
-    if np.any((p < 0.0) | (p > 1.0)):
-        raise ValueError("p-values must lie in [0, 1]")
     return min(1.0, 2.0 * float(np.mean(p)))
 
 
@@ -33,11 +39,9 @@ def qvalues(pvalues: Sequence[float], pi0: float) -> np.ndarray:
     :func:`estimate_pi0`. Ties in p-values are ranked stably by input index,
     which cannot change the q-values.
     """
-    p = np.asarray(pvalues, dtype=np.float64)
+    p = _as_pvalues(pvalues)
     if p.size == 0:
         raise ValueError("empty p-value list")
-    if np.any((p < 0.0) | (p > 1.0)):
-        raise ValueError("p-values must lie in [0, 1]")
     if not 0.0 < pi0 <= 1.0:
         raise ValueError(f"pi0 must lie in (0, 1], got {pi0}")
 

@@ -205,6 +205,14 @@ class TestQvalueCommand:
         assert run_cli("qvalue", "--input", table) == 1
         assert capsys.readouterr().err == f"error: {table}: line 3: expected 2 columns, got 1\n"
 
+    @pytest.mark.parametrize("pi0", [[], ["--pi0", "0.5"]], ids=["estimated", "given"])
+    def test_nan_pvalue_fails(self, tmp_path, capsys, pi0):
+        table = write_lines(tmp_path / "p.tsv", ["bin_id\tp_value", "a\t0.1", "b\tnan"])
+        out = tmp_path / "q.tsv"
+        assert run_cli("qvalue", "--input", table, *pi0, "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: p-values must lie in [0, 1]\n"
+        assert not out.exists()
+
     def test_non_numeric_pvalue_fails(self, tmp_path, capsys):
         table = write_lines(tmp_path / "p.tsv", ["# seed=1", "bin_id\tp_value", "a\tlow"])
         assert run_cli("qvalue", "--input", table) == 1

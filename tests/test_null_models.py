@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trackmc import (
     Bin,
@@ -28,6 +29,7 @@ from trackmc import (
     sample_counts,
     state_space_size,
 )
+from trackmc import null_models
 from conftest import (
     assert_chisquare_fit,
     assert_same_distribution,
@@ -508,6 +510,92 @@ class TestSampleCounts:
             points, segments = PointTrack(KERNEL_BIN, []), KERNEL_SEGMENTS
         got = sample_counts(points, segments, spec, np.random.default_rng(1), 5)
         assert got.tolist() == [0] * 5
+
+
+# --- table lookup and binary search give the same counts ----------------
+
+# _TABLE_FACTOR values that force every count onto one side.
+SIDES = {"search": 0, "table": 10**9}
+
+
+def on_side(side, fn, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(null_models, "_TABLE_FACTOR", SIDES[side])
+        return fn(*args)
+
+
+@st.composite
+def small_tracks(draw):
+    """Points and segments in a bin that does not start at 0.
+
+    Either track may be empty; points may sit on both bin edges, and
+    segments may touch both edges and each other.
+    """
+    start = draw(st.integers(1, 10**6))
+    length = draw(st.integers(1, 40))
+    edge = st.sampled_from([0, length - 1])
+    rel = draw(st.sets(st.one_of(edge, st.integers(0, length - 1)), max_size=length))
+    segments, end = [], 0
+    for gap, size in draw(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 12)),
+                                   max_size=6)):
+        if end + gap >= length:
+            break
+        segments.append((end + gap, min(end + gap + size, length)))
+        end = segments[-1][1]
+    b = Bin("h", start, start + length)
+    return (PointTrack(b, sorted(start + x for x in rel)),
+            SegmentTrack(b, [(start + s, start + e) for s, e in segments]))
+
+
+def rows_of(draw, width, values):
+    """A 2-D int64 array of 1-4 rows of ``width`` drawn values."""
+    m = draw(st.integers(1, 4))
+    flat = draw(st.lists(values, min_size=m * width, max_size=m * width))
+    return np.array(flat, dtype=np.int64).reshape(m, width)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@settings(max_examples=200, deadline=None)
+@given(tracks=small_tracks(), data=st.data())
+def test_count_covered_matches_brute_force(side, tracks, data):
+    _, segments = tracks
+    length = segments.bin.length
+    rel = rows_of(data.draw, data.draw(st.integers(0, 6)), st.integers(0, length - 1))
+    covered = [(s - segments.bin.start, e - segments.bin.start) for s, e in segments.segments]
+    want = [sum(any(s <= x < e for s, e in covered) for x in row) for row in rel.tolist()]
+    assert on_side(side, null_models._count_covered, rel, segments).tolist() == want
+
+
+@pytest.mark.parametrize("side", SIDES)
+@settings(max_examples=200, deadline=None)
+@given(tracks=small_tracks(), data=st.data())
+def test_count_between_matches_brute_force(side, tracks, data):
+    points, _ = tracks
+    length = points.bin.length
+    pairs = rows_of(data.draw, 2 * data.draw(st.integers(0, 4)), st.integers(0, length))
+    pairs = np.sort(pairs.reshape(len(pairs), -1, 2), axis=-1)
+    starts, ends = pairs[..., 0], pairs[..., 1]
+    rel = (points.positions - points.bin.start).tolist()
+    want = [sum(s <= x < e for s, e in zip(srow, erow) for x in rel)
+            for srow, erow in zip(starts.tolist(), ends.tolist())]
+    assert on_side(side, null_models._count_between, points, starts, ends).tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(tracks=small_tracks(), data=st.data())
+def test_sample_counts_same_on_both_sides(tracks, data):
+    points, segments = tracks
+    block = data.draw(st.integers(1, points.bin.length))
+    seed, m = data.draw(st.integers(0, 2**32)), data.draw(st.integers(1, 5))
+    for spec in (*ALL_MODELS[:4], NullModelSpec.from_string(f"block:{block}")):
+        got = {}
+        for side in SIDES:
+            rng = np.random.default_rng(seed)
+            try:
+                got[side] = on_side(side, sample_counts, points, segments, spec, rng, m).tolist()
+            except ValueError as exc:
+                got[side] = str(exc)
+        assert got["table"] == got["search"], spec.to_string()
 
 
 # --- state space sizes and hierarchy containment -------------------------

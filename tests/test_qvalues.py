@@ -37,6 +37,13 @@ class TestEstimatePi0:
             estimate_pi0([0.5, 1.2])
 
 
+@pytest.mark.parametrize("estimate", [estimate_pi0, lambda p: qvalues(p, 0.5)],
+                         ids=["estimate_pi0", "qvalues"])
+def test_nan_pvalue_rejected(estimate):
+    with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
+        estimate([0.2, float("nan"), 0.7])
+
+
 class TestQValues:
     def test_single_test(self):
         q = qvalues([0.05], 1.0)

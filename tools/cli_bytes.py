@@ -62,6 +62,11 @@ def calls(seed: int, genome_length: int) -> list[list[str]]:
         ["ordering", "--cluster-segments", "--replicates", "3", "--bin-length", "20000",
          "--samples", "100", "--seed", s, "--out", "ordering.tsv",
          "--deciles-out", "deciles.tsv"],
+        # The benchmark's scale: 100 kb bins and 16 chunks per test.
+        ["study", "--replicates", "1", "--samples", "1000", "--seed", s,
+         "--out", "study_full.tsv"],
+        ["ordering", "--cluster-segments", "--replicates", "1", "--samples", "1000",
+         "--seed", s, "--out", "ordering_full.tsv"],
         ["simulate", "points", "--bin-length", "20000", "--mode", "clustered",
          "--lambda-inter", "0.02", "--seed", s, "--out", "sim_points.tsv"],
         ["simulate", "segments", "--bin-length", "20000", "--clustered",
