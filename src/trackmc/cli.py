@@ -59,6 +59,17 @@ def _out(path: str):
     return sys.stdout if path == "-" else path
 
 
+def _workers(text: str) -> int:
+    """The --workers value: a process count of at least 1."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
+
+
 def _add_bin_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bin-id", default="bin", help="bin identifier (default: bin)")
     p.add_argument("--bin-start", type=int, default=0, help="bin start, inclusive")
@@ -279,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mc_args(p, default_samples=1000)
     p.add_argument("--min-points", type=int, default=0)
     p.add_argument("--min-segments", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.add_argument("--out", default="-")
     p.set_defaults(fn=_cmd_batch)
 
@@ -326,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bin-length", type=int, default=100_000)
         p.add_argument("--samples", type=int, default=1000)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_workers, default=1)
         p.add_argument("--out", default="-")
         p.set_defaults(fn=fn)
     experiments["study"].add_argument("--fdr", type=float, default=0.20)

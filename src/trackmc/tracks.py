@@ -3,13 +3,20 @@
 Coordinates are 0-based, half-open (BED convention), so a bin or segment
 of length L satisfies ``end - start == L``. All types are immutable after
 construction and safe to share across workers.
+
+``read_points`` and ``read_segments`` read a file in one vectorized pass
+when every data row is plainly clean (ASCII integers of at most 18 digits,
+single tabs); any other file goes to the per-line parser, which names the
+bad line. Both paths accept the same files, give the same arrays and raise
+the same errors.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, TextIO, Union
+from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -171,6 +178,35 @@ def _parse_int(field: str, path: PathLike, lineno: int) -> int:
     return value
 
 
+# A blank line, or one whose first non-blank character is '#', with its
+# line end. ``[^\S\n]`` and ``str.strip`` agree on what is blank.
+_SKIPPED_LINE = re.compile(r"^[^\S\n]*(?:#[^\n]*)?(?:\n|\Z)", re.MULTILINE)
+# At most 18 digits, so that the sum of two fields cannot overflow int64.
+_CLEAN_FIELD = r"-?[0-9]{1,18}"
+_CLEAN_ROWS = {
+    ncols: re.compile(rf"(?:{row}\n)*(?:{row})?")
+    for ncols, row in ((1, _CLEAN_FIELD), (2, rf"{_CLEAN_FIELD}\t{_CLEAN_FIELD}"))
+}
+
+
+def _clean_rows(path: PathLike, widths: tuple[int, ...]) -> np.ndarray | None:
+    """All data rows as an int64 (rows, columns) array, in one pass.
+
+    Returns None unless every data row is plainly clean and has the width
+    of the first one, which must be in ``widths``; the per-line parser then
+    decides what such a file holds.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = _SKIPPED_LINE.sub("", fh.read())
+    except UnicodeDecodeError:
+        return None
+    ncols = text.partition("\n")[0].count("\t") + 1
+    if ncols not in widths or not _CLEAN_ROWS[ncols].fullmatch(text):
+        return None
+    return np.array(text.split(), dtype=np.int64).reshape(-1, ncols)
+
+
 def read_points(path: PathLike) -> np.ndarray:
     """Sorted point coordinates from a tab-separated file.
 
@@ -179,6 +215,16 @@ def read_points(path: PathLike) -> np.ndarray:
     midpoints, ``floor((start + end) / 2)``. Lines starting with '#' are
     skipped. A repeated coordinate is rejected with its line.
     """
+    rows = _clean_rows(path, (1, 2))
+    if rows is not None and (rows.shape[1] == 1 or np.all(rows[:, 1] > rows[:, 0])):
+        pos = np.sort(rows[:, 0] if rows.shape[1] == 1 else (rows[:, 0] + rows[:, 1]) // 2)
+        if not np.any(pos[1:] == pos[:-1]):
+            return pos
+    return _read_points_per_line(path)
+
+
+def _read_points_per_line(path: PathLike) -> np.ndarray:
+    """``read_points`` one line at a time; it names the first bad line."""
     first_line: dict[int, int] = {}
     ncols: int | None = None
     for lineno, fields in _data_rows(path):
@@ -217,6 +263,14 @@ def read_segments(path: PathLike) -> np.ndarray:
     Overlapping input intervals are merged into maximal disjoint intervals;
     intervals that merely touch are kept separate.
     """
+    rows = _clean_rows(path, (2,))
+    if rows is not None and np.all(rows[:, 1] > rows[:, 0]):
+        return merge_overlapping(rows)
+    return _read_segments_per_line(path)
+
+
+def _read_segments_per_line(path: PathLike) -> np.ndarray:
+    """``read_segments`` one line at a time; it names the first bad line."""
     raw: list[tuple[int, int]] = []
     for lineno, fields in _data_rows(path):
         if len(fields) != 2:
@@ -243,15 +297,15 @@ def load_segment_track(path: PathLike, bin: Bin) -> SegmentTrack:
     return SegmentTrack(bin, read_segments(path))
 
 
-def merge_overlapping(intervals: Iterable[tuple[int, int]]) -> np.ndarray:
+def merge_overlapping(intervals: np.ndarray | Sequence[tuple[int, int]]) -> np.ndarray:
     """Merge strictly overlapping intervals; touching intervals stay apart."""
-    merged: list[list[int]] = []
-    for start, end in sorted(intervals):
-        if merged and start < merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], end)
-        else:
-            merged.append([start, end])
-    return np.array(merged, dtype=np.int64).reshape(-1, 2)
+    seg = np.asarray(intervals, dtype=np.int64).reshape(-1, 2)
+    if not seg.size:
+        return seg
+    starts, ends = seg[np.lexsort((seg[:, 1], seg[:, 0]))].T
+    # A group starts where a start is at or past every earlier end.
+    first = np.flatnonzero(np.r_[True, starts[1:] >= np.maximum.accumulate(ends)[:-1]])
+    return np.column_stack((starts[first], np.maximum.reduceat(ends, first)))
 
 
 def load_bins(path: PathLike) -> list[Bin]:

@@ -299,6 +299,23 @@ class TestStudyAndOrderingCommands:
 SMALL_STUDY_ARGS = ("--replicates", "1", "--bin-length", "5000", "--samples", "20")
 
 
+@pytest.mark.parametrize("command", ["batch", "study", "ordering"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_rejected(tmp_path, capsys, command, workers):
+    if command == "batch":
+        base = ("batch", "--bins", write_lines(tmp_path / "bins.tsv", ["a\t0\t100"]),
+                "--points", write_lines(tmp_path / "p.tsv", ["5", "50"]),
+                "--segments", write_lines(tmp_path / "s.tsv", ["0\t50"]), "--samples", "20")
+    else:
+        base = (command, *SMALL_STUDY_ARGS)
+    out = tmp_path / "out.tsv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*base, "--workers", workers, "--out", str(out))
+    assert exc.value.code == 2
+    assert f"argument --workers: must be at least 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _case_id(argv):
     return argv[1] if argv[0] == "simulate" else argv[0]
 

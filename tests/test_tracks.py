@@ -2,8 +2,9 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from trackmc import tracks
 from trackmc import (
     Bin,
     BinarySequence,
@@ -284,6 +285,123 @@ def test_partition_of_read_tracks(tmp_path):
         "a": [5, 99], "b": [150], "c": [250]}
     assert {k: v.segments.tolist() for k, v in segments_by_bin.items()} == {
         "a": [[90, 100]], "b": [[100, 120], [180, 200]], "c": [[190, 200], [200, 210]]}
+
+
+_INT64_MAX = 2**63 - 1
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                            "\u0665\u0666\u0667\u0668\u0669")
+_small = st.integers(-5, 100)  # small, so that coordinates and midpoints repeat
+_digits18 = st.integers(10**17, 10**18 - 1).flatmap(lambda v: st.sampled_from([v, -v]))
+_clean_value = st.one_of(_small, _small, _small, _digits18)
+_value = st.one_of(
+    _clean_value,
+    st.integers(10**18, _INT64_MAX),  # 19 digits, inside int64
+    st.sampled_from([_INT64_MAX - 1, _INT64_MAX, -_INT64_MAX - 1, _INT64_MAX + 1,
+                     -_INT64_MAX - 2, 10**20]),
+)
+# A later field of a row is mostly a little past the first: a valid interval
+# that may overlap, touch or nest in its neighbours, or else an empty or
+# inverted one.
+_step = st.integers(-2, 40)
+
+
+def _styled(value: int, style: str) -> str:
+    text = str(value)
+    sign, digits = ("-", text[1:]) if value < 0 else ("", text)
+    return {
+        "plus": text if sign else "+" + text,
+        "underscore": sign + digits[0] + "_" + digits[1:] if len(digits) > 1 else text,
+        "non-ascii": text.translate(_ARABIC_INDIC),
+        "padded": f" {text}  ",
+        "zeros": sign + "00" + digits,
+        "junk": "oops" if value % 2 else "1.5",
+        "empty": "",
+    }[style]
+
+
+_STYLES = ["plus", "underscore", "non-ascii", "padded", "zeros", "junk", "empty"]
+
+
+@st.composite
+def _row(draw, width, kind):
+    """One data row. A clean row has plain fields of at most 18 digits and a
+    wide row may hold larger values. A messy file is clean but for some odd
+    rows: one with another width or separator, or with one field that only
+    ``int`` reads, or that nothing reads."""
+    odd = kind == "messy" and draw(st.integers(0, 3)) == 0
+    feature = draw(st.sampled_from(["width"] * 2 + ["separator"] * 3 + _STYLES)) if odd else None
+    if feature == "width":
+        width = draw(st.sampled_from([1, 2, 3]))
+    first = draw(_value if kind == "wide" else _clean_value)
+    later = _step.map(lambda d: first + d)
+    if kind == "wide":
+        later = st.one_of(later, _value)
+    values = [first] + [draw(later) for _ in range(width - 1)]
+    fields = [str(v) for v in values]
+    if feature in _STYLES:
+        i = draw(st.integers(0, width - 1))
+        fields[i] = _styled(values[i], feature)
+    return (draw(st.sampled_from([" ", "\t\t", " \t"])) if feature == "separator"
+            else "\t").join(fields)
+
+
+@st.composite
+def _track_file(draw, widths):
+    """Text of a points or segments file, with comments, blanks and any line ends."""
+    row = _row(draw(st.sampled_from(widths)), draw(st.sampled_from(["clean", "wide", "messy"])))
+    comment = st.builds(lambda lead, body: lead + "#" + body,
+                        st.sampled_from(["", " ", "\t", "  "]),
+                        st.sampled_from(["", " id\tstart\tend", "# kind=points"]))
+    blank = st.sampled_from(["", " ", "\t", " \t ", "\x0c", "\xa0", "\u3000"])
+    lines = draw(st.lists(st.one_of(row, row, row, comment, blank), max_size=12))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _outcome(read, path):
+    """The array a reader returns, or the type and message of what it raises."""
+    try:
+        out = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tolist()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_track_file(widths=[1, 2]))
+@example(text="0\t5\n7 9\n")  # a space where a tab belongs
+def test_read_points_matches_per_line_parser(tmp_path, text):
+    path = tmp_path / "p.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(read_points, path) == _outcome(tracks._read_points_per_line, path)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_track_file(widths=[2]))
+@example(text="0\t5\n7 9\n")  # a space where a tab belongs
+def test_read_segments_matches_per_line_parser(tmp_path, text):
+    path = tmp_path / "s.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(read_segments, path) == _outcome(tracks._read_segments_per_line, path)
+
+
+def test_own_formats_read_in_one_pass(tmp_path, monkeypatch):
+    """Interval files and saved point tracks never reach the per-line parser."""
+    def per_line(path):
+        raise AssertionError(f"{path} fell back to the per-line parser")
+
+    monkeypatch.setattr(tracks, "_data_rows", per_line)
+    intervals = write_lines(tmp_path / "s.tsv", ["100\t200", "150\t300", "300\t310"])
+    assert read_segments(intervals).tolist() == [[100, 300], [300, 310]]
+    assert read_points(intervals).tolist() == [150, 225, 305]
+    saved = tmp_path / "p.tsv"
+    save_point_track(PointTrack(Bin("b", 0, 100), [3, 50, 99]), saved,
+                     {"command": "simulate", "seed": 1})
+    assert read_points(saved).tolist() == [3, 50, 99]
 
 
 def test_binary_sequence_validation():

@@ -71,6 +71,11 @@ def calls(seed: int, genome_length: int) -> list[list[str]]:
          "--lambda-inter", "0.02", "--seed", s, "--out", "sim_points.tsv"],
         ["simulate", "segments", "--bin-length", "20000", "--clustered",
          "--gap-lambda", "0.02", "--seed", s, "--out", "sim_segments.tsv"],
+        # simulate's own outputs read back: 1-column points behind '#' lines.
+        ["test", "--points", "sim_points.tsv", "--segments", "sim_segments.tsv",
+         "--bin-end", "20000", "--seed", s, "--out", "sim_test.tsv"],
+        ["ripley", "--points", "sim_points.tsv", "--bin-end", "20000",
+         "--out", "sim_ripley.tsv"],
     ]
     return out
 
