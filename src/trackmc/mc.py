@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .null_models import NullModelSpec, chunk_rows, sample_counts
+from .null_models import NullModelSpec, chunk_rows, sample_counts, sample_size
 # Not called here; the benchmark's tracer (perfbench/tracer.py) looks this
 # name up as trackmc.mc.resample_track.
 from .null_models import resample_track  # noqa: F401
@@ -125,14 +125,31 @@ def run_mc_test(
     return TestResult(points.bin.id, float(observed), p, cfg.n_samples, n_exceed, spec)
 
 
+# On 2 vCPUs a sample costs about 25-40 ns per element it permutes
+# (``sample_size``) plus a fixed part of 1.25-1.7 us, measured under
+# uniform-points, whose samples permute one element: that part is
+# _SAMPLE_OVERHEAD elements. A two-worker pool adds about 30 ms to start,
+# feed and stop, so it pays only for a batch that runs longer than about
+# 60 ms in-process. On the 54 bins of a genome-scan batch it broke even at
+# 1.1 times _POOL_MIN_WORK under block:100 and between 0.9 and 1.8 times
+# it under preserve-interpoint.
+_SAMPLE_OVERHEAD = 64
+_POOL_MIN_WORK = 2**21
+
+
 def map_jobs(fn: Callable, jobs: Sequence, workers: int) -> list:
     """``[fn(job) for job in jobs]``, on a process pool when ``workers > 1``.
 
+    The caller decides whether a pool pays for itself (``run_mc_batch``
+    passes 1 for a small batch). The pool hands out jobs in runs of
+    ``len(jobs) // (4 * workers)``, at least 1, so many short jobs do not
+    each pay a round trip while the last runs still balance the load.
     Results come back in job order either way.
     """
     if workers > 1:
+        chunksize = max(1, len(jobs) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
+            return list(pool.map(fn, jobs, chunksize=chunksize))
     return [fn(job) for job in jobs]
 
 
@@ -144,6 +161,18 @@ def _run_one(args: tuple) -> tuple[TestResult | None, str | None]:
         return None, f"{points.bin.id}: {exc}"
 
 
+def batch_work(
+    tests: Sequence[tuple[PointTrack, SegmentTrack]], spec: NullModelSpec, cfg: MCConfig
+) -> int:
+    """The estimated cost of a batch: the sum over its tests of
+    ``cfg.n_samples * (sample_size + _SAMPLE_OVERHEAD)``, known before any
+    test runs."""
+    return sum(
+        cfg.n_samples * (sample_size(points, segments, spec) + _SAMPLE_OVERHEAD)
+        for points, segments in tests
+    )
+
+
 def run_mc_batch(
     tests: Sequence[tuple[PointTrack, SegmentTrack]],
     spec: NullModelSpec,
@@ -152,11 +181,16 @@ def run_mc_batch(
 ) -> tuple[list[TestResult], list[str]]:
     """One test per (points, segments) pair; failures are collected, not fatal.
 
-    Per-bin sample streams are keyed by (master_seed, bin_id, chunk), so
-    results do not depend on input order or on ``workers``.
+    ``workers`` is an upper bound: a batch whose ``batch_work`` is below
+    ``_POOL_MIN_WORK`` runs in this process, because starting a pool would
+    cost more than its tests. Per-bin sample streams are keyed by
+    (master_seed, bin_id, chunk), so results do not depend on input order,
+    on ``workers`` or on where the tests ran.
     """
     if not tests:
         raise ValueError("empty batch")
+    if batch_work(tests, spec, cfg) < _POOL_MIN_WORK:
+        workers = 1
     outcomes = map_jobs(_run_one, [(pts, segs, spec, cfg) for pts, segs in tests], workers)
     results = [r for r, _ in outcomes if r is not None]
     errors = [e for _, e in outcomes if e is not None]

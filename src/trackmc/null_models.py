@@ -305,14 +305,12 @@ _CHUNK_ELEMENTS = 2**20
 _MAX_CHUNK_ROWS = 64
 
 
-def chunk_rows(points: PointTrack, segments: SegmentTrack, spec: NullModelSpec) -> int:
-    """Samples per seeded chunk: ``min(64, max(1, 2**20 // size))``.
+def sample_size(points: PointTrack, segments: SegmentTrack, spec: NullModelSpec) -> int:
+    """How many elements one sample permutes, at least 1.
 
-    ``size`` is how many elements one sample permutes: n-1 gaps under
-    preserve-interpoint, k lengths plus k-1 gaps under the segment models,
-    L // b blocks under ``block:b`` and 1 under uniform-points. It depends
-    on the tracks alone, so chunk boundaries never move with the number of
-    samples or workers.
+    n-1 gaps under preserve-interpoint, k lengths plus k-1 gaps under the
+    segment models, L // b blocks under ``block:b`` and 1 under
+    uniform-points. It depends on the tracks and the model alone.
     """
     if spec.block_size is not None:
         size = points.bin.length // spec.block_size
@@ -322,7 +320,17 @@ def chunk_rows(points: PointTrack, segments: SegmentTrack, spec: NullModelSpec) 
         size = len(points) - 1
     else:
         size = 1
-    return min(_MAX_CHUNK_ROWS, max(1, _CHUNK_ELEMENTS // max(1, size)))
+    return max(1, size)
+
+
+def chunk_rows(points: PointTrack, segments: SegmentTrack, spec: NullModelSpec) -> int:
+    """Samples per seeded chunk: ``min(64, max(1, 2**20 // sample_size))``.
+
+    It depends on the tracks alone, so chunk boundaries never move with the
+    number of samples or workers.
+    """
+    size = sample_size(points, segments, spec)
+    return min(_MAX_CHUNK_ROWS, max(1, _CHUNK_ELEMENTS // size))
 
 
 def sample_counts(

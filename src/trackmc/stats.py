@@ -6,10 +6,11 @@ bin's indicator sequence, which the moment helpers reason about under a
 stationarity assumption with a decaying correlation function.
 
 The binomial tails are computed in-house, without scipy: P(T >= t) is the
-regularized incomplete beta I_p(t, n - t + 1), evaluated by its continued
-fraction with the modified Lentz method (Press et al., *Numerical Recipes*,
-section 6.4). The prefactor p^t (1 - p)^(n - t + 1) / (t B(t, n - t + 1))
-equals dbinom(t, n, p) * (1 - p), taken from Loader's saddle-point binomial
+regularized incomplete beta I_p(t, n - t + 1), evaluated by the continued
+fraction of TOMS 708's ``bfrac`` (DiDonato & Morris 1992, "Algorithm 708:
+significant digit computation of the incomplete beta function ratios").
+The prefactor p^t (1 - p)^(n - t + 1) / B(t, n - t + 1) equals
+t * dbinom(t, n, p) * (1 - p), taken from Loader's saddle-point binomial
 pmf (Loader 2000, "Fast and accurate computation of binomial
 probabilities"; also R's ``dbinom``), which stays accurate for n in the
 millions where differences of ``lgamma`` values do not.
@@ -82,8 +83,6 @@ def _check_binomial_args(t: int, n: int, p: float) -> None:
 
 
 _LOG_2PI = math.log(2.0 * math.pi)
-# Floor that keeps the Lentz recurrences off an exact zero (NR's FPMIN).
-_TINY = 1e-300
 
 
 def _stirlerr(k: int) -> float:
@@ -121,30 +120,38 @@ def _binomial_pmf(k: int, n: int, p: float, q: float) -> float:
     return math.exp(lc - 0.5 * lf)
 
 
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction h with I_x(a, b) = x^a (1 - x)^b / (a B(a, b)) * h.
+def _beta_frac(a: float, b: float, x: float, y: float, lam: float) -> float:
+    """Continued fraction r with I_x(a, b) = x^a y^b / B(a, b) * r, y = 1 - x.
 
-    Modified Lentz; converges quickly for x < (a + 1) / (a + b + 2), in
-    O(sqrt(max(a, b))) iterations at worst.
+    TOMS 708's ``bfrac`` (DiDonato & Morris 1992), given
+    lam = (a + b) y - b formed by the caller without cancellation. Only
+    relative errors of x and y enter the terms, so x may be a rounded
+    1 - p. Converges quickly for lam > -1, which the branch choice in
+    ``_binomial_tails`` ensures, in O(sqrt(max(a, b))) iterations at worst.
     """
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    d = 1.0 / (d if abs(d) > _TINY else _TINY)
-    h = d
-    for m in range(1, 100 + 10 * math.isqrt(int(qab))):
-        m2 = 2 * m
-        for aa in (
-            m * (b - m) * x / ((qam + m2) * (a + m2)),
-            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
-        ):
-            d = 1.0 + aa * d
-            d = 1.0 / (d if abs(d) > _TINY else _TINY)
-            c = 1.0 + aa / c
-            c = c if abs(c) > _TINY else _TINY
-            h *= d * c
-        if abs(d * c - 1.0) < 1e-15:
-            return h
+    c = 1.0 + lam
+    c0 = b / a
+    c1 = 1.0 + 1.0 / a
+    yp1 = y + 1.0
+    p, s = 1.0, a + 1.0
+    an, bn, anp1, bnp1 = 0.0, 1.0, 1.0, c / c1
+    r = c1 / c
+    for n in range(1, 100 + 10 * math.isqrt(int(a + b))):
+        t = n / a
+        w = n * (b - n) * x
+        e = a / s
+        alpha = p * (p + c0) * e * e * (w * x)
+        e = (1.0 + t) / (c1 + t + t)
+        beta = n + w / s + e * (c + n * yp1)
+        p = 1.0 + t
+        s += 2.0
+        an, anp1 = anp1, alpha * an + beta * anp1
+        bn, bnp1 = bnp1, alpha * bn + beta * bnp1
+        r0, r = r, anp1 / bnp1
+        if abs(r - r0) <= 1e-15 * r:
+            return r
+        # Rescale so the recurrences stay in range.
+        an, bn, anp1, bnp1 = an / bnp1, bn / bnp1, r, 1.0
     raise ArithmeticError(f"incomplete beta fraction did not converge: a={a}, b={b}, x={x}")
 
 
@@ -153,10 +160,9 @@ def _binomial_tails(t: int, n: int, p: float) -> tuple[float, float]:
 
     One continued fraction gives the smaller tail directly, so a tiny tail
     keeps its relative accuracy on either side; the other tail is its
-    complement, so the two sum to 1 to rounding. The second branch works
-    in q = 1 - p, whose rounding bounds its relative error by about
-    1e-16 * sqrt(n / (p q)) (3e-10 at n = 10^7, p = 10^-6); scipy's tail
-    shares that bound.
+    complement, so the two sum to 1 to rounding. The fraction's cancelling
+    term is formed from p in both branches, so the rounding of q = 1 - p
+    enters only as a relative error.
     """
     t, n, p = int(t), int(n), float(p)
     if t == 0 or t == n or p == 0.0 or p == 1.0:
@@ -164,12 +170,13 @@ def _binomial_tails(t: int, n: int, p: float) -> tuple[float, float]:
         return upper, 1.0 - upper
     q = 1.0 - p
     a, b = t, n - t + 1
-    front = _binomial_pmf(t, n, p, q) * q
+    # x^a y^b / B(a, b) in both orientations: dbinom(t, n, p) * q * a.
+    front = _binomial_pmf(t, n, p, q) * q * a
     if p < (a + 1.0) / (a + b + 2.0):
-        upper = front * _beta_cf(a, b, p)
+        upper = front * _beta_frac(a, b, p, q, a - (a + b) * p)
         return upper, 1.0 - upper
-    # I_q(b, a) = P(T < t); its prefactor is front * a / b.
-    lower = front * a / b * _beta_cf(b, a, q)
+    # I_q(b, a) = P(T < t).
+    lower = front * _beta_frac(b, a, q, p, (a + b) * p - a)
     return 1.0 - lower, lower
 
 

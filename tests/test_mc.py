@@ -23,7 +23,9 @@ from trackmc import (
 )
 import trackmc.mc
 from trackmc.mc import count_exceedances, null_counts, write_results_tsv
-from trackmc.null_models import NullModelSpec, Preservation, RandomizedSide, chunk_rows
+from trackmc.null_models import (
+    NullModelSpec, Preservation, RandomizedSide, chunk_rows, sample_size,
+)
 
 ALL_MODELS = (
     UNIFORM_POINTS,
@@ -228,6 +230,7 @@ class TestSampleStream:
             return real(points, segments, spec, rng, m)
 
         monkeypatch.setattr(trackmc.mc, "sample_counts", recording)
+        assert sample_size(points, segments, spec) == size
         n_samples = 150
         counts = null_counts(points, segments, spec, MCConfig(n_samples=n_samples, master_seed=3))
         assert counts.shape == (n_samples,)
@@ -270,6 +273,32 @@ class TestRunMcBatch:
         serial, _ = run_mc_batch(tests, UNIFORM_POINTS, cfg, workers=1)
         parallel, _ = run_mc_batch(tests, UNIFORM_POINTS, cfg, workers=2)
         assert serial == parallel
+
+    # 6 bins x 5,400 samples x (1 + 64): just above the pool's threshold.
+    POOLED = MCConfig(n_samples=5_400, master_seed=83)
+
+    def test_pooled_batch_matches_serial(self):
+        tests = self._bins(6)
+        assert trackmc.mc.batch_work(tests, UNIFORM_POINTS, self.POOLED) >= trackmc.mc._POOL_MIN_WORK
+        serial, _ = run_mc_batch(tests, UNIFORM_POINTS, self.POOLED, workers=1)
+        parallel, _ = run_mc_batch(tests, UNIFORM_POINTS, self.POOLED, workers=2)
+        assert serial == parallel
+
+    def test_pool_only_for_batches_that_pay_for_it(self, monkeypatch):
+        class NoPool(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise NoPool
+
+        monkeypatch.setattr(trackmc.mc, "ProcessPoolExecutor", refuse)
+        tests = self._bins(6)
+        small = MCConfig(n_samples=120, master_seed=81)
+        assert trackmc.mc.batch_work(tests, UNIFORM_POINTS, small) < trackmc.mc._POOL_MIN_WORK
+        results, errors = run_mc_batch(tests, UNIFORM_POINTS, small, workers=2)
+        assert len(results) == 6 and errors == []
+        with pytest.raises(NoPool):
+            run_mc_batch(tests, UNIFORM_POINTS, self.POOLED, workers=2)
 
     def test_errors_collected_batch_continues(self):
         b = Bin("empty", 0, 100)

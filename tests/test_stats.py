@@ -191,6 +191,29 @@ class TestBinomialPvalues:
                 oracle = log_space_pmf_sum(start, stop, n, p)
                 assert got == pytest.approx(oracle, rel=1e-6, abs=1e-290), (t, n, p)
 
+    def test_small_p_large_n_against_mpmath(self):
+        # Where n p is small and n large the fraction runs in q = 1 - p for
+        # t at or past the mean; only a fraction whose cancelling terms are
+        # formed from p keeps both tails to full precision there (at
+        # (9, 10^7, 10^-6) a fraction in q was 3.4e-10 off, scipy 1.4e-10).
+        # The oracle sums the k < t terms at 40 digits with q = 1 - p exact.
+        import mpmath
+
+        rng = np.random.default_rng(41)
+        cases = [(9, 10**7, 1e-6)]
+        for _ in range(60):
+            n = int(np.exp(rng.uniform(math.log(10), math.log(1e8))))
+            p = min(0.9, float(np.exp(rng.uniform(math.log(0.5), math.log(500)))) / n)
+            sd = math.sqrt(n * p * (1.0 - p))
+            cases.append((int(np.clip(round(n * p + rng.uniform(-3.0, 3.0) * sd), 1, n - 1)), n, p))
+        with mpmath.workdps(40):
+            for t, n, p in cases:
+                mp, mq = mpmath.mpf(p), 1 - mpmath.mpf(p)
+                lower = mpmath.fsum(mpmath.binomial(n, k) * mp**k * mq ** (n - k) for k in range(t))
+                for got, want in [(binomial_upper_pvalue(t, n, p), 1 - lower),
+                                  (binomial_lower_strict(t, n, p), lower)]:
+                    assert abs(got - want) <= 1e-13 * want, (t, n, p)
+
     def test_edges_match_scipy_exactly(self):
         from scipy.stats import binom
 

@@ -51,6 +51,14 @@ def calls(seed: int, genome_length: int) -> list[list[str]]:
             out.append(["test", *whole, "--segments", "segments.tsv", "--null-model", model,
                         "--samples", "100", "--seed", s, "--direction", direction,
                         "--estimator", estimator, "--out", f"test{i}_{direction}.tsv"])
+    # Two workers allowed: the first batch is too small for the pool and runs
+    # in-process, the second (1000 preserve-interpoint samples per bin) pools.
+    for model, samples in (("uniform-points", "100"), ("preserve-interpoint", "1000")):
+        out.append(["batch", "--bins", "bins.tsv", "--points", "points.tsv",
+                    "--segments", "segments.tsv", "--null-model", model,
+                    "--min-points", str(MIN_POINTS), "--min-segments", str(MIN_SEGMENTS),
+                    "--samples", samples, "--seed", s, "--workers", "2",
+                    "--out", f"batch_w2_{samples}.tsv"])
     out += [
         ["qvalue", "--input", "batch0.tsv", "--out", "qvalue_plain.tsv"],
         ["qvalue", "--input", "batch1.tsv", "--pi0", "0.5", "--fdr", "0.2",
