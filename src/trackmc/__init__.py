@@ -19,11 +19,6 @@ from .null_models import (
     RandomizedSide,
     UNIFORM_POINTS,
     UNIFORM_SEGMENTS,
-    block_permutation,
-    resample_points_preserve_distances,
-    resample_points_uniform,
-    resample_segments_preserve_distances,
-    resample_segments_uniform,
     resample_track,
     sample_counts,
     state_space_size,
@@ -34,7 +29,6 @@ from .ripley import (
     estimate_k,
     estimate_l,
     estimate_l_profile,
-    pair_weight,
 )
 from .seeding import derive_seed, rng_for
 from .simulate import (
@@ -47,13 +41,10 @@ from .simulate import (
 from .stats import (
     Direction,
     binomial_lower_pvalue,
-    binomial_lower_strict,
     binomial_pvalue,
     binomial_upper_pvalue,
     count_points_in_segments,
-    segment_indicator_weights,
     statistic_moments_under_stationarity,
-    weighted_sum_statistic,
 )
 from .study import (
     ASSUMPTIONS,

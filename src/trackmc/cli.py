@@ -70,6 +70,17 @@ def _workers(text: str) -> int:
     return workers
 
 
+def _scales(text: str) -> list[int]:
+    """The --scales value: comma-separated integers, at least one."""
+    try:
+        scales = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int list: {text!r}") from None
+    if not scales:
+        raise argparse.ArgumentTypeError(f"need at least one integer, got {text!r}")
+    return scales
+
+
 def _add_bin_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bin-id", default="bin", help="bin identifier (default: bin)")
     p.add_argument("--bin-start", type=int, default=0, help="bin start, inclusive")
@@ -185,11 +196,11 @@ def _cmd_qvalue(args: argparse.Namespace) -> int:
 def _cmd_ripley(args: argparse.Namespace) -> int:
     bin = Bin(args.bin_id, args.bin_start, args.bin_end)
     track = load_point_track(args.points, bin)
-    scales = [int(s) for s in args.scales.split(",") if s.strip()]
-    rows, failures = run_clustering_survey([track], scales)
+    rows, failures = run_clustering_survey([track], args.scales)
     if failures:
         raise ConfigError(failures[0][2])
-    echo = {"command": "ripley", "scales": args.scales, "n_points": len(track)}
+    echo = {"command": "ripley", "scales": ",".join(map(str, args.scales)),
+            "n_points": len(track)}
     write_survey_tsv(rows, _out(args.out), echo)
     return 0
 
@@ -305,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ripley", help="scaled Ripley L profile of a point track")
     p.add_argument("--points", required=True)
     _add_bin_args(p)
-    p.add_argument("--scales", default=",".join(str(s) for s in DEFAULT_SCALES))
+    p.add_argument("--scales", type=_scales, default=list(DEFAULT_SCALES))
     p.add_argument("--out", default="-")
     p.set_defaults(fn=_cmd_ripley)
 

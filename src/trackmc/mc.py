@@ -20,8 +20,9 @@ from typing import Callable, Iterable, Sequence, TextIO
 import numpy as np
 
 from .null_models import NullModelSpec, chunk_rows, sample_counts, sample_size
-# Not called here; the benchmark's tracer (perfbench/tracer.py) looks this
-# name up as trackmc.mc.resample_track.
+# Not called here: the engine counts through sample_counts. The benchmark's
+# tracer (perfbench/tracer.py) looks this one-track front end up as
+# trackmc.mc.resample_track.
 from .null_models import resample_track  # noqa: F401
 from .seeding import derive_seed
 from .stats import Direction, count_points_in_segments

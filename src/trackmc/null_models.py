@@ -1,32 +1,32 @@
 """Resampling null models ordered by how much observed structure they keep.
 
-Each resampler maps (track, seed) to a fresh randomized track in the same
-bin. The four track-level models form two nested pairs, one per randomized
-side: for points and for segments alike, holding the empirical
-inter-element distances fixed restricts the resampling state space to a
-subset of that side's uniform-location state space, which tends to push
-p-values up. Models that randomize different sides have no containment
-between them. ``state_space_size`` makes the containment quantitative on
-small instances.
+Each model randomizes one track of a bin. The four track-level models form
+two nested pairs, one per randomized side: for points and for segments
+alike, holding the empirical inter-element distances fixed restricts the
+resampling state space to a subset of that side's uniform-location state
+space, which tends to push p-values up. Models that randomize different
+sides have no containment between them. ``state_space_size`` makes the
+containment quantitative on small instances.
 
-The per-sample resamplers are pure in (input, seed) and serve as the
-reference implementations. The Monte Carlo engine draws through
-``sample_counts`` instead: one count kernel per model, vectorized over the
-rows of a chunk, whose counts follow exactly the distribution of the
-matching resampler's track counted against the fixed track.
+Each model has one sampler, which draws many randomized tracks at once as
+bin-relative arrays: ``_sample_points`` for the point models and
+``block:b``, ``_sample_segments`` for the segment models. The Monte Carlo
+engine draws through ``sample_counts``, which counts each sampled track
+against the fixed one. ``resample_track`` returns one sampled track.
 
-The kernels sample bin-relative coordinates and count them by table
-lookup: a point kernel reads each position in a coverage mask of the
-segments, and a segment kernel reads its starts and ends in a prefix count
-of the points. A chunk builds its table only when the bin is at most four
-times as long as the chunk's lookups; otherwise it binary-searches, which
-gives the same counts without a table the size of the bin.
+The samples are counted by table lookup: a point sample's positions are
+read in a coverage mask of the segments, and a segment sample's starts and
+ends in a prefix count of the points. A chunk builds its table only when
+the bin is at most four times as long as the chunk's lookups; otherwise it
+binary-searches, which gives the same counts without a table the size of
+the bin.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .seeding import rng_for
 from .stats import _count_in_intervals
-from .tracks import BinarySequence, PointTrack, SegmentTrack
+from .tracks import PointTrack, SegmentTrack
 
 
 class RandomizedSide(enum.Enum):
@@ -52,7 +52,7 @@ class NullModelSpec:
     """Which track is randomized and what the resampling preserves.
 
     ``block_size`` selects block permutation of the point indicator
-    sequence instead of the track-level resamplers; it is only meaningful
+    sequence instead of the track-level models; it is only meaningful
     with ``randomized_side=POINTS``.
     """
 
@@ -130,23 +130,7 @@ def _uniform_subset(rng: np.random.Generator, size: int, count: int) -> np.ndarr
     return have
 
 
-def _uniform_composition(rng: np.random.Generator, total: int, parts: int) -> np.ndarray:
-    """Uniform composition of ``total`` into ``parts`` non-negative integers."""
-    if parts < 1:
-        raise ValueError("need at least one part")
-    if parts == 1:
-        return np.array([total], dtype=np.int64)
-    if total == 0:
-        return np.zeros(parts, dtype=np.int64)
-    bars = _uniform_subset(rng, total + parts - 1, parts - 1)
-    out = np.empty(parts, dtype=np.int64)
-    out[0] = bars[0]
-    out[1:-1] = np.diff(bars) - 1
-    out[-1] = (total + parts - 2) - bars[-1]
-    return out
-
-
-# --- feasibility checks shared by the resamplers and the count kernels ----
+# --- feasibility checks shared by the samplers and state_space_size -------
 
 def _check_uniform_points(track: PointTrack) -> None:
     if len(track) > track.bin.length:
@@ -188,115 +172,7 @@ def _check_block_size(block_size: int, length: int) -> None:
         raise ValueError(f"block size must be in [1, {length}], got {block_size}")
 
 
-# --- reference resamplers: one randomized track per seed --------------------
-
-def resample_points_uniform(track: PointTrack, rng_seed: int) -> PointTrack:
-    """n points drawn uniformly without replacement from the bin."""
-    _check_uniform_points(track)
-    rng = rng_for(rng_seed)
-    positions = _uniform_subset(rng, track.bin.length, len(track)) + track.bin.start
-    return PointTrack(track.bin, positions)
-
-
-def resample_points_preserve_distances(track: PointTrack, rng_seed: int) -> PointTrack:
-    """Permute the consecutive inter-point distances, uniform feasible offset.
-
-    The multiset of n-1 gaps is preserved exactly; only their order and the
-    block's start position are randomized.
-    """
-    gaps, n_offsets = _interpoint_gaps(track)
-    rng = rng_for(rng_seed)
-    offset = int(rng.integers(0, n_offsets))
-    steps = np.concatenate(([0], np.cumsum(rng.permutation(gaps))))
-    return PointTrack(track.bin, track.bin.start + offset + steps)
-
-
-def resample_segments_uniform(track: SegmentTrack, rng_seed: int) -> SegmentTrack:
-    """Relocate segments uniformly, preserving the length multiset.
-
-    Lengths are permuted and the slack is split into k+1 gaps by a uniform
-    random composition (stars and bars), giving every disjoint arrangement
-    equal probability without rejection sampling.
-    """
-    k = len(track)
-    if k == 0:
-        return SegmentTrack(track.bin, np.empty((0, 2), dtype=np.int64))
-    slack = _segment_slack(track)
-    rng = rng_for(rng_seed)
-    new_lengths = rng.permutation(track.lengths)
-    gaps = _uniform_composition(rng, slack, k + 1)
-    starts = track.bin.start + np.cumsum(gaps[:-1]) + np.concatenate(
-        ([0], np.cumsum(new_lengths[:-1]))
-    )
-    return SegmentTrack(track.bin, np.column_stack((starts, starts + new_lengths)))
-
-
-def resample_segments_preserve_distances(track: SegmentTrack, rng_seed: int) -> SegmentTrack:
-    """Permute inter-segment gaps and lengths independently; uniform offset.
-
-    Both empirical multisets (gaps and lengths) are preserved exactly.
-    """
-    gaps, n_offsets = _intersegment_gaps(track)
-    rng = rng_for(rng_seed)
-    offset = int(rng.integers(0, n_offsets))
-    new_gaps = rng.permutation(gaps)
-    new_lengths = rng.permutation(track.lengths)
-    starts = track.bin.start + offset + np.concatenate(
-        ([0], np.cumsum(new_lengths[:-1] + new_gaps))
-    )
-    return SegmentTrack(track.bin, np.column_stack((starts, starts + new_lengths)))
-
-
-def block_permutation(seq: BinarySequence, block_size: int, rng_seed: int) -> BinarySequence:
-    """Permute consecutive blocks of the sequence, preserving within-block order.
-
-    Short-range correlation up to lag block_size-1 survives the shuffle.
-    If block_size does not divide the length, the trailing partial block
-    stays in place.
-    """
-    n = len(seq)
-    _check_block_size(block_size, n)
-    m = n // block_size
-    rng = rng_for(rng_seed)
-    order = rng.permutation(m)
-    head = seq.values[: m * block_size].reshape(m, block_size)[order].reshape(-1)
-    return BinarySequence(np.concatenate((head, seq.values[m * block_size :])))
-
-
-def resample_track(
-    track: Union[PointTrack, SegmentTrack],
-    spec: NullModelSpec,
-    rng_seed: int,
-) -> Union[PointTrack, SegmentTrack]:
-    """Draw one replicate under ``spec``; dispatches to the right resampler."""
-    if spec.block_size is not None:
-        from .tracks import to_binary_sequence
-
-        if not isinstance(track, PointTrack):
-            raise TypeError("block permutation requires a point track")
-        seq = block_permutation(to_binary_sequence(track), spec.block_size, rng_seed)
-        positions = np.flatnonzero(seq.values).astype(np.int64) + track.bin.start
-        return PointTrack(track.bin, positions)
-    if spec.randomized_side is RandomizedSide.POINTS:
-        if not isinstance(track, PointTrack):
-            raise TypeError("null model randomizes points but a segment track was given")
-        fn = (
-            resample_points_uniform
-            if spec.preservation is Preservation.UNIFORM_LOCATION
-            else resample_points_preserve_distances
-        )
-        return fn(track, rng_seed)
-    if not isinstance(track, SegmentTrack):
-        raise TypeError("null model randomizes segments but a point track was given")
-    fn = (
-        resample_segments_uniform
-        if spec.preservation is Preservation.UNIFORM_LOCATION
-        else resample_segments_preserve_distances
-    )
-    return fn(track, rng_seed)
-
-
-# --- count kernels: many samples per call, no tracks built ------------------
+# --- samplers and counts: many samples per call ----------------------------
 
 # numpy's hypergeometric sampler takes fewer than 10**9 good and bad items.
 _HYPERGEOMETRIC_LIMIT = 10**9
@@ -342,74 +218,107 @@ def sample_counts(
 ) -> np.ndarray:
     """``m`` null samples of the points-in-segments count, as int64[m].
 
-    The side ``spec`` randomizes is redrawn for every sample and the other
-    track stays fixed. Each count has exactly the distribution of
-    ``_count_in_intervals`` on the matching reference resampler's track;
-    infeasible inputs raise the resampler's ``ValueError``.
+    The side ``spec`` randomizes is redrawn for every sample by that side's
+    sampler, and the other track stays fixed. Uniform-points counts are
+    drawn from their exact hypergeometric law instead, where numpy can.
+    Infeasible inputs raise the sampler's ``ValueError``.
     """
+    if spec.block_size is None and spec.randomized_side is RandomizedSide.SEGMENTS:
+        return _count_between(points, *_sample_segments(segments, spec, rng, m))
+    if spec.block_size is None and spec.preservation is Preservation.UNIFORM_LOCATION:
+        # n points uniform without replacement: the covered ones are
+        # Hypergeometric(covered bp, uncovered bp, n).
+        _check_uniform_points(points)
+        covered, length = segments.total_length, points.bin.length
+        if max(covered, length - covered) < _HYPERGEOMETRIC_LIMIT:
+            return rng.hypergeometric(covered, length - covered, len(points), size=m)
+    return _count_covered(_sample_points(points, spec, rng, m), segments)
+
+
+def resample_track(
+    track: Union[PointTrack, SegmentTrack],
+    spec: NullModelSpec,
+    rng_seed: int,
+) -> Union[PointTrack, SegmentTrack]:
+    """One randomized track under ``spec``: row 0 of the model's sampler on
+    ``rng_for(rng_seed)``.
+
+    Except under uniform-points, its count against a fixed track equals
+    ``sample_counts(..., rng_for(rng_seed), 1)[0]``.
+    """
+    rng = rng_for(rng_seed)
+    if spec.block_size is not None or spec.randomized_side is RandomizedSide.POINTS:
+        if not isinstance(track, PointTrack):
+            raise TypeError("null model randomizes points but a segment track was given")
+        rel = _sample_points(track, spec, rng, 1)[0]
+        return PointTrack(track.bin, np.sort(rel) + track.bin.start)
+    if not isinstance(track, SegmentTrack):
+        raise TypeError("null model randomizes segments but a point track was given")
+    starts, ends = _sample_segments(track, spec, rng, 1)
+    return SegmentTrack(track.bin, np.column_stack((starts[0], ends[0])) + track.bin.start)
+
+
+def _sample_points(
+    points: PointTrack, spec: NullModelSpec, rng: np.random.Generator, m: int
+) -> np.ndarray:
+    """``m`` randomized point tracks as bin-relative int64[m, n] rows.
+
+    Rows are sorted except under ``block:b``.
+    """
+    length, rel = points.bin.length, points.positions - points.bin.start
     if spec.block_size is not None:
-        return _block_counts(points, segments, spec.block_size, rng, m)
-    if spec.randomized_side is RandomizedSide.POINTS:
-        if spec.preservation is Preservation.UNIFORM_LOCATION:
-            return _uniform_point_counts(points, segments, rng, m)
-        return _preserve_point_counts(points, segments, rng, m)
+        # A point in block i moves to block slot[i], keeping its offset
+        # within the block. Moving block order[j] to j, as the plain
+        # definition does, makes slot the inverse of order; the inverse of a
+        # uniform permutation is uniform, so a drawn permutation serves as
+        # slot directly. Points in the trailing partial block stay in place.
+        size = spec.block_size
+        _check_block_size(size, length)
+        n_blocks = length // size
+        head = int(np.searchsorted(rel, n_blocks * size))
+        block, within = np.divmod(rel[:head], size)
+        slot = rng.permuted(np.broadcast_to(np.arange(n_blocks), (m, n_blocks)), axis=1)
+        moved = slot[:, block] * size + within
+        if head < rel.size:
+            moved = np.concatenate((moved, np.broadcast_to(rel[head:], (m, rel.size - head))),
+                                   axis=1)
+        return moved
     if spec.preservation is Preservation.UNIFORM_LOCATION:
-        return _uniform_segment_counts(points, segments, rng, m)
-    return _preserve_segment_counts(points, segments, rng, m)
-
-
-def _uniform_point_counts(
-    points: PointTrack, segments: SegmentTrack, rng: np.random.Generator, m: int
-) -> np.ndarray:
-    # n points uniform without replacement: the covered ones are
-    # Hypergeometric(covered bp, uncovered bp, n).
-    _check_uniform_points(points)
-    n, length = len(points), points.bin.length
-    covered = segments.total_length
-    if max(covered, length - covered) < _HYPERGEOMETRIC_LIMIT:
-        return rng.hypergeometric(covered, length - covered, n, size=m)
-    draws = (points.bin.start + _uniform_subset(rng, length, n) for _ in range(m))
-    return np.array([_count_in_intervals(d, segments.segments) for d in draws], dtype=np.int64)
-
-
-def _preserve_point_counts(
-    points: PointTrack, segments: SegmentTrack, rng: np.random.Generator, m: int
-) -> np.ndarray:
+        _check_uniform_points(points)
+        rows = [_uniform_subset(rng, length, len(points)) for _ in range(m)]
+        return np.array(rows, dtype=np.int64).reshape(m, len(points))
     gaps, n_offsets = _interpoint_gaps(points)
     offsets = rng.integers(0, n_offsets, size=m)
-    rel = np.empty((m, len(points)), dtype=np.int64)
-    rel[:, 0] = 0
+    out = np.empty((m, len(points)), dtype=np.int64)
+    out[:, 0] = 0
     np.cumsum(rng.permuted(np.broadcast_to(gaps, (m, gaps.size)), axis=1), axis=1,
-              out=rel[:, 1:])
-    rel += offsets[:, None]
-    return _count_covered(rel, segments)
+              out=out[:, 1:])
+    out += offsets[:, None]
+    return out
 
 
-def _uniform_segment_counts(
-    points: PointTrack, segments: SegmentTrack, rng: np.random.Generator, m: int
-) -> np.ndarray:
+def _sample_segments(
+    segments: SegmentTrack, spec: NullModelSpec, rng: np.random.Generator, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``m`` randomized segment tracks as bin-relative (starts, ends), each
+    int64[m, k], segments in order along each row."""
     k = len(segments)
-    if k == 0:
-        return np.zeros(m, dtype=np.int64)
-    slack = _segment_slack(segments)
-    lengths = rng.permuted(np.broadcast_to(segments.lengths, (m, k)), axis=1)
-    # Stars and bars: k sorted bars among slack + k slots give a uniform
-    # composition of the slack into k+1 gaps; the gaps before segment j sum
-    # to bars[j] - j.
-    bars = np.empty((m, k), dtype=np.int64)
-    for row in bars:
-        row[:] = rng.choice(slack + k, k, replace=False, shuffle=False)
-    bars.sort(axis=1)
-    ends = np.cumsum(lengths, axis=1)
-    ends += bars - np.arange(k)
-    return _count_between(points, ends - lengths, ends)
-
-
-def _preserve_segment_counts(
-    points: PointTrack, segments: SegmentTrack, rng: np.random.Generator, m: int
-) -> np.ndarray:
+    if spec.preservation is Preservation.UNIFORM_LOCATION:
+        if k == 0:
+            return np.empty((m, 0), dtype=np.int64), np.empty((m, 0), dtype=np.int64)
+        slack = _segment_slack(segments)
+        lengths = rng.permuted(np.broadcast_to(segments.lengths, (m, k)), axis=1)
+        # Stars and bars: k sorted bars among slack + k slots give a uniform
+        # composition of the slack into k+1 gaps; the gaps before segment j
+        # sum to bars[j] - j.
+        bars = np.empty((m, k), dtype=np.int64)
+        for row in bars:
+            row[:] = rng.choice(slack + k, k, replace=False, shuffle=False)
+        bars.sort(axis=1)
+        ends = np.cumsum(lengths, axis=1)
+        ends += bars - np.arange(k)
+        return ends - lengths, ends
     gaps, n_offsets = _intersegment_gaps(segments)
-    k = len(segments)
     offsets = rng.integers(0, n_offsets, size=m)
     lengths = rng.permuted(np.broadcast_to(segments.lengths, (m, k)), axis=1)
     # Segment j ends after the first j+1 lengths and the first j gaps.
@@ -417,26 +326,7 @@ def _preserve_segment_counts(
     ends[:, 1:] += rng.permuted(np.broadcast_to(gaps, (m, k - 1)), axis=1)
     np.cumsum(ends, axis=1, out=ends)
     ends += offsets[:, None]
-    return _count_between(points, ends - lengths, ends)
-
-
-def _block_counts(
-    points: PointTrack, segments: SegmentTrack, block_size: int, rng: np.random.Generator, m: int
-) -> np.ndarray:
-    # A point in block i moves to block slot[i], keeping its offset within
-    # the block. The reference moves block order[j] to j, so slot is the
-    # inverse of order; the inverse of a uniform permutation is uniform, so
-    # a drawn permutation serves as slot directly. Points in the trailing
-    # partial block stay in place.
-    _check_block_size(block_size, points.bin.length)
-    n_blocks = points.bin.length // block_size
-    rel = points.positions - points.bin.start
-    in_head = rel < n_blocks * block_size
-    block, within = np.divmod(rel[in_head], block_size)
-    slot = rng.permuted(np.broadcast_to(np.arange(n_blocks), (m, n_blocks)), axis=1)
-    moved = slot[:, block] * block_size + within
-    fixed = _count_in_intervals(points.positions[~in_head], segments.segments)
-    return _count_covered(moved, segments) + fixed
+    return ends - lengths, ends
 
 
 # A lookup table costs about 3 ns per bp of bin to build, a binary search
@@ -476,34 +366,39 @@ def _count_between(points: PointTrack, starts: np.ndarray, ends: np.ndarray) -> 
     return (before[ends] - before[starts]).sum(axis=-1, dtype=np.int64)
 
 
-def _multiset_permutations(values: np.ndarray) -> int:
-    """Distinct orders of the rows of ``values`` (a 1-D array's elements)."""
-    _, counts = np.unique(values, axis=0, return_counts=True)
-    out = math.factorial(len(values))
-    for c in counts.tolist():
+def _orders(counts: list[int]) -> int:
+    """Distinct orders of a multiset whose distinct values occur ``counts`` times."""
+    out = math.factorial(sum(counts))
+    for c in counts:
         out //= math.factorial(c)
     return out
 
 
-def state_space_size(
-    obj: Union[PointTrack, SegmentTrack, BinarySequence],
-    spec: NullModelSpec,
-) -> int:
+def _multiset_permutations(values: np.ndarray) -> int:
+    """Distinct orders of the elements of ``values``."""
+    return _orders(np.unique(values, return_counts=True)[1].tolist())
+
+
+def state_space_size(obj: Union[PointTrack, SegmentTrack], spec: NullModelSpec) -> int:
     """Exact number of distinct states reachable under ``spec``.
 
     Computed with arbitrary-precision integers, so it is exact at any size
     (the result may simply be astronomically large).
     """
     if spec.block_size is not None:
-        if not isinstance(obj, BinarySequence):
-            from .tracks import to_binary_sequence
-
-            if not isinstance(obj, PointTrack):
-                raise TypeError("block permutation applies to binary sequences or point tracks")
-            obj = to_binary_sequence(obj)
-        _check_block_size(spec.block_size, len(obj))
-        m = len(obj) // spec.block_size
-        return _multiset_permutations(obj.values[: m * spec.block_size].reshape(m, -1))
+        if not isinstance(obj, PointTrack):
+            raise TypeError("block permutation applies to point tracks")
+        size = spec.block_size
+        _check_block_size(size, obj.bin.length)
+        n_blocks = obj.bin.length // size
+        rel = obj.positions - obj.bin.start
+        # A state is an order of the blocks' point patterns (the offsets of
+        # their points); every empty block has the same, empty pattern.
+        patterns: dict[int, list[int]] = {}
+        for block, within in zip(*np.divmod(rel[rel < n_blocks * size], size)):
+            patterns.setdefault(int(block), []).append(int(within))
+        counts = Counter(tuple(p) for p in patterns.values())
+        return _orders([*counts.values(), n_blocks - len(patterns)])
 
     if spec.randomized_side is RandomizedSide.POINTS:
         if not isinstance(obj, PointTrack):

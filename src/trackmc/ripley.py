@@ -20,18 +20,6 @@ from .tracks import BinarySequence
 DEFAULT_SCALES = (10, 25, 50, 100, 250, 500)
 
 
-def pair_weight(i: int, j: int, n: int) -> float:
-    """Edge-correction weight for a pair of 1-indexed coordinates.
-
-    Equals 1 for any pair inside [1, n]; strictly between 0 and 1 when one
-    coordinate lies outside.
-    """
-    if i == j:
-        raise ValueError("pair weight is undefined for i == j")
-    lo, hi = (i, j) if i < j else (j, i)
-    return (min(hi, n) - max(lo, 1)) / (hi - lo)
-
-
 def estimate_k(seq: BinarySequence, tau: int) -> float:
     """K estimator at distance ``tau``.
 
@@ -48,8 +36,9 @@ def estimate_k(seq: BinarySequence, tau: int) -> float:
     if m < 2:
         raise ValueError("K undefined: need at least 2 points")
     lam = m / n
-    # Every position lies in [1, n], so every pair_weight is exactly 1 and
-    # the sum of inverse weights is the number of pairs i < j within tau.
+    # Every position lies in [1, n], so every pair's edge-correction weight
+    # (min(j, n) - max(i, 1)) / (j - i) is exactly 1 and the sum of inverse
+    # weights is the number of pairs i < j within tau.
     ends = np.searchsorted(positions, positions + tau, side="right")
     total = int((ends - np.arange(1, m + 1)).sum())
     return 2.0 * total / (n * lam * lam)

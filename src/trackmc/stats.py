@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .tracks import BinarySequence, PointTrack, SegmentTrack
+from .tracks import PointTrack, SegmentTrack
 
 # One weight per base pair of the bin.
 WeightVector = np.ndarray
@@ -56,23 +56,6 @@ def _count_in_intervals(positions: np.ndarray, intervals: np.ndarray) -> np.ndar
     ends = np.concatenate(([np.iinfo(np.int64).min], intervals[:, 1]))
     idx = np.searchsorted(intervals[:, 0], positions, side="right")
     return (positions < ends[idx]).sum(axis=-1)
-
-
-def segment_indicator_weights(segments: SegmentTrack) -> np.ndarray:
-    """Per-base-pair 0/1 weight vector marking covered coordinates."""
-    y = np.zeros(segments.bin.length, dtype=np.float64)
-    for start, end in segments.segments:
-        y[start - segments.bin.start : end - segments.bin.start] = 1.0
-    return y
-
-
-def weighted_sum_statistic(seq: BinarySequence, weights: WeightVector) -> float:
-    """(1/n) * sum(y_i * x_i) for an indicator sequence x and weights y."""
-    y = np.asarray(weights, dtype=np.float64)
-    n = len(seq)
-    if y.size != n:
-        raise ValueError(f"length mismatch: {n} indicators vs {y.size} weights")
-    return float(np.dot(y, seq.values)) / n
 
 
 def _check_binomial_args(t: int, n: int, p: float) -> None:
@@ -190,12 +173,6 @@ def binomial_lower_pvalue(t: int, n: int, p: float) -> float:
     """P(T <= t) under Binomial(n, p), stable down to tiny tails."""
     _check_binomial_args(t, n, p)
     return 1.0 if t == n else _binomial_tails(t + 1, n, p)[1]
-
-
-def binomial_lower_strict(t: int, n: int, p: float) -> float:
-    """P(T < t) under Binomial(n, p); complements :func:`binomial_upper_pvalue`."""
-    _check_binomial_args(t, n, p)
-    return _binomial_tails(t, n, p)[1]
 
 
 def binomial_pvalue(t: int, n: int, p: float, direction: Direction = Direction.GREATER) -> float:

@@ -38,6 +38,8 @@ class Bin:
     end: int
 
     def __post_init__(self) -> None:
+        if any(c in self.id for c in "\t\r\n"):
+            raise TrackValidationError(f"bin {self.id!r}: id must not contain a tab or line break")
         if self.start < 0:
             raise TrackValidationError(f"bin {self.id!r}: start must be >= 0, got {self.start}")
         if self.end <= self.start:

@@ -9,7 +9,7 @@ import pytest
 
 import trackmc
 from trackmc.cli import main
-from conftest import write_lines
+from testkit import write_lines
 
 
 def run_cli(*args):
@@ -237,6 +237,52 @@ class TestRipleyCommand:
         points = write_lines(tmp_path / "p.tsv", ["10"])
         assert run_cli("ripley", "--points", points, "--bin-end", "100") == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scales,echo", [
+        (None, "10,25,50,100,250,500"),
+        ("10,100,500", "10,100,500"),
+        (" 5, 10,", "5,10"),
+        ("5,\n10", "5,10"),
+    ])
+    def test_parsed_scales_are_echoed(self, tmp_path, scales, echo):
+        points = write_lines(tmp_path / "p.tsv", ["10", "11", "12", "40", "41", "80", "600"])
+        out = tmp_path / "rip.tsv"
+        extra = () if scales is None else ("--scales", scales)
+        assert run_cli("ripley", "--points", points, "--bin-end", "1000", *extra,
+                       "--out", str(out)) == 0
+        lines = out.read_text().splitlines()
+        assert f"# scales={echo}" in lines
+        rows = [l for l in lines if not l.startswith("#")]
+        assert rows[0] == "track\tbin_id\ttau\tk_hat\tl_hat"
+        assert [r.split("\t")[2] for r in rows[1:]] == echo.split(",")
+
+    @pytest.mark.parametrize("scales,message", [
+        ("", "need at least one integer, got ''"),
+        (", ,", "need at least one integer, got ', ,'"),
+        ("5,x", "invalid int list: '5,x'"),
+    ])
+    def test_bad_scales_rejected(self, tmp_path, capsys, scales, message):
+        points = write_lines(tmp_path / "p.tsv", ["10", "11", "12"])
+        out = tmp_path / "rip.tsv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("ripley", "--points", points, "--bin-end", "100", "--scales", scales,
+                    "--out", str(out))
+        assert exc.value.code == 2
+        assert f"argument --scales: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command,bin_id", [("test", "a\tb"), ("ripley", "a\nb")])
+def test_bin_id_with_tab_or_line_break_rejected(tmp_path, capsys, command, bin_id):
+    # Written as is, the id would add a field to the row or split it.
+    points = write_lines(tmp_path / "p.tsv", ["10", "11", "40"])
+    inputs = ("--segments", write_lines(tmp_path / "s.tsv", ["0\t20"])) if command == "test" else ()
+    out = tmp_path / "out.tsv"
+    code = run_cli(command, "--points", points, *inputs, "--bin-id", bin_id, "--bin-end", "1000",
+                   "--out", str(out))
+    assert code == 1
+    assert "id must not contain a tab or line break" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestSimulateCommand:

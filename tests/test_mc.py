@@ -17,7 +17,6 @@ from trackmc import (
     coverage_fraction,
     derive_seed,
     empirical_pvalue,
-    resample_track,
     run_mc_batch,
     run_mc_test,
 )
@@ -26,6 +25,7 @@ from trackmc.mc import count_exceedances, null_counts, write_results_tsv
 from trackmc.null_models import (
     NullModelSpec, Preservation, RandomizedSide, chunk_rows, sample_size,
 )
+from reference import resample_track
 
 ALL_MODELS = (
     UNIFORM_POINTS,

