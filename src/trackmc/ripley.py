@@ -28,10 +28,13 @@ def estimate_k(seq: BinarySequence, tau: int) -> float:
     Counts the pairs by binary search over the point positions, so cost
     scales with the points, not with n * tau.
     """
-    n = len(seq)
+    return _k_of_positions(np.flatnonzero(seq.values) + 1, len(seq), tau)
+
+
+def _k_of_positions(positions: np.ndarray, n: int, tau: int) -> float:
+    """``estimate_k`` from the sorted 1-indexed positions of a length-``n`` sequence."""
     if not 1 <= tau < n:
         raise ValueError(f"tau must lie in [1, {n - 1}], got {tau}")
-    positions = np.flatnonzero(seq.values).astype(np.int64) + 1
     m = positions.size
     if m < 2:
         raise ValueError("K undefined: need at least 2 points")
@@ -51,4 +54,5 @@ def estimate_l(seq: BinarySequence, tau: int) -> float:
 
 def estimate_l_profile(seq: BinarySequence, scales: Sequence[int]) -> tuple[float, ...]:
     """L at each scale of the grid, in grid order (duplicates evaluated as given)."""
-    return tuple(estimate_l(seq, int(tau)) for tau in scales)
+    positions, n = np.flatnonzero(seq.values) + 1, len(seq)
+    return tuple(_k_of_positions(positions, n, tau) / (2.0 * tau) for tau in map(int, scales))

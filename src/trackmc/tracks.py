@@ -6,9 +6,11 @@ construction and safe to share across workers.
 
 ``read_points`` and ``read_segments`` read a file in one vectorized pass
 when every data row is plainly clean (ASCII integers of at most 18 digits,
-single tabs); any other file goes to the per-line parser, which names the
-bad line. Both paths accept the same files, give the same arrays and raise
-the same errors.
+single tabs): comment and blank lines are dropped by one substitution, run
+only when the text can hold such a line, and the numbers are converted in
+one C-level parse. Any other file goes to the per-line parser, which names
+the bad line. Both paths accept the same files, give the same arrays and
+raise the same errors.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ class Bin:
     def __post_init__(self) -> None:
         if any(c in self.id for c in "\t\r\n"):
             raise TrackValidationError(f"bin {self.id!r}: id must not contain a tab or line break")
+        if self.id.lstrip().startswith("#"):
+            # Every reader of a TSV row takes such a line for a comment.
+            raise TrackValidationError(f"bin {self.id!r}: id must not start with '#'")
         if self.start < 0:
             raise TrackValidationError(f"bin {self.id!r}: start must be >= 0, got {self.start}")
         if self.end <= self.start:
@@ -137,7 +142,7 @@ class BinarySequence:
         vals = np.asarray(self.values)
         if vals.size < 1:
             raise TrackValidationError("binary sequence must have length >= 1")
-        if not np.isin(vals, (0, 1)).all():
+        if not ((vals == 0) | (vals == 1)).all():
             raise TrackValidationError("binary sequence values must be 0 or 1")
         object.__setattr__(self, "values", _readonly(vals.astype(np.uint8)))
 
@@ -200,13 +205,19 @@ def _clean_rows(path: PathLike, widths: tuple[int, ...]) -> np.ndarray | None:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = _SKIPPED_LINE.sub("", fh.read())
+            text = fh.read()
     except UnicodeDecodeError:
         return None
+    # Without these, the only skipped lines left are whitespace-only ones,
+    # which fail the clean pattern and so reach the per-line parser.
+    if "#" in text or "\n\n" in text or text.startswith("\n"):
+        text = _SKIPPED_LINE.sub("", text)
     ncols = text.partition("\n")[0].count("\t") + 1
     if ncols not in widths or not _CLEAN_ROWS[ncols].fullmatch(text):
         return None
-    return np.array(text.split(), dtype=np.int64).reshape(-1, ncols)
+    # The pattern admits only ASCII decimal fields between tabs and line
+    # ends; ``fromstring`` reads any whitespace as a separator.
+    return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, ncols)
 
 
 def read_points(path: PathLike) -> np.ndarray:

@@ -285,6 +285,19 @@ def test_bin_id_with_tab_or_line_break_rejected(tmp_path, capsys, command, bin_i
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,bin_id", [("test", "#a"), ("ripley", " #a")])
+def test_bin_id_starting_with_hash_rejected(tmp_path, capsys, command, bin_id):
+    # Written as is, the row would read back as a comment and be dropped.
+    points = write_lines(tmp_path / "p.tsv", ["10", "11", "40"])
+    inputs = ("--segments", write_lines(tmp_path / "s.tsv", ["0\t20"])) if command == "test" else ()
+    out = tmp_path / "out.tsv"
+    code = run_cli(command, "--points", points, *inputs, "--bin-id", bin_id, "--bin-end", "1000",
+                   "--out", str(out))
+    assert code == 1
+    assert "id must not start with '#'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSimulateCommand:
     def test_points_round_trip(self, tmp_path):
         out = tmp_path / "sim.tsv"

@@ -138,6 +138,34 @@ class TestEstimateLProfile:
         seq = BinarySequence([1, 1, 0])
         assert estimate_l_profile(seq, []) == ()
 
+    def test_equals_estimate_l_at_each_scale(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(3, 3000))
+            seq = BinarySequence(rng.random(n) < rng.uniform(0.001, 0.5))
+            if seq.values.sum() < 2:
+                continue
+            scales = [int(t) for t in rng.integers(1, n, size=rng.integers(1, 8))]
+            scales += scales[: rng.integers(0, 3)]  # duplicate scales
+            assert estimate_l_profile(seq, np.array(scales)) == tuple(
+                estimate_l(seq, t) for t in scales)
+
+    @pytest.mark.parametrize("values,scales", [
+        ([1, 0, 1, 0, 0, 1], [2, 0, 3]),
+        ([1, 0, 1, 0, 0, 1], [2, 6]),
+        ([1, 0, 1, 0, 0, 1], [-1]),
+        ([0, 0, 1, 0], [0, 1]),  # tau is checked before the point count
+        ([0, 0, 1, 0], [2, 9]),
+    ])
+    def test_bad_grid_raises_as_estimate_l(self, values, scales):
+        seq = BinarySequence(values)
+        with pytest.raises(ValueError) as first_bad:
+            for tau in scales:
+                estimate_l(seq, tau)
+        with pytest.raises(ValueError) as profile:
+            estimate_l_profile(seq, scales)
+        assert str(profile.value) == str(first_bad.value)
+
 
 def simulate_markov_chain(rng, n, lam, r):
     # Two-state stationary chain with P(X=1) = lam and corr(X_0, X_d) = r^d.

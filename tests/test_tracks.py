@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,15 @@ class TestBin:
         # Such an id would split a row or a line of every TSV it is written to.
         with pytest.raises(TrackValidationError, match="id must not contain a tab or line break"):
             Bin(bin_id, 0, 10)
+
+    @pytest.mark.parametrize("bin_id", ["#a", " #a", "\u3000# x", "#"])
+    def test_id_starting_with_hash_rejected(self, bin_id):
+        # Every reader of a TSV row would skip it as a comment line.
+        with pytest.raises(TrackValidationError, match="id must not start with '#'"):
+            Bin(bin_id, 0, 10)
+
+    def test_id_with_inner_hash_accepted(self):
+        assert Bin("a#1", 0, 10).id == "a#1"
 
 
 class TestPointTrack:
@@ -375,10 +385,34 @@ def _outcome(read, path):
     return out.dtype, out.shape, out.tolist()
 
 
+def _fast_path_edges(test):
+    """Files at the edges of the one-pass reader's shortcuts: the comment and
+    blank-line substitution runs only on text with a '#', an empty line or a
+    leading line end, and the numbers are converted by ``np.fromstring``."""
+    for text in [
+        "1\t2\n \n3\t4\n",  # a whitespace-only line and no '#'
+        "1\t2\n\t\n",  # the same as the last line
+        "\n1\t2\n3\t4\n",  # a leading blank line
+        "\n\n1\t2",
+        "1\t2\n\n3\t4\n",  # an empty line inside
+        "1\t2\r\n3\t4",  # CRLF, no final line end
+        "\r\n1\t2\r\n",
+        "007\t010\n",  # zero-padded fields are read in base 10
+        "-007\t0010\n08\t09\n",
+        "1\n \n2\n",
+        "#\n",
+        "\n",
+        "",
+    ]:
+        test = example(text=text)(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_track_file(widths=[1, 2]))
 @example(text="0\t5\n7 9\n")  # a space where a tab belongs
+@_fast_path_edges
 def test_read_points_matches_per_line_parser(tmp_path, text):
     path = tmp_path / "p.tsv"
     path.write_bytes(text.encode("utf-8"))
@@ -389,18 +423,25 @@ def test_read_points_matches_per_line_parser(tmp_path, text):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_track_file(widths=[2]))
 @example(text="0\t5\n7 9\n")  # a space where a tab belongs
+@_fast_path_edges
 def test_read_segments_matches_per_line_parser(tmp_path, text):
     path = tmp_path / "s.tsv"
     path.write_bytes(text.encode("utf-8"))
     assert _outcome(read_segments, path) == _outcome(tracks._read_segments_per_line, path)
 
 
-def test_own_formats_read_in_one_pass(tmp_path, monkeypatch):
-    """Interval files and saved point tracks never reach the per-line parser."""
+@pytest.fixture
+def one_pass_only(monkeypatch):
+    """Fail any read that falls back to the per-line parser."""
     def per_line(path):
         raise AssertionError(f"{path} fell back to the per-line parser")
 
     monkeypatch.setattr(tracks, "_data_rows", per_line)
+
+
+@pytest.mark.usefixtures("one_pass_only")
+def test_own_formats_read_in_one_pass(tmp_path):
+    """Interval files and saved point tracks never reach the per-line parser."""
     intervals = write_lines(tmp_path / "s.tsv", ["100\t200", "150\t300", "300\t310"])
     assert read_segments(intervals).tolist() == [[100, 300], [300, 310]]
     assert read_points(intervals).tolist() == [150, 225, 305]
@@ -410,8 +451,31 @@ def test_own_formats_read_in_one_pass(tmp_path, monkeypatch):
     assert read_points(saved).tolist() == [3, 50, 99]
 
 
+@pytest.mark.usefixtures("one_pass_only")
+def test_clean_files_read_without_warnings(tmp_path):
+    """Clean files take the one-pass reader and ``np.fromstring`` reads them
+    to the end. On a partial read, older numpy only warns and returns the
+    numbers read so far."""
+    files = {
+        "p.tsv": ["# kind=points", "5", "-3", "007", "999999999999999999"],
+        "s.tsv": ["100\t200", "", "150\t300", "-20\t-10"],
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = read_points(write_lines(tmp_path / "p.tsv", files["p.tsv"]))
+        segments = read_segments(write_lines(tmp_path / "s.tsv", files["s.tsv"]))
+    assert points.tolist() == [-3, 5, 7, 999999999999999999]
+    assert segments.tolist() == [[-20, -10], [100, 300]]
+
+
 def test_binary_sequence_validation():
     with pytest.raises(TrackValidationError):
         BinarySequence([])
     with pytest.raises(TrackValidationError):
         BinarySequence([0, 2])
+    # The same verdicts as np.isin(values, (0, 1)).all().
+    for values in ([0.5], [-1], [np.nan]):
+        with pytest.raises(TrackValidationError, match="must be 0 or 1"):
+            BinarySequence(values)
+    for values in ([True, False], [0, 1.0]):
+        assert BinarySequence(values).values.tolist() == [int(v) for v in values]

@@ -32,7 +32,19 @@ from genome import MIN_POINTS, MIN_SEGMENTS, make_genome, write_genome  # noqa: 
 SEEDS = (1, 2)
 MODELS = ("uniform-points", "preserve-interpoint", "uniform-segments",
           "preserve-intersegment", "block:100")
-INPUTS = ("bins.tsv", "points.tsv", "segments.tsv")
+# Copies of the points file that take the reader's two other paths: CRLF
+# line ends behind a '#' line (the comment and blank-line substitution), and
+# one field padded with a space (the per-line parser).
+VARIANTS = ("points_crlf.tsv", "points_padded.tsv")
+INPUTS = ("bins.tsv", "points.tsv", "segments.tsv", *VARIANTS)
+
+
+def write_variants(rundir: Path) -> None:
+    lines = (rundir / "points.tsv").read_text().splitlines()
+    crlf, padded = ["# points, CRLF line ends", *lines], list(lines)
+    padded[len(padded) // 2] += " "
+    for name, rows, end in zip(VARIANTS, (crlf, padded), ("\r\n", "\n")):
+        (rundir / name).write_bytes("".join(row + end for row in rows).encode())
 
 
 def calls(seed: int, genome_length: int) -> list[list[str]]:
@@ -85,6 +97,13 @@ def calls(seed: int, genome_length: int) -> list[list[str]]:
         ["ripley", "--points", "sim_points.tsv", "--bin-end", "20000",
          "--out", "sim_ripley.tsv"],
     ]
+    for name in VARIANTS:
+        stem = name.removesuffix(".tsv")
+        out.append(["ripley", "--points", name, *whole[2:], "--out", f"ripley_{stem}.tsv"])
+        out.append(["batch", "--bins", "bins.tsv", "--points", name,
+                    "--segments", "segments.tsv", "--null-model", "uniform-points",
+                    "--min-points", str(MIN_POINTS), "--min-segments", str(MIN_SEGMENTS),
+                    "--samples", "100", "--seed", s, "--out", f"batch_{stem}.tsv"])
     return out
 
 
@@ -128,6 +147,7 @@ def main(argv: list[str]) -> int:
                 rundir = tmp / f"{seed}-{len(runs)}"
                 rundir.mkdir()
                 write_genome(genome, rundir)
+                write_variants(rundir)
                 runs[name] = (run_all(src, rundir, argvs), outputs(rundir))
             (old, old_files), (new, new_files) = runs.values()
             n_calls += len(argvs)
