@@ -51,9 +51,9 @@ from .study import (
     GENERATION_COLUMNS,
     ORDERING_MODELS,
     StudyConfig,
-    StudyReport,
     decile_table,
     filter_bins,
+    rejection_counts,
     run_clustering_survey,
     run_false_rejection_study,
     run_ordering_experiment,

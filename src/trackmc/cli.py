@@ -25,6 +25,7 @@ from .simulate import PointGenConfig, PointMode, SegmentGenConfig, generate_poin
 from .study import (
     StudyConfig,
     filter_bins,
+    rejection_counts,
     run_clustering_survey,
     run_false_rejection_study,
     run_ordering_experiment,
@@ -235,43 +236,41 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _study_fields(args: argparse.Namespace) -> dict:
-    """The StudyConfig fields that study and ordering both take from flags."""
+def _study_config(args: argparse.Namespace, **fields) -> StudyConfig:
+    """The StudyConfig of study and ordering: their shared flags plus ``fields``."""
+    return StudyConfig(
+        n_replicates=args.replicates,
+        bin_length=args.bin_length,
+        mc_samples=args.samples,
+        master_seed=args.seed,
+        **fields,
+    )
+
+
+def _study_echo(command: str, cfg: StudyConfig, **extra) -> dict:
+    """The header lines of study and ordering; ``extra`` goes before the seed."""
     return {
-        "n_replicates": args.replicates,
-        "bin_length": args.bin_length,
-        "mc_samples": args.samples,
-        "master_seed": args.seed,
+        "command": command,
+        "replicates": cfg.n_replicates,
+        "bin_length": cfg.bin_length,
+        "samples": cfg.mc_samples,
+        **extra,
+        "seed": cfg.master_seed,
     }
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
-    cfg = StudyConfig(fdr_threshold=args.fdr, **_study_fields(args))
-    report = run_false_rejection_study(cfg, workers=args.workers)
-    echo = {
-        "command": "study",
-        "replicates": cfg.n_replicates,
-        "bin_length": cfg.bin_length,
-        "samples": cfg.mc_samples,
-        "fdr": fmt(cfg.fdr_threshold),
-        "seed": cfg.master_seed,
-    }
-    write_study_tsv(report, _out(args.out), echo)
+    cfg = _study_config(args, fdr_threshold=args.fdr)
+    pvalues = run_false_rejection_study(cfg, workers=args.workers)
+    echo = _study_echo("study", cfg, fdr=fmt(cfg.fdr_threshold))
+    write_study_tsv(rejection_counts(pvalues, cfg.fdr_threshold), cfg, _out(args.out), echo)
     return 0
 
 
 def _cmd_ordering(args: argparse.Namespace) -> int:
-    cfg = StudyConfig(
-        segment_config=SegmentGenConfig(clustered=args.cluster_segments), **_study_fields(args)
-    )
+    cfg = _study_config(args, cluster_segments=args.cluster_segments)
     result = run_ordering_experiment(cfg, workers=args.workers)
-    echo = {
-        "command": "ordering",
-        "replicates": cfg.n_replicates,
-        "bin_length": cfg.bin_length,
-        "samples": cfg.mc_samples,
-        "seed": cfg.master_seed,
-    }
+    echo = _study_echo("ordering", cfg)
     write_ordering_tsv(result, _out(args.out), echo)
     if args.deciles_out:
         write_deciles_tsv(result, _out(args.deciles_out), echo)

@@ -8,6 +8,11 @@ null model alone. Chunk ``c`` draws from
 chunk draws only the rows still needed. So batch results are independent
 of execution order and worker count, and the first k samples do not depend
 on the number of samples whenever k is a multiple of the chunk size.
+
+The null model is not in the chunk key, so every model scored on one bin
+draws from the same chunk streams: common random numbers across models, as
+in the study's three MC rows, the ordering experiment's four models, and
+``test`` runs of several models on one bin.
 """
 
 from __future__ import annotations

@@ -1,11 +1,15 @@
 """End-to-end experiment drivers.
 
+Both experiments score independently generated track pairs under several
+null models, one pair per replicate, through ``_replicate``.
+
 ``run_false_rejection_study`` crosses data-generation procedures (uniform,
 clustered points, clustered segments) with testing assumptions (analytic
-binomial, uniform-points MC, preserve-interpoint, uniform-segments) on
-independently generated track pairs, counts FDR-corrected rejections per
-cell, and so measures how many false positives an under-preserving null
-model produces.
+binomial, uniform-points MC, preserve-interpoint, uniform-segments); it
+returns one p-value array per (assumption, column) cell, and
+``rejection_counts`` counts each cell's FDR-corrected rejections. Every
+rejection is a false one, so the counts measure how many false positives an
+under-preserving null model produces.
 
 ``run_ordering_experiment`` scores identical data under all four
 track-level null models to expose the preservation ordering of p-values;
@@ -18,7 +22,7 @@ index); worker count never changes any output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -63,12 +67,12 @@ ASSUMPTIONS: tuple[tuple[str, NullModelSpec | None], ...] = (
     ("uniform-segment-location-mc", UNIFORM_SEGMENTS),
 )
 
-# The study's columns: each generation procedure's point mode and whether
-# its segment starts are clustered.
+# The study's columns: whether each generation procedure clusters its
+# points and its segment starts.
 _COLUMN_GENERATION = {
-    "uniform": (PointMode.INDEPENDENT, False),
-    "clustered-points": (PointMode.CLUSTERED, False),
-    "clustered-segments": (PointMode.INDEPENDENT, True),
+    "uniform": (False, False),
+    "clustered-points": (True, False),
+    "clustered-segments": (False, True),
 }
 GENERATION_COLUMNS = tuple(_COLUMN_GENERATION)
 
@@ -82,15 +86,18 @@ ORDERING_MODELS = (
 
 @dataclass(frozen=True)
 class StudyConfig:
+    """Shared settings of both experiments.
+
+    ``cluster_segments`` picks the ordering experiment's segment generator;
+    the study's columns fix their own.
+    """
+
     n_replicates: int = 100
     bin_length: int = 100_000
     fdr_threshold: float = 0.20
     mc_samples: int = 1000
     master_seed: int = 0
-    point_config: PointGenConfig = field(
-        default_factory=lambda: PointGenConfig(mode=PointMode.CLUSTERED)
-    )
-    segment_config: SegmentGenConfig = field(default_factory=SegmentGenConfig)
+    cluster_segments: bool = False
 
     def __post_init__(self) -> None:
         if self.n_replicates < 1:
@@ -99,16 +106,6 @@ class StudyConfig:
             raise ValueError(f"fdr_threshold must lie in (0, 1), got {self.fdr_threshold}")
         if self.bin_length < 1:
             raise ValueError("bin_length must be positive")
-
-
-@dataclass(frozen=True)
-class StudyReport:
-    rows: tuple[str, ...]
-    columns: tuple[str, ...]
-    counts: Mapping[tuple[str, str], int]
-    pvalues: Mapping[tuple[str, str], tuple[float, ...]]
-    n_replicates: int
-    fdr_threshold: float
 
 
 def filter_bins(
@@ -127,90 +124,66 @@ def filter_bins(
     ]
 
 
-def _generate_pair(
-    cfg: StudyConfig,
-    point_config: PointGenConfig,
-    segment_config: SegmentGenConfig,
-    bin_id: str,
-    key: tuple,
-) -> tuple[PointTrack, SegmentTrack]:
-    """Independent point and segment tracks in one bin, seeded by ``key``."""
+def _replicate(args: tuple) -> dict[str, float]:
+    """{label: p} for one independently generated pair, one entry per row.
+
+    ``args`` is (cfg, key, bin_id, cluster_points, cluster_segments, rows,
+    direction). The points and then the segments are generated from seeds
+    derived from ``key``; chunk seeds come from ``bin_id``.
+    """
+    cfg, key, bin_id, cluster_points, cluster_segments, rows, direction = args
     bin = Bin(bin_id, 0, cfg.bin_length)
-    points = generate_points(bin, point_config, derive_seed(cfg.master_seed, *key, "points"))
+    mode = PointMode.CLUSTERED if cluster_points else PointMode.INDEPENDENT
+    points = generate_points(
+        bin, PointGenConfig(mode=mode), derive_seed(cfg.master_seed, *key, "points")
+    )
     segments = generate_segments(
-        bin, segment_config, derive_seed(cfg.master_seed, *key, "segments")
+        bin,
+        SegmentGenConfig(clustered=cluster_segments),
+        derive_seed(cfg.master_seed, *key, "segments"),
     )
-    return points, segments
-
-
-def _study_replicate(args: tuple) -> tuple[str, int, dict[str, float]]:
-    cfg, column, rep = args
-    mode, clustered = _COLUMN_GENERATION[column]
-    points, segments = _generate_pair(
-        cfg,
-        replace(cfg.point_config, mode=mode),
-        replace(cfg.segment_config, clustered=clustered),
-        f"{column}-{rep:04d}",
-        ("study", column, rep),
-    )
-    mc_cfg = MCConfig(n_samples=cfg.mc_samples, master_seed=cfg.master_seed)
+    mc_cfg = MCConfig(n_samples=cfg.mc_samples, master_seed=cfg.master_seed, direction=direction)
     out: dict[str, float] = {}
-    for label, null_model in ASSUMPTIONS:
+    for label, null_model in rows:
         if null_model is None:
             t = count_points_in_segments(points, segments)
             out[label] = binomial_upper_pvalue(t, len(points), coverage_fraction(segments))
         else:
             out[label] = run_mc_test(points, segments, null_model, mc_cfg).p_value
-    return column, rep, out
+    return out
 
 
-def run_false_rejection_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
-    """Rejection counts per (assumption row, generation column) cell.
+def run_false_rejection_study(
+    cfg: StudyConfig, workers: int = 1
+) -> dict[tuple[str, str], np.ndarray]:
+    """p-values per (assumption, column) cell, one per replicate.
 
-    Each cell's p-values are corrected jointly by q-values at
-    ``cfg.fdr_threshold``; both tracks are always generated independently,
-    so every rejection is a false one.
+    Both tracks are always generated independently, so every rejection
+    ``rejection_counts`` finds in a cell is a false one.
     """
+    n = cfg.n_replicates
     jobs = [
-        (cfg, column, rep)
+        (cfg, ("study", column, rep), f"{column}-{rep:04d}", *_COLUMN_GENERATION[column],
+         ASSUMPTIONS, Direction.GREATER)
         for column in GENERATION_COLUMNS
-        for rep in range(cfg.n_replicates)
+        for rep in range(n)
     ]
-    outcomes = map_jobs(_study_replicate, jobs, workers)
-    pvals: dict[tuple[str, str], list[float]] = {
-        (label, col): [0.0] * cfg.n_replicates
-        for label, _ in ASSUMPTIONS
-        for col in GENERATION_COLUMNS
-    }
-    for column, rep, row_p in outcomes:
-        for label, p in row_p.items():
-            pvals[(label, column)][rep] = p
-    counts: dict[tuple[str, str], int] = {}
-    for key, ps in pvals.items():
-        counts[key] = int(reject_at_fdr(qvalues(ps, estimate_pi0(ps)), cfg.fdr_threshold).sum())
-    return StudyReport(
-        rows=tuple(label for label, _ in ASSUMPTIONS),
-        columns=GENERATION_COLUMNS,
-        counts=counts,
-        pvalues={k: tuple(v) for k, v in pvals.items()},
-        n_replicates=cfg.n_replicates,
-        fdr_threshold=cfg.fdr_threshold,
-    )
-
-
-def _ordering_replicate(args: tuple) -> dict[str, float]:
-    cfg, rep = args
-    points, segments = _generate_pair(
-        cfg, cfg.point_config, cfg.segment_config, f"ordering-{rep:04d}", ("ordering", rep)
-    )
-    mc_cfg = MCConfig(
-        n_samples=cfg.mc_samples,
-        master_seed=cfg.master_seed,
-        direction=Direction.TWO_SIDED,
-    )
+    outcomes = map_jobs(_replicate, jobs, workers)
     return {
-        model.to_string(): run_mc_test(points, segments, model, mc_cfg).p_value
-        for model in ORDERING_MODELS
+        (label, column): np.array([row[label] for row in outcomes[i * n:(i + 1) * n]])
+        for label, _ in ASSUMPTIONS
+        for i, column in enumerate(GENERATION_COLUMNS)
+    }
+
+
+def rejection_counts(
+    pvalues: Mapping[tuple[str, str], np.ndarray], fdr: float
+) -> dict[tuple[str, str], int]:
+    """Per cell, the tests rejected when its p-values are corrected jointly
+    by q-values at FDR threshold ``fdr``."""
+    return {
+        cell: int(reject_at_fdr(qvalues(ps, estimate_pi0(ps)), fdr).sum())
+        for cell, ps in pvalues.items()
     }
 
 
@@ -220,8 +193,9 @@ def run_ordering_experiment(cfg: StudyConfig, workers: int = 1) -> dict[str, np.
     Returns one array of per-replicate p-values per model name, in
     ``ORDERING_MODELS`` order.
 
-    Meant to be run with clustered generation; the headline comparison is
-    the median p under preserve-interpoint versus uniform-points.
+    Points are always clustered, and segments are when
+    ``cfg.cluster_segments`` is set; the headline comparison is the median
+    p under preserve-interpoint versus uniform-points.
 
     The tracks are generated independently of each other, so any departure
     from a null model registers in either tail; the test is two-sided. An
@@ -231,10 +205,14 @@ def run_ordering_experiment(cfg: StudyConfig, workers: int = 1) -> dict[str, np.
     (the nested pair of each side), and on clustered data each uniform
     model against the other side's preserve model.
     """
-    jobs = [(cfg, rep) for rep in range(cfg.n_replicates)]
-    outcomes = map_jobs(_ordering_replicate, jobs, workers)
-    labels = [m.to_string() for m in ORDERING_MODELS]
-    return {label: np.array([row[label] for row in outcomes]) for label in labels}
+    rows = tuple((m.to_string(), m) for m in ORDERING_MODELS)
+    jobs = [
+        (cfg, ("ordering", rep), f"ordering-{rep:04d}", True, cfg.cluster_segments, rows,
+         Direction.TWO_SIDED)
+        for rep in range(cfg.n_replicates)
+    ]
+    outcomes = map_jobs(_replicate, jobs, workers)
+    return {label: np.array([row[label] for row in outcomes]) for label, _ in rows}
 
 
 def decile_table(pvalues: Mapping[str, np.ndarray]) -> list[tuple[float, dict[str, float]]]:
@@ -267,15 +245,19 @@ def run_clustering_survey(
 
 
 def write_study_tsv(
-    report: StudyReport, path_or_file: PathLike | TextIO, config_echo: dict | None = None
+    counts: Mapping[tuple[str, str], int],
+    cfg: StudyConfig,
+    path_or_file: PathLike | TextIO,
+    config_echo: dict | None = None,
 ) -> None:
+    """One row per assumption, one column per generation procedure."""
     lines = [
-        f"# rejected_out_of={report.n_replicates}",
-        f"# fdr_threshold={fmt(report.fdr_threshold)}",
-        "assumption\t" + "\t".join(report.columns),
+        f"# rejected_out_of={cfg.n_replicates}",
+        f"# fdr_threshold={fmt(cfg.fdr_threshold)}",
+        "assumption\t" + "\t".join(GENERATION_COLUMNS),
     ]
-    for row in report.rows:
-        cells = "\t".join(str(report.counts[(row, col)]) for col in report.columns)
+    for row, _ in ASSUMPTIONS:
+        cells = "\t".join(str(counts[(row, col)]) for col in GENERATION_COLUMNS)
         lines.append(f"{row}\t{cells}")
     write_tsv(path_or_file, config_echo, lines)
 

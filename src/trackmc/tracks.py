@@ -45,6 +45,9 @@ class Bin:
         if self.id.lstrip().startswith("#"):
             # Every reader of a TSV row takes such a line for a comment.
             raise TrackValidationError(f"bin {self.id!r}: id must not start with '#'")
+        if self.id != self.id.strip():
+            # Every reader of a TSV row strips its fields, so the id would change.
+            raise TrackValidationError(f"bin {self.id!r}: id must not start or end with whitespace")
         if self.start < 0:
             raise TrackValidationError(f"bin {self.id!r}: start must be >= 0, got {self.start}")
         if self.end <= self.start:

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from trackmc import (
+    ASSUMPTIONS,
     Bin,
+    Direction,
     EstimatorMode,
     MCConfig,
     PRESERVE_INTERPOINT,
@@ -31,6 +33,7 @@ from trackmc import (
     generate_points,
     generate_segments,
     qvalues,
+    rejection_counts,
     run_false_rejection_study,
     run_mc_test,
     run_ordering_experiment,
@@ -38,7 +41,7 @@ from trackmc import (
     to_binary_sequence,
 )
 from trackmc.cli import main as cli_main
-from trackmc.study import _study_replicate
+from trackmc.study import _replicate
 
 SEED = 0
 WORKERS = 2
@@ -55,30 +58,28 @@ def report(criterion, description, failures):
 def full_study():
     cfg = StudyConfig(master_seed=SEED)
     t0 = time.perf_counter()
-    rep = run_false_rejection_study(cfg, workers=WORKERS)
-    return cfg, rep, time.perf_counter() - t0
+    pvalues = run_false_rejection_study(cfg, workers=WORKERS)
+    return cfg, pvalues, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
 def full_ordering():
-    cfg = StudyConfig(
-        master_seed=SEED,
-        segment_config=SegmentGenConfig(clustered=True),
-    )
+    cfg = StudyConfig(master_seed=SEED, cluster_segments=True)
     t0 = time.perf_counter()
     res = run_ordering_experiment(cfg, workers=WORKERS)
     return cfg, res, time.perf_counter() - t0
 
 
 def test_criterion_1_false_rejection_study(full_study):
-    cfg, rep, elapsed = full_study
+    cfg, pvalues, elapsed = full_study
     n = cfg.n_replicates
+    counts = rejection_counts(pvalues, cfg.fdr_threshold)
     failures = []
 
     def cell(row, col):
-        return rep.counts[(row, col)]
+        return counts[(row, col)]
 
-    for row in rep.rows:
+    for row, _ in ASSUMPTIONS:
         if cell(row, "uniform") > 3:
             failures.append(f"uniform column, {row}: {cell(row, 'uniform')}/{n} > 3")
     for row in ("uniform-point-location-analytic", "uniform-point-location-mc"):
@@ -102,9 +103,7 @@ def test_criterion_1_false_rejection_study(full_study):
     ):
         failures.append("preserve row exceeds uniform row on clustered-points column")
 
-    cells = {
-        (r, c): f"{rep.counts[(r, c)]}/{n}" for r in rep.rows for c in rep.columns
-    }
+    cells = {(r, c): f"{k}/{n}" for (r, c), k in counts.items()}
     report(
         1,
         f"false-rejection study at defaults ({elapsed:.0f}s): {cells}",
@@ -393,11 +392,14 @@ def test_criterion_9_worker_determinism(tmp_path, full_study):
 
     # the full-scale study ran with workers=2; recompute sampled replicates
     # serially and compare exactly
-    cfg, rep, _ = full_study
-    for column, r in (("uniform", 3), ("clustered-points", 57), ("clustered-segments", 99)):
-        _, _, row_p = _study_replicate((cfg, column, r))
+    cfg, pvalues, _ = full_study
+    for column, r, flags in (("uniform", 3, (False, False)),
+                             ("clustered-points", 57, (True, False)),
+                             ("clustered-segments", 99, (False, True))):
+        row_p = _replicate((cfg, ("study", column, r), f"{column}-{r:04d}", *flags,
+                            ASSUMPTIONS, Direction.GREATER))
         for label, p in row_p.items():
-            if rep.pvalues[(label, column)][r] != p:
+            if pvalues[(label, column)][r] != p:
                 failures.append(f"serial recomputation differs at ({label}, {column}, {r})")
 
     report(9, "identical outputs across worker counts (CLI byte-compare + serial spot check)", failures)

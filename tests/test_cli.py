@@ -298,6 +298,20 @@ def test_bin_id_starting_with_hash_rejected(tmp_path, capsys, command, bin_id):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,bin_id", [("test", "chr1 "), ("ripley", " chr1")])
+def test_bin_id_with_outer_whitespace_rejected(tmp_path, capsys, command, bin_id):
+    # Read back, the id would be stripped: qvalue would rename the row, and
+    # batch would score the bin on another seed stream.
+    points = write_lines(tmp_path / "p.tsv", ["10", "11", "40"])
+    inputs = ("--segments", write_lines(tmp_path / "s.tsv", ["0\t20"])) if command == "test" else ()
+    out = tmp_path / "out.tsv"
+    code = run_cli(command, "--points", points, *inputs, "--bin-id", bin_id, "--bin-end", "1000",
+                   "--out", str(out))
+    assert code == 1
+    assert "id must not start or end with whitespace" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSimulateCommand:
     def test_points_round_trip(self, tmp_path):
         out = tmp_path / "sim.tsv"

@@ -211,6 +211,21 @@ class TestSampleStream:
         segments = SegmentTrack(b, np.column_stack((starts, starts + 3)))
         return points, segments
 
+    def test_models_of_one_bin_share_chunk_seeds(self, monkeypatch):
+        # The model is not in the chunk key, so every model scored on one bin
+        # draws from the same chunk streams.
+        points, segments = small_case()
+        seen = []
+        real = trackmc.mc.derive_seed
+        monkeypatch.setattr(trackmc.mc, "derive_seed", lambda *key: seen.append(key) or real(*key))
+        keys = {}
+        for spec in ALL_MODELS:
+            seen.clear()
+            run_mc_test(points, segments, spec, MCConfig(n_samples=150, master_seed=5))
+            keys[spec.to_string()] = list(seen)
+        assert keys["uniform-points"] == [(5, "case", "chunk", c) for c in range(3)]
+        assert all(k == keys["uniform-points"] for k in keys.values())
+
     @pytest.mark.parametrize("name,size", [
         ("uniform-points", 1),
         ("preserve-interpoint", 39_999),

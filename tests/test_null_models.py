@@ -670,6 +670,66 @@ def test_resample_track_is_row_zero_of_sample_counts(tracks, data):
         assert got == want, spec.to_string()
 
 
+# --- sampler invariants: every row of a chunk ----------------------------
+
+def sampler_args(data):
+    """A generator seed and a chunk of 1-64 rows."""
+    return np.random.default_rng(data.draw(st.integers(0, 2**32))), data.draw(st.integers(1, 64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tracks=small_tracks(), data=st.data())
+def test_point_samplers_keep_their_invariants(tracks, data):
+    points, _ = tracks
+    length, rel = points.bin.length, (points.positions - points.bin.start).tolist()
+    specs = [UNIFORM_POINTS, NullModelSpec.from_string(f"block:{data.draw(st.integers(1, length))}")]
+    if rel:
+        specs.append(PRESERVE_INTERPOINT)
+    for spec in specs:
+        rows = null_models._sample_points(points, spec, *sampler_args(data))
+        assert rows.dtype == np.int64 and rows.shape[1] == len(rel), spec.to_string()
+        assert np.all((rows >= 0) & (rows < length)), spec.to_string()
+        for row in rows.tolist():
+            if spec.block_size is None:
+                assert all(a < b for a, b in zip(row, row[1:])), spec.to_string()
+            if spec is PRESERVE_INTERPOINT:
+                assert sorted(np.diff(row)) == sorted(np.diff(rel))
+            if spec.block_size is not None:
+                size = spec.block_size
+                tail = (length // size) * size
+                moves = {}
+                for old, new in zip(rel, row):
+                    if old >= tail:
+                        # The trailing partial block stays in place.
+                        assert new == old
+                        continue
+                    # A point keeps its offset, and its block moves whole
+                    # to one block of its own.
+                    assert new % size == old % size and new < tail
+                    assert moves.setdefault(old // size, new // size) == new // size
+                assert len(set(moves.values())) == len(moves)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tracks=small_tracks(), data=st.data())
+def test_segment_samplers_keep_their_invariants(tracks, data):
+    _, segments = tracks
+    length, k = segments.bin.length, len(segments)
+    rel = segments.segments - segments.bin.start
+    gaps = sorted(rel[1:, 0] - rel[:-1, 1])
+    for spec in (UNIFORM_SEGMENTS, PRESERVE_INTERSEGMENT)[: 2 if k else 1]:
+        starts, ends = null_models._sample_segments(segments, spec, *sampler_args(data))
+        assert starts.shape == ends.shape and starts.shape[1] == k, spec.to_string()
+        for srow, erow in zip(starts.tolist(), ends.tolist()):
+            # Sorted, disjoint and inside the bin.
+            if k:
+                assert 0 <= srow[0] and erow[-1] <= length, spec.to_string()
+            assert all(e <= s for e, s in zip(erow, srow[1:])), spec.to_string()
+            assert sorted(e - s for s, e in zip(srow, erow)) == sorted(segments.lengths)
+            if spec is PRESERVE_INTERSEGMENT:
+                assert sorted(s - e for e, s in zip(erow, srow[1:])) == gaps
+
+
 # --- state space sizes and hierarchy containment -------------------------
 
 class TestStateSpaceSize:

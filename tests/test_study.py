@@ -4,23 +4,29 @@ import numpy as np
 import pytest
 
 from trackmc import (
+    ASSUMPTIONS,
     Bin,
+    Direction,
+    GENERATION_COLUMNS,
+    PRESERVE_INTERPOINT,
     PointGenConfig,
     PointMode,
     PointTrack,
-    SegmentGenConfig,
     SegmentTrack,
     StudyConfig,
+    UNIFORM_POINTS,
     decile_table,
     derive_seed,
     filter_bins,
     generate_points,
+    rejection_counts,
     run_clustering_survey,
     run_false_rejection_study,
     run_ordering_experiment,
 )
+from trackmc.mc import map_jobs
 from trackmc.study import (
-    GENERATION_COLUMNS,
+    _replicate,
     write_ordering_tsv,
     write_study_tsv,
     write_survey_tsv,
@@ -73,45 +79,49 @@ SMALL_STUDY = StudyConfig(
 
 class TestFalseRejectionStudy:
     def test_report_shape_and_bounds(self):
-        report = run_false_rejection_study(SMALL_STUDY)
-        assert report.columns == GENERATION_COLUMNS
-        assert len(report.rows) == 4
-        assert set(report.counts) == {(r, c) for r in report.rows for c in report.columns}
-        for count in report.counts.values():
+        pvalues = run_false_rejection_study(SMALL_STUDY)
+        assert list(pvalues) == [(r, c) for r, _ in ASSUMPTIONS for c in GENERATION_COLUMNS]
+        for ps in pvalues.values():
+            assert ps.dtype == np.float64 and ps.shape == (SMALL_STUDY.n_replicates,)
+            assert np.all((ps >= 0.0) & (ps <= 1.0))
+        counts = rejection_counts(pvalues, SMALL_STUDY.fdr_threshold)
+        assert set(counts) == set(pvalues)
+        for count in counts.values():
             assert 0 <= count <= SMALL_STUDY.n_replicates
-        for ps in report.pvalues.values():
-            assert len(ps) == SMALL_STUDY.n_replicates
-            assert all(0.0 <= p <= 1.0 for p in ps)
 
     def test_worker_count_does_not_change_report(self):
         serial = run_false_rejection_study(SMALL_STUDY, workers=1)
         parallel = run_false_rejection_study(SMALL_STUDY, workers=2)
-        assert serial.counts == parallel.counts
-        assert serial.pvalues == parallel.pvalues
+        assert serial.keys() == parallel.keys()
+        for cell in serial:
+            assert np.array_equal(serial[cell], parallel[cell])
 
     def test_analytic_and_mc_rows_agree_loosely(self):
-        report = run_false_rejection_study(SMALL_STUDY)
-        for col in report.columns:
-            analytic = np.array(report.pvalues[("uniform-point-location-analytic", col)])
-            mc = np.array(report.pvalues[("uniform-point-location-mc", col)])
+        pvalues = run_false_rejection_study(SMALL_STUDY)
+        for col in GENERATION_COLUMNS:
+            analytic = pvalues[("uniform-point-location-analytic", col)]
+            mc = pvalues[("uniform-point-location-mc", col)]
             assert np.max(np.abs(analytic - mc)) < 0.15
 
+    def test_rejection_counts(self):
+        # pi0 = 2 * mean = 0.8515; the q-values are 0.0034, 0.0034, 0.766
+        # and 0.766, so two fall at or below 0.2.
+        pvalues = {("a", "b"): np.array([0.8, 0.001, 0.9, 0.002]), ("a", "c"): np.ones(3)}
+        assert rejection_counts(pvalues, 0.2) == {("a", "b"): 2, ("a", "c"): 0}
+
     def test_study_tsv(self, tmp_path):
-        report = run_false_rejection_study(SMALL_STUDY)
+        counts = rejection_counts(run_false_rejection_study(SMALL_STUDY), SMALL_STUDY.fdr_threshold)
         out = tmp_path / "study.tsv"
-        write_study_tsv(report, out, {"seed": 404})
+        write_study_tsv(counts, SMALL_STUDY, out, {"seed": 404})
         lines = out.read_text().splitlines()
         assert lines[0] == "# seed=404"
+        assert lines[1:3] == ["# rejected_out_of=8", "# fdr_threshold=0.2"]
         header = lines[3].split("\t")
         assert header == ["assumption", *GENERATION_COLUMNS]
-        assert len(lines) == 4 + len(report.rows)
+        assert len(lines) == 4 + len(ASSUMPTIONS)
 
 
-SMALL_ORDERING = replace(
-    SMALL_STUDY,
-    segment_config=SegmentGenConfig(clustered=True),
-    n_replicates=10,
-)
+SMALL_ORDERING = replace(SMALL_STUDY, cluster_segments=True, n_replicates=10)
 
 
 class TestOrderingExperiment:
@@ -130,17 +140,19 @@ class TestOrderingExperiment:
 
     def test_independent_data_medians_close(self):
         # Both point-side nulls are correct for independent points, so their
-        # medians agree to within sampling noise.
-        cfg = StudyConfig(
-            n_replicates=60,
-            bin_length=20_000,
-            mc_samples=300,
-            master_seed=11,
-            point_config=PointGenConfig(mode=PointMode.INDEPENDENT),
-        )
-        result = run_ordering_experiment(cfg, workers=2)
-        med_u = float(np.median(result["uniform-points"]))
-        med_p = float(np.median(result["preserve-interpoint"]))
+        # medians agree to within sampling noise. The ordering experiment
+        # clusters its points, so its replicates are scored here with
+        # independent points under its own seed keys.
+        cfg = StudyConfig(n_replicates=60, bin_length=20_000, mc_samples=300, master_seed=11)
+        rows = (("uniform-points", UNIFORM_POINTS), ("preserve-interpoint", PRESERVE_INTERPOINT))
+        jobs = [
+            (cfg, ("ordering", rep), f"ordering-{rep:04d}", False, False, rows,
+             Direction.TWO_SIDED)
+            for rep in range(cfg.n_replicates)
+        ]
+        result = map_jobs(_replicate, jobs, 2)
+        med_u = float(np.median([row["uniform-points"] for row in result]))
+        med_p = float(np.median([row["preserve-interpoint"] for row in result]))
         assert abs(med_u - med_p) <= 0.1
 
     def test_decile_table_shape(self):

@@ -52,6 +52,15 @@ class TestBin:
     def test_id_with_inner_hash_accepted(self):
         assert Bin("a#1", 0, 10).id == "a#1"
 
+    @pytest.mark.parametrize("bin_id", ["chr1 ", " chr1", "\u00a0chr1", "chr1\x0b", " "])
+    def test_id_with_outer_whitespace_rejected(self, bin_id):
+        # Every reader of a TSV row strips its fields, so the id would change.
+        with pytest.raises(TrackValidationError, match="must not start or end with whitespace"):
+            Bin(bin_id, 0, 10)
+
+    def test_id_with_inner_space_accepted(self):
+        assert Bin("chr1 part", 0, 10).id == "chr1 part"
+
 
 class TestPointTrack:
     def test_rejects_unsorted(self, bin10):

@@ -82,6 +82,12 @@ def calls(seed: int, genome_length: int) -> list[list[str]]:
         ["ordering", "--cluster-segments", "--replicates", "3", "--bin-length", "20000",
          "--samples", "100", "--seed", s, "--out", "ordering.tsv",
          "--deciles-out", "deciles.tsv"],
+        # Both generators of ordering's segments, and the study's replicates
+        # on a two-worker pool.
+        ["ordering", "--replicates", "3", "--bin-length", "20000", "--samples", "100",
+         "--seed", s, "--out", "ordering_plain.tsv"],
+        ["study", "--replicates", "2", "--bin-length", "20000", "--samples", "100",
+         "--fdr", "0.3", "--seed", s, "--workers", "2", "--out", "study_w2.tsv"],
         # The benchmark's scale: 100 kb bins and 16 chunks per test.
         ["study", "--replicates", "1", "--samples", "1000", "--seed", s,
          "--out", "study_full.tsv"],
