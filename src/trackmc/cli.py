@@ -270,7 +270,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
 def _cmd_ordering(args: argparse.Namespace) -> int:
     cfg = _study_config(args, cluster_segments=args.cluster_segments)
     result = run_ordering_experiment(cfg, workers=args.workers)
-    echo = _study_echo("ordering", cfg)
+    echo = _study_echo("ordering", cfg, cluster_segments=int(cfg.cluster_segments))
     write_ordering_tsv(result, _out(args.out), echo)
     if args.deciles_out:
         write_deciles_tsv(result, _out(args.deciles_out), echo)

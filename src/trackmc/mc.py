@@ -13,6 +13,12 @@ The null model is not in the chunk key, so every model scored on one bin
 draws from the same chunk streams: common random numbers across models, as
 in the study's three MC rows, the ordering experiment's four models, and
 ``test`` runs of several models on one bin.
+
+Each test is prepared once (``null_models.prepare_counts``): the tracks
+are checked and the arrays of one chunk are made, and every chunk draws
+into them; the short last chunk uses their leading rows. The coverage mask
+or prefix count is built the first time a chunk reads it and kept for the
+test's later chunks. Nothing is kept from one test to the next.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .null_models import NullModelSpec, chunk_rows, sample_counts, sample_size
-# Not called here: the engine counts through sample_counts. The benchmark's
+from .null_models import NullModelSpec, chunk_rows, prepare_counts, sample_size
+# Not called here: the engine counts through prepare_counts. The benchmark's
 # tracer (perfbench/tracer.py) looks this one-track front end up as
 # trackmc.mc.resample_track.
 from .null_models import resample_track  # noqa: F401
@@ -100,13 +106,18 @@ def null_counts(
     spec: NullModelSpec,
     cfg: MCConfig,
 ) -> np.ndarray:
-    """The ``cfg.n_samples`` null counts of one test, in stream order."""
+    """The ``cfg.n_samples`` null counts of one test, in stream order.
+
+    The test is prepared once (``prepare_counts``), and every chunk draws
+    into the arrays prepared for it.
+    """
     rows = chunk_rows(points, segments, spec)
+    draw = prepare_counts(points, segments, spec, min(rows, cfg.n_samples))
     samples = np.empty(cfg.n_samples, dtype=np.int64)
     for chunk, lo in enumerate(range(0, cfg.n_samples, rows)):
         hi = min(lo + rows, cfg.n_samples)
         rng = np.random.default_rng(derive_seed(cfg.master_seed, points.bin.id, "chunk", chunk))
-        samples[lo:hi] = sample_counts(points, segments, spec, rng, hi - lo)
+        samples[lo:hi] = draw(rng, hi - lo)
     return samples
 
 

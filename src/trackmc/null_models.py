@@ -9,17 +9,22 @@ sides have no containment between them. ``state_space_size`` makes the
 containment quantitative on small instances.
 
 Each model has one sampler, which draws many randomized tracks at once as
-bin-relative arrays: ``_sample_points`` for the point models and
-``block:b``, ``_sample_segments`` for the segment models. The Monte Carlo
-engine draws through ``sample_counts``, which counts each sampled track
-against the fixed one. ``resample_track`` returns one sampled track.
+bin-relative arrays: ``_point_sampler`` for the point models and
+``block:b``, ``_segment_sampler`` for the segment models. The Monte Carlo
+engine prepares each test once with ``prepare_counts``: the tracks are
+checked, what every sample shares is found, and one chunk's arrays are
+allocated. Every chunk of the test then draws into those arrays and counts
+each sampled track against the fixed one. ``sample_counts`` is the
+one-chunk form of the same, and ``resample_track`` returns one sampled
+track.
 
 The samples are counted by table lookup: a point sample's positions are
 read in a coverage mask of the segments, and a segment sample's starts and
-ends in a prefix count of the points. A chunk builds its table only when
+ends in a prefix count of the points. A chunk reads the table only when
 the bin is at most four times as long as the chunk's lookups; otherwise it
 binary-searches, which gives the same counts without a table the size of
-the bin.
+the bin. A test builds its table at most once, the first time one of its
+chunks takes the table, and its later chunks read the same table.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -209,6 +214,38 @@ def chunk_rows(points: PointTrack, segments: SegmentTrack, spec: NullModelSpec) 
     return min(_MAX_CHUNK_ROWS, max(1, _CHUNK_ELEMENTS // size))
 
 
+def prepare_counts(
+    points: PointTrack, segments: SegmentTrack, spec: NullModelSpec, rows: int
+) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """Prepare one test whose null samples are drawn at most ``rows`` at a time.
+
+    The tracks are checked under ``spec`` here, so infeasible inputs raise
+    the sampler's ``ValueError`` before any sample. What every sample
+    shares (gaps, lengths, bin-relative positions and edges) is found once,
+    and the arrays of one ``rows``-sample chunk are allocated once.
+
+    The returned ``draw(rng, m)``, for ``m <= rows``, gives ``m`` null
+    samples of the points-in-segments count as int64[m]. The side ``spec``
+    randomizes is redrawn for every sample by that side's sampler, and the
+    other track stays fixed. Uniform-points counts are drawn from their
+    exact hypergeometric law instead, where numpy can.
+    """
+    if spec.block_size is None and spec.randomized_side is RandomizedSide.SEGMENTS:
+        sample_segments = _segment_sampler(segments, spec, rows)
+        count_between = _between_counter(points, rows)
+        return lambda rng, m: count_between(*sample_segments(rng, m))
+    if spec.block_size is None and spec.preservation is Preservation.UNIFORM_LOCATION:
+        # n points uniform without replacement: the covered ones are
+        # Hypergeometric(covered bp, uncovered bp, n).
+        _check_uniform_points(points)
+        covered, length, n = segments.total_length, points.bin.length, len(points)
+        if max(covered, length - covered) < _HYPERGEOMETRIC_LIMIT:
+            return lambda rng, m: rng.hypergeometric(covered, length - covered, n, size=m)
+    sample_points = _point_sampler(points, spec, rows)
+    count_covered = _covered_counter(segments, rows)
+    return lambda rng, m: count_covered(sample_points(rng, m))
+
+
 def sample_counts(
     points: PointTrack,
     segments: SegmentTrack,
@@ -216,23 +253,9 @@ def sample_counts(
     rng: np.random.Generator,
     m: int,
 ) -> np.ndarray:
-    """``m`` null samples of the points-in-segments count, as int64[m].
-
-    The side ``spec`` randomizes is redrawn for every sample by that side's
-    sampler, and the other track stays fixed. Uniform-points counts are
-    drawn from their exact hypergeometric law instead, where numpy can.
-    Infeasible inputs raise the sampler's ``ValueError``.
-    """
-    if spec.block_size is None and spec.randomized_side is RandomizedSide.SEGMENTS:
-        return _count_between(points, *_sample_segments(segments, spec, rng, m))
-    if spec.block_size is None and spec.preservation is Preservation.UNIFORM_LOCATION:
-        # n points uniform without replacement: the covered ones are
-        # Hypergeometric(covered bp, uncovered bp, n).
-        _check_uniform_points(points)
-        covered, length = segments.total_length, points.bin.length
-        if max(covered, length - covered) < _HYPERGEOMETRIC_LIMIT:
-            return rng.hypergeometric(covered, length - covered, len(points), size=m)
-    return _count_covered(_sample_points(points, spec, rng, m), segments)
+    """``m`` null samples of the points-in-segments count, as int64[m]: one
+    draw of ``prepare_counts(points, segments, spec, m)``."""
+    return prepare_counts(points, segments, spec, m)(rng, m)
 
 
 def resample_track(
@@ -250,22 +273,25 @@ def resample_track(
     if spec.block_size is not None or spec.randomized_side is RandomizedSide.POINTS:
         if not isinstance(track, PointTrack):
             raise TypeError("null model randomizes points but a segment track was given")
-        rel = _sample_points(track, spec, rng, 1)[0]
+        rel = _point_sampler(track, spec, 1)(rng, 1)[0]
         return PointTrack(track.bin, np.sort(rel) + track.bin.start)
     if not isinstance(track, SegmentTrack):
         raise TypeError("null model randomizes segments but a point track was given")
-    starts, ends = _sample_segments(track, spec, rng, 1)
+    starts, ends = _segment_sampler(track, spec, 1)(rng, 1)
     return SegmentTrack(track.bin, np.column_stack((starts[0], ends[0])) + track.bin.start)
 
 
-def _sample_points(
-    points: PointTrack, spec: NullModelSpec, rng: np.random.Generator, m: int
-) -> np.ndarray:
-    """``m`` randomized point tracks as bin-relative int64[m, n] rows.
+def _point_sampler(
+    points: PointTrack, spec: NullModelSpec, rows: int
+) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """``sample(rng, m)``: ``m <= rows`` randomized point tracks, the first
+    ``m`` rows of one bin-relative int64[rows, n] array.
 
-    Rows are sorted except under ``block:b``.
+    Rows are sorted except under ``block:b``. Each call overwrites the rows
+    the one before it returned.
     """
     length, rel = points.bin.length, points.positions - points.bin.start
+    out = np.empty((rows, rel.size), dtype=np.int64)
     if spec.block_size is not None:
         # A point in block i moves to block slot[i], keeping its offset
         # within the block. Moving block order[j] to j, as the plain
@@ -277,93 +303,153 @@ def _sample_points(
         n_blocks = length // size
         head = int(np.searchsorted(rel, n_blocks * size))
         block, within = np.divmod(rel[:head], size)
-        slot = rng.permuted(np.broadcast_to(np.arange(n_blocks), (m, n_blocks)), axis=1)
-        moved = slot[:, block] * size + within
-        if head < rel.size:
-            moved = np.concatenate((moved, np.broadcast_to(rel[head:], (m, rel.size - head))),
-                                   axis=1)
-        return moved
+        blocks = np.arange(n_blocks)
+        slot = np.empty((rows, n_blocks), dtype=np.int64)
+        out[:, head:] = rel[head:]
+
+        def sample(rng: np.random.Generator, m: int) -> np.ndarray:
+            rng.permuted(np.broadcast_to(blocks, (m, n_blocks)), axis=1, out=slot[:m])
+            moved = out[:m, :head]
+            np.take(slot[:m], block, axis=1, out=moved, mode="clip")
+            moved *= size
+            moved += within
+            return out[:m]
+        return sample
     if spec.preservation is Preservation.UNIFORM_LOCATION:
         _check_uniform_points(points)
-        rows = [_uniform_subset(rng, length, len(points)) for _ in range(m)]
-        return np.array(rows, dtype=np.int64).reshape(m, len(points))
+
+        def sample(rng: np.random.Generator, m: int) -> np.ndarray:
+            for row in out[:m]:
+                row[:] = _uniform_subset(rng, length, rel.size)
+            return out[:m]
+        return sample
     gaps, n_offsets = _interpoint_gaps(points)
-    offsets = rng.integers(0, n_offsets, size=m)
-    out = np.empty((m, len(points)), dtype=np.int64)
-    out[:, 0] = 0
-    np.cumsum(rng.permuted(np.broadcast_to(gaps, (m, gaps.size)), axis=1), axis=1,
-              out=out[:, 1:])
-    out += offsets[:, None]
-    return out
+
+    def sample(rng: np.random.Generator, m: int) -> np.ndarray:
+        offsets = rng.integers(0, n_offsets, size=m)
+        drawn = out[:m]
+        drawn[:, 0] = 0
+        rng.permuted(np.broadcast_to(gaps, (m, gaps.size)), axis=1, out=drawn[:, 1:])
+        np.cumsum(drawn[:, 1:], axis=1, out=drawn[:, 1:])
+        drawn += offsets[:, None]
+        return drawn
+    return sample
 
 
-def _sample_segments(
-    segments: SegmentTrack, spec: NullModelSpec, rng: np.random.Generator, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``m`` randomized segment tracks as bin-relative (starts, ends), each
-    int64[m, k], segments in order along each row."""
-    k = len(segments)
+def _segment_sampler(
+    segments: SegmentTrack, spec: NullModelSpec, rows: int
+) -> Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]:
+    """``sample(rng, m)``: ``m <= rows`` randomized segment tracks as
+    bin-relative (starts, ends), the first ``m`` rows of two int64[rows, k]
+    arrays, segments in order along each row.
+
+    Each call overwrites the rows the one before it returned.
+    """
+    k, lengths = len(segments), segments.lengths
+    starts = np.empty((rows, k), dtype=np.int64)
+    ends = np.empty((rows, k), dtype=np.int64)
     if spec.preservation is Preservation.UNIFORM_LOCATION:
         if k == 0:
-            return np.empty((m, 0), dtype=np.int64), np.empty((m, 0), dtype=np.int64)
+            return lambda rng, m: (starts[:m], ends[:m])
         slack = _segment_slack(segments)
-        lengths = rng.permuted(np.broadcast_to(segments.lengths, (m, k)), axis=1)
-        # Stars and bars: k sorted bars among slack + k slots give a uniform
-        # composition of the slack into k+1 gaps; the gaps before segment j
-        # sum to bars[j] - j.
-        bars = np.empty((m, k), dtype=np.int64)
-        for row in bars:
-            row[:] = rng.choice(slack + k, k, replace=False, shuffle=False)
-        bars.sort(axis=1)
-        ends = np.cumsum(lengths, axis=1)
-        ends += bars - np.arange(k)
-        return ends - lengths, ends
+        bars = np.empty((rows, k), dtype=np.int64)
+        bar_shift = np.arange(k)
+
+        def sample(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
+            # starts holds the permuted lengths until the ends are known.
+            rng.permuted(np.broadcast_to(lengths, (m, k)), axis=1, out=starts[:m])
+            # Stars and bars: k sorted bars among slack + k slots give a
+            # uniform composition of the slack into k+1 gaps; the gaps before
+            # segment j sum to bars[j] - j.
+            for row in bars[:m]:
+                row[:] = rng.choice(slack + k, k, replace=False, shuffle=False)
+            bars[:m].sort(axis=1)
+            bars[:m] -= bar_shift
+            np.cumsum(starts[:m], axis=1, out=ends[:m])
+            ends[:m] += bars[:m]
+            np.subtract(ends[:m], starts[:m], out=starts[:m])
+            return starts[:m], ends[:m]
+        return sample
     gaps, n_offsets = _intersegment_gaps(segments)
-    offsets = rng.integers(0, n_offsets, size=m)
-    lengths = rng.permuted(np.broadcast_to(segments.lengths, (m, k)), axis=1)
-    # Segment j ends after the first j+1 lengths and the first j gaps.
-    ends = lengths.copy()
-    ends[:, 1:] += rng.permuted(np.broadcast_to(gaps, (m, k - 1)), axis=1)
-    np.cumsum(ends, axis=1, out=ends)
-    ends += offsets[:, None]
-    return ends - lengths, ends
+
+    def sample(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
+        offsets = rng.integers(0, n_offsets, size=m)
+        rng.permuted(np.broadcast_to(lengths, (m, k)), axis=1, out=starts[:m])
+        # Segment j ends after the first j+1 lengths and the first j gaps.
+        ends[:m, 0] = 0
+        rng.permuted(np.broadcast_to(gaps, (m, k - 1)), axis=1, out=ends[:m, 1:])
+        ends[:m] += starts[:m]
+        np.cumsum(ends[:m], axis=1, out=ends[:m])
+        ends[:m] += offsets[:, None]
+        np.subtract(ends[:m], starts[:m], out=starts[:m])
+        return starts[:m], ends[:m]
+    return sample
 
 
 # A lookup table costs about 3 ns per bp of bin to build, a binary search
-# about 18 ns per lookup and a table gather about 2 ns. So a chunk builds
-# its table only when the bin spans at most this many bp per lookup; then
-# the table never costs more than the searches it replaces, and never
-# outgrows the chunk's own int64 temporaries.
+# about 18 ns per lookup and a table gather about 2 ns. So a chunk reads a
+# table only when the bin spans at most this many bp per lookup of that
+# chunk. A test builds its table the first time a chunk takes it and keeps
+# it for its later chunks, so the table never costs more than the searches
+# of that one chunk, and never outgrows the chunk's own int64 arrays.
 _TABLE_FACTOR = 4
 
 
-def _count_covered(rel: np.ndarray, segments: SegmentTrack) -> np.ndarray:
-    """Per row, the bin-relative positions that some segment covers."""
+def _covered_counter(segments: SegmentTrack, rows: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``count(rel)``: per row of ``m <= rows`` rows of bin-relative
+    positions, those that some segment covers."""
     length = segments.bin.length
     edges = segments.segments - segments.bin.start
-    if length > _TABLE_FACTOR * rel.size:
-        return _count_in_intervals(rel, edges)
-    # Coverage mask of the bin: +1 at each start, -1 at each end, summed.
-    # Starts are distinct and so are ends, so plain assignment suffices.
-    step = np.zeros(length + 1, dtype=np.int8)
-    step[edges[:, 0]] = 1
-    step[edges[:, 1]] -= 1
-    mask = np.cumsum(step[:length], dtype=np.int8).view(np.uint8)
-    return mask[rel].sum(axis=-1, dtype=np.int64)
+    table = None  # the coverage mask and a uint8[rows, n] array of lookups
+
+    def count(rel: np.ndarray) -> np.ndarray:
+        nonlocal table
+        if length > _TABLE_FACTOR * rel.size:
+            return _count_in_intervals(rel, edges)
+        if table is None:
+            # Coverage mask of the bin: +1 at each start, -1 at each end,
+            # summed. Starts are distinct and so are ends, so plain
+            # assignment suffices.
+            step = np.zeros(length + 1, dtype=np.int8)
+            step[edges[:, 0]] = 1
+            step[edges[:, 1]] -= 1
+            mask = np.cumsum(step[:length], dtype=np.int8).view(np.uint8)
+            table = mask, np.empty((rows, rel.shape[1]), dtype=np.uint8)
+        mask, hits = table
+        # mode="clip" writes straight into hits; every position is in the bin.
+        hits = np.take(mask, rel, out=hits[:len(rel)], mode="clip")
+        return hits.sum(axis=-1, dtype=np.int64)
+    return count
 
 
-def _count_between(points: PointTrack, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Per row, the points inside the half-open bin-relative [starts, ends)."""
+def _between_counter(
+    points: PointTrack, rows: int
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``count(starts, ends)``: per row of ``m <= rows`` rows of bin-relative
+    segments, the points inside the half-open [starts, ends)."""
     length = points.bin.length
     rel = points.positions - points.bin.start
-    if length > _TABLE_FACTOR * 2 * ends.size:
-        inside = np.searchsorted(rel, ends) - np.searchsorted(rel, starts)
-        return inside.sum(axis=-1)
-    # Prefix count: before[x] is the number of points below x, for x in [0, L].
-    before = np.zeros(length + 1, dtype=np.int32)
-    before[rel + 1] = 1
-    np.cumsum(before, out=before)
-    return (before[ends] - before[starts]).sum(axis=-1, dtype=np.int64)
+    table = None  # the prefix count and an int32[rows, k] array of lookups
+
+    def count(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        nonlocal table
+        if length > _TABLE_FACTOR * 2 * ends.size:
+            inside = np.searchsorted(rel, ends) - np.searchsorted(rel, starts)
+            return inside.sum(axis=-1)
+        if table is None:
+            # Prefix count: before[x] is the number of points below x, for
+            # x in [0, L].
+            before = np.zeros(length + 1, dtype=np.int32)
+            before[rel + 1] = 1
+            np.cumsum(before, out=before)
+            table = before, np.empty((rows, ends.shape[1]), dtype=np.int32)
+        before, found = table
+        found = found[:len(ends)]
+        # mode="clip" writes straight into found; every boundary is in [0, L].
+        inside = np.take(before, ends, out=found, mode="clip").sum(axis=-1, dtype=np.int64)
+        inside -= np.take(before, starts, out=found, mode="clip").sum(axis=-1, dtype=np.int64)
+        return inside
+    return count
 
 
 def _orders(counts: list[int]) -> int:

@@ -368,6 +368,16 @@ class TestStudyAndOrderingCommands:
         dec_rows = [l for l in dec.read_text().splitlines() if not l.startswith("#")]
         assert len(dec_rows) == 1 + 9
 
+    @pytest.mark.parametrize("flag, value", [((), "0"), (("--cluster-segments",), "1")])
+    def test_ordering_header_names_the_segment_generator(self, tmp_path, flag, value):
+        out, dec = tmp_path / "ord.tsv", tmp_path / "dec.tsv"
+        assert run_cli("ordering", *SMALL_STUDY_ARGS, "--seed", "3", *flag,
+                       "--out", str(out), "--deciles-out", str(dec)) == 0
+        for path in (out, dec):
+            header = [l for l in path.read_text().splitlines() if l.startswith("#")]
+            assert header == ["# command=ordering", "# replicates=1", "# bin_length=5000",
+                              "# samples=20", f"# cluster_segments={value}", "# seed=3"]
+
 
 SMALL_STUDY_ARGS = ("--replicates", "1", "--bin-length", "5000", "--samples", "20")
 

@@ -21,9 +21,10 @@ from trackmc import (
     run_mc_test,
 )
 import trackmc.mc
+from trackmc import null_models
 from trackmc.mc import count_exceedances, null_counts, write_results_tsv
 from trackmc.null_models import (
-    NullModelSpec, Preservation, RandomizedSide, chunk_rows, sample_size,
+    NullModelSpec, Preservation, RandomizedSide, chunk_rows, sample_counts, sample_size,
 )
 from reference import resample_track
 
@@ -238,13 +239,17 @@ class TestSampleStream:
         spec = NullModelSpec.from_string(name)
         points, segments = self._big_case()
         rows = []
-        real = trackmc.mc.sample_counts
+        real = trackmc.mc.prepare_counts
 
-        def recording(points, segments, spec, rng, m):
-            rows.append(m)
-            return real(points, segments, spec, rng, m)
+        def recording(points, segments, spec, prepared_rows):
+            draw = real(points, segments, spec, prepared_rows)
 
-        monkeypatch.setattr(trackmc.mc, "sample_counts", recording)
+            def recorded(rng, m):
+                rows.append(m)
+                return draw(rng, m)
+            return recorded
+
+        monkeypatch.setattr(trackmc.mc, "prepare_counts", recording)
         assert sample_size(points, segments, spec) == size
         n_samples = 150
         counts = null_counts(points, segments, spec, MCConfig(n_samples=n_samples, master_seed=3))
@@ -252,6 +257,66 @@ class TestSampleStream:
         bound = min(64, max(1, 2**20 // size))
         assert sum(rows) == n_samples and max(rows) <= bound
         assert rows[:-1] == [bound] * (len(rows) - 1)
+
+
+class TestPreparedTest:
+    """A test is prepared once and its chunks draw into the prepared arrays;
+    nothing may carry over from one chunk or test to the next."""
+
+    # Two full 64-row chunks and a 10-row one.
+    N_SAMPLES = 138
+
+    @staticmethod
+    def _case(bin_id="prep", seed=0, length=20_000):
+        # 100 points and 50 segments: the full chunks read the table, which
+        # the short chunk's fewer lookups do not pay for.
+        rng = np.random.default_rng(seed)
+        b = Bin(bin_id, 1_000, 1_000 + length)
+        points = PointTrack(b, 1_000 + np.sort(rng.choice(length, 100, replace=False)))
+        cuts = np.sort(rng.choice(length, 100, replace=False)).reshape(50, 2)
+        return points, SegmentTrack(b, 1_000 + cuts)
+
+    @staticmethod
+    def _chunk_by_chunk(points, segments, spec, cfg):
+        """The test's counts from one-shot draws, one per chunk stream."""
+        r = chunk_rows(points, segments, spec)
+        return np.concatenate([
+            sample_counts(points, segments, spec,
+                          np.random.default_rng(
+                              derive_seed(cfg.master_seed, points.bin.id, "chunk", c)),
+                          min(r, cfg.n_samples - lo))
+            for c, lo in enumerate(range(0, cfg.n_samples, r))
+        ])
+
+    @pytest.mark.parametrize("spec", ALL_MODELS, ids=lambda s: s.to_string())
+    def test_chunks_equal_one_shot_draws(self, spec):
+        points, segments = self._case()
+        cfg = MCConfig(n_samples=self.N_SAMPLES, master_seed=11)
+        assert chunk_rows(points, segments, spec) == 64
+        # Lookups per sample: the sampled positions, or both ends of every
+        # sampled segment. The full chunks take the table, the last the search.
+        segment_model = spec.block_size is None and \
+            spec.randomized_side is RandomizedSide.SEGMENTS
+        lookups = 2 * len(segments) if segment_model else len(points)
+        factor, length = null_models._TABLE_FACTOR, points.bin.length
+        assert factor * 10 * lookups < length <= factor * 64 * lookups
+        got = null_counts(points, segments, spec, cfg)
+        assert np.array_equal(got, self._chunk_by_chunk(points, segments, spec, cfg))
+
+    def test_back_to_back_tests_keep_their_own_counts(self):
+        cfg = MCConfig(n_samples=self.N_SAMPLES, master_seed=11)
+        first, second = ("first", 1), ("second", 2, 16_000)
+        block = NullModelSpec.from_string("block:4")
+        # Different bins one after the other, and a segment model right
+        # after a point model on the same bin (prefix count after mask).
+        runs = [(first, PRESERVE_INTERPOINT), (second, PRESERVE_INTERPOINT),
+                (second, PRESERVE_INTERSEGMENT), (first, UNIFORM_SEGMENTS),
+                (first, block), (second, block)]
+        solo = [self._chunk_by_chunk(*self._case(*case), spec, cfg) for case, spec in runs]
+        # Fresh tracks for every test, so a freed track's id may come back.
+        for (case, spec), want in zip(runs, solo):
+            got = null_counts(*self._case(*case), spec, cfg)
+            assert np.array_equal(got, want), (case, spec.to_string())
 
 
 class TestRunMcBatch:

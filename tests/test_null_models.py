@@ -612,7 +612,8 @@ def test_count_covered_matches_brute_force(side, tracks, data):
     rel = rows_of(data.draw, data.draw(st.integers(0, 6)), st.integers(0, length - 1))
     covered = [(s - segments.bin.start, e - segments.bin.start) for s, e in segments.segments]
     want = [sum(any(s <= x < e for s, e in covered) for x in row) for row in rel.tolist()]
-    assert on_side(side, null_models._count_covered, rel, segments).tolist() == want
+    count = null_models._covered_counter(segments, len(rel))
+    assert on_side(side, count, rel).tolist() == want
 
 
 @pytest.mark.parametrize("side", SIDES)
@@ -627,7 +628,8 @@ def test_count_between_matches_brute_force(side, tracks, data):
     rel = (points.positions - points.bin.start).tolist()
     want = [sum(s <= x < e for s, e in zip(srow, erow) for x in rel)
             for srow, erow in zip(starts.tolist(), ends.tolist())]
-    assert on_side(side, null_models._count_between, points, starts, ends).tolist() == want
+    count = null_models._between_counter(points, len(ends))
+    assert on_side(side, count, starts, ends).tolist() == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -672,9 +674,12 @@ def test_resample_track_is_row_zero_of_sample_counts(tracks, data):
 
 # --- sampler invariants: every row of a chunk ----------------------------
 
-def sampler_args(data):
-    """A generator seed and a chunk of 1-64 rows."""
-    return np.random.default_rng(data.draw(st.integers(0, 2**32))), data.draw(st.integers(1, 64))
+def draw_chunk(sample, data):
+    """A chunk of 1-64 rows from a sampler prepared for 64, drawn over the
+    rows of a full chunk, as a test's short last chunk is."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    sample(rng, 64)
+    return sample(rng, data.draw(st.integers(1, 64)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -686,7 +691,7 @@ def test_point_samplers_keep_their_invariants(tracks, data):
     if rel:
         specs.append(PRESERVE_INTERPOINT)
     for spec in specs:
-        rows = null_models._sample_points(points, spec, *sampler_args(data))
+        rows = draw_chunk(null_models._point_sampler(points, spec, 64), data)
         assert rows.dtype == np.int64 and rows.shape[1] == len(rel), spec.to_string()
         assert np.all((rows >= 0) & (rows < length)), spec.to_string()
         for row in rows.tolist():
@@ -718,7 +723,7 @@ def test_segment_samplers_keep_their_invariants(tracks, data):
     rel = segments.segments - segments.bin.start
     gaps = sorted(rel[1:, 0] - rel[:-1, 1])
     for spec in (UNIFORM_SEGMENTS, PRESERVE_INTERSEGMENT)[: 2 if k else 1]:
-        starts, ends = null_models._sample_segments(segments, spec, *sampler_args(data))
+        starts, ends = draw_chunk(null_models._segment_sampler(segments, spec, 64), data)
         assert starts.shape == ends.shape and starts.shape[1] == k, spec.to_string()
         for srow, erow in zip(starts.tolist(), ends.tolist()):
             # Sorted, disjoint and inside the bin.

@@ -97,6 +97,17 @@ def calls(seed: int, genome_length: int) -> list[list[str]]:
          "--lambda-inter", "0.02", "--seed", s, "--out", "sim_points.tsv"],
         ["simulate", "segments", "--bin-length", "20000", "--clustered",
          "--gap-lambda", "0.02", "--seed", s, "--out", "sim_segments.tsv"],
+        # A sparse 200 kb bin at 1,000 samples: about 1,000 points and 480
+        # segments, so each test's 15 full 64-row chunks read the coverage
+        # mask or prefix count and its last 40-row chunk binary-searches.
+        ["simulate", "points", "--bin-length", "200000", "--lambda-inter", "0.005",
+         "--seed", s, "--out", "sparse_points.tsv"],
+        ["simulate", "segments", "--bin-length", "200000", "--gap-lambda", "0.0025",
+         "--seed", s, "--out", "sparse_segments.tsv"],
+        *(["test", "--points", "sparse_points.tsv", "--segments", "sparse_segments.tsv",
+           "--bin-end", "200000", "--null-model", model, "--samples", "1000", "--seed", s,
+           "--out", f"sparse_test{i}.tsv"]
+          for i, model in enumerate(("preserve-interpoint", "preserve-intersegment"))),
         # simulate's own outputs read back: 1-column points behind '#' lines.
         ["test", "--points", "sim_points.tsv", "--segments", "sim_segments.tsv",
          "--bin-end", "20000", "--seed", s, "--out", "sim_test.tsv"],
