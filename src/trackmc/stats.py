@@ -47,13 +47,16 @@ def count_points_in_segments(points: PointTrack, segments: SegmentTrack) -> int:
     return int(_count_in_intervals(points.positions, segments.segments))
 
 
+_INT64_MIN = int(np.iinfo(np.int64).min)
+
+
 def _count_in_intervals(positions: np.ndarray, intervals: np.ndarray) -> np.ndarray:
     """Positions inside any of the disjoint sorted intervals, counted along
     the last axis, so a 2-D array of positions gives one count per row."""
     # Locate each position's candidate interval by binary search on the
     # starts, then test against that interval's end; the sentinel end
     # rejects positions before the first start.
-    ends = np.concatenate(([np.iinfo(np.int64).min], intervals[:, 1]))
+    ends = np.concatenate(([_INT64_MIN], intervals[:, 1]))
     idx = np.searchsorted(intervals[:, 0], positions, side="right")
     return (positions < ends[idx]).sum(axis=-1)
 

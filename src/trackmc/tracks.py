@@ -191,12 +191,54 @@ def _parse_int(field: str, path: PathLike, lineno: int) -> int:
 # A blank line, or one whose first non-blank character is '#', with its
 # line end. ``[^\S\n]`` and ``str.strip`` agree on what is blank.
 _SKIPPED_LINE = re.compile(r"^[^\S\n]*(?:#[^\n]*)?(?:\n|\Z)", re.MULTILINE)
-# At most 18 digits, so that the sum of two fields cannot overflow int64.
-_CLEAN_FIELD = r"-?[0-9]{1,18}"
-_CLEAN_ROWS = {
-    ncols: re.compile(rf"(?:{row}\n)*(?:{row})?")
-    for ncols, row in ((1, _CLEAN_FIELD), (2, rf"{_CLEAN_FIELD}\t{_CLEAN_FIELD}"))
-}
+# A plainly clean text is rows of ``ncols`` fields, joined by tabs and each
+# ended by a line feed (the last row may lack it), every field 1-18 ASCII
+# digits after at most a leading '-'. At most 18 digits, so that the sum of
+# two fields cannot overflow int64. ``_is_clean`` checks that with numpy on
+# line-aligned blocks of at most _CHECK_BLOCK characters, so its memory does
+# not grow with the file. A block must hold the longest clean row (40
+# characters), so a block without a line feed cannot be clean.
+_CHECK_BLOCK = 1 << 20
+
+
+def _is_clean(text: str, ncols: int) -> bool:
+    """Whether ``text`` is plainly clean rows of ``ncols`` fields."""
+    if not text.isascii():
+        return False
+    start = 0
+    while start < len(text):
+        stop = start + _CHECK_BLOCK
+        stop = len(text) if stop >= len(text) else text.rfind("\n", start, stop) + 1
+        if stop <= start or not _is_clean_block(text[start:stop].encode("ascii"), ncols):
+            return False
+        start = stop
+    return True
+
+
+def _is_clean_block(block: bytes, ncols: int) -> bool:
+    """``_is_clean`` of whole rows, as ASCII bytes."""
+    if not block.endswith(b"\n"):
+        block += b"\n"
+    b = np.frombuffer(block, dtype=np.uint8)
+    # Each field ends at the next byte below '-': every such byte must be
+    # a tab or a line feed, and each row's ends ncols - 1 tabs and a line feed.
+    ends = np.flatnonzero(b < ord("-"))
+    if ends.size % ncols:
+        return False
+    row_ends = b[ends].reshape(-1, ncols)
+    if not ((row_ends[:, :-1] == ord("\t")).all() and (row_ends[:, -1] == ord("\n")).all()):
+        return False
+    minus = b == ord("-")
+    n_minus = np.count_nonzero(minus)
+    if ends.size + n_minus + np.count_nonzero((b >= ord("0")) & (b <= ord("9"))) != b.size:
+        return False
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    signed = minus[starts]
+    # A '-' anywhere but first in its field is not clean.
+    if n_minus != np.count_nonzero(signed):
+        return False
+    digits = ends - starts - signed
+    return bool(digits.min() >= 1 and digits.max() <= 18)
 
 
 def _clean_rows(path: PathLike, widths: tuple[int, ...]) -> np.ndarray | None:
@@ -216,9 +258,9 @@ def _clean_rows(path: PathLike, widths: tuple[int, ...]) -> np.ndarray | None:
     if "#" in text or "\n\n" in text or text.startswith("\n"):
         text = _SKIPPED_LINE.sub("", text)
     ncols = text.partition("\n")[0].count("\t") + 1
-    if ncols not in widths or not _CLEAN_ROWS[ncols].fullmatch(text):
+    if ncols not in widths or not _is_clean(text, ncols):
         return None
-    # The pattern admits only ASCII decimal fields between tabs and line
+    # The check admits only ASCII decimal fields between tabs and line
     # ends; ``fromstring`` reads any whitespace as a separator.
     return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, ncols)
 
@@ -365,7 +407,13 @@ def partition(
         # Disjoint sorted segments have sorted ends, so both searches are valid.
         first = np.searchsorted(segments[:, 1], b.start, side="right")
         last = np.searchsorted(segments[:, 0], b.end)
-        segments_by_bin[b.id] = SegmentTrack(b, np.clip(segments[first:last], b.start, b.end))
+        # Of a sorted disjoint run, only the first start and the last end
+        # can fall outside the bin.
+        clipped = segments[first:last].copy()
+        if clipped.size:
+            clipped[0, 0] = max(clipped[0, 0], b.start)
+            clipped[-1, 1] = min(clipped[-1, 1], b.end)
+        segments_by_bin[b.id] = SegmentTrack(b, clipped)
     return points_by_bin, segments_by_bin
 
 

@@ -5,11 +5,13 @@ of each null model. The engine's samplers (``null_models.sample_counts``
 and its one-track front end ``resample_track``) are pinned to them by
 state-uniformity and law tests. ``weighted_sum_statistic``,
 ``segment_indicator_weights`` and ``pair_weight`` spell out the statistic
-and the Ripley edge correction term by term.
+and the Ripley edge correction term by term. ``CLEAN_ROWS`` are the
+patterns of a plainly clean track text that the one-pass reader takes.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Union
 
 import numpy as np
@@ -179,3 +181,14 @@ def pair_weight(i: int, j: int, n: int) -> float:
         raise ValueError("pair weight is undefined for i == j")
     lo, hi = (i, j) if i < j else (j, i)
     return (min(hi, n) - max(lo, 1)) / (hi - lo)
+
+
+# A plainly clean track text, as regular expressions: rows of ``ncols``
+# fields of at most a leading '-' and 1-18 ASCII digits, tab-separated and
+# line-feed-ended, the last row's line feed optional. ``tracks._is_clean``
+# must accept exactly the texts these match in full.
+CLEAN_FIELD = r"-?[0-9]{1,18}"
+CLEAN_ROWS = {
+    ncols: re.compile(rf"(?:{row}\n)*(?:{row})?")
+    for ncols, row in ((1, CLEAN_FIELD), (2, rf"{CLEAN_FIELD}\t{CLEAN_FIELD}"))
+}

@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import trackmc
-from trackmc.cli import main
+from trackmc.cli import _COMMANDS, build_parser, main
 from testkit import write_lines
 
 
@@ -451,10 +452,58 @@ class TestEveryFlagIsRead:
         assert rows[0] != rows[1]
 
 
+_PARSER_PATHS = [(name,) for name in _COMMANDS] + [("simulate", "points"), ("simulate", "segments")]
+
+
+def _subparser(parser, path):
+    """The parser of the subcommand path, e.g. ("simulate", "points")."""
+    for name in path:
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = action.choices[name]
+    return parser
+
+
+class TestPerCommandParser:
+    """main builds only the invoked subcommand's arguments; help and
+    error text stay those of the full parser."""
+
+    @pytest.mark.parametrize("path", _PARSER_PATHS, ids=" ".join)
+    def test_same_help(self, path):
+        full, own = build_parser(), build_parser(path[0])
+        assert own.format_help() == full.format_help()
+        assert _subparser(own, path).format_help() == _subparser(full, path).format_help()
+
+    @pytest.mark.parametrize("path", _PARSER_PATHS, ids=" ".join)
+    def test_same_error(self, path, capsys):
+        argv = [*path, "--no-such-flag"]
+        outcomes = []
+        for parse in (main, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            outcomes.append((exc.value.code, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 2 and outcomes[0][1].startswith("usage: trackmc")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_cli_import_loads_no_process_pool():
+    # map_jobs imports the pool only when it starts one, so a call that
+    # runs in-process never pays for loading multiprocessing.
+    package = Path(trackmc.__file__).resolve().parent
+    code = (
+        "import sys, trackmc.cli\n"
+        "loaded = sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_runs_without_scipy(tmp_path):

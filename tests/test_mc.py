@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -371,7 +373,8 @@ class TestRunMcBatch:
         def refuse(*args, **kwargs):
             raise NoPool
 
-        monkeypatch.setattr(trackmc.mc, "ProcessPoolExecutor", refuse)
+        # map_jobs imports the pool class only when it starts a pool.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         tests = self._bins(6)
         small = MCConfig(n_samples=120, master_seed=81)
         assert trackmc.mc.batch_work(tests, UNIFORM_POINTS, small) < trackmc.mc._POOL_MIN_WORK

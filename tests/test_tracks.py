@@ -25,6 +25,7 @@ from trackmc import (
     save_segment_track,
     to_binary_sequence,
 )
+from reference import CLEAN_ROWS
 from testkit import write_lines
 
 
@@ -458,6 +459,54 @@ def test_own_formats_read_in_one_pass(tmp_path):
     save_point_track(PointTrack(Bin("b", 0, 100), [3, 50, 99]), saved,
                      {"command": "simulate", "seed": 1})
     assert read_points(saved).tolist() == [3, 50, 99]
+
+
+# Texts for the clean check: digit runs of 1-20 digits, so 18 and 19 occur,
+# between the bytes a clean text may hold and some it must not.
+_check_token = st.one_of(
+    st.integers(1, 20).flatmap(lambda k: st.text("0123456789", min_size=k, max_size=k)),
+    st.sampled_from(["-", "\t", "\n", " ", "#", "a", "\u0663"]),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=st.one_of(st.lists(_check_token, max_size=14).map("".join),
+                      st.text("0123456789-\t\n #a\u0663", max_size=30)))
+@example(text="1" * 18)
+@example(text="1" * 19)
+@example(text="-" + "9" * 18 + "\t" + "1" * 18 + "\n")
+@example(text="7\t" + "1" * 19 + "\n")
+@example(text="-")
+@example(text="--1")
+@example(text="1-2")
+@example(text="")
+@example(text="1\t2\n3\t4")  # no final line feed
+@example(text="1\t2\t")  # a trailing tab
+@example(text="1\n2\t")
+def test_clean_check_matches_regex_oracle(text):
+    for ncols in (1, 2):
+        assert tracks._is_clean(text, ncols) == bool(CLEAN_ROWS[ncols].fullmatch(text)), ncols
+
+
+# Rows of 12 characters with their line feeds: a 64-character block holds
+# five, so the blocks end after rows 4, 9 and 14.
+_BLOCK_ROWS = [f"{10_000 + 10 * i}\t{10_005 + 10 * i}" for i in range(17)]
+
+
+@pytest.mark.parametrize("bad", [(), (4,), (5,), (9,), (10,), (4, 10)], ids=str)
+def test_clean_check_sees_rows_at_block_edges(tmp_path, monkeypatch, bad):
+    """A row the per-line parser reads but the clean check must refuse
+    ('+' for the first digit) is seen on either side of a block edge."""
+    monkeypatch.setattr(tracks, "_CHECK_BLOCK", 64)
+    rows = ["+" + row[1:] if i in bad else row for i, row in enumerate(_BLOCK_ROWS)]
+    path = write_lines(tmp_path / "p.tsv", rows)
+    one_pass = tracks._clean_rows(path, (2,))
+    if bad:
+        assert one_pass is None
+    else:
+        assert one_pass.tolist() == [[int(f) for f in row.split("\t")] for row in rows]
+    assert _outcome(read_points, path) == _outcome(tracks._read_points_per_line, path)
+    assert _outcome(read_segments, path) == _outcome(tracks._read_segments_per_line, path)
 
 
 @pytest.mark.usefixtures("one_pass_only")

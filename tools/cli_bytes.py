@@ -5,9 +5,10 @@ Usage: python3 tools/cli_bytes.py REV
 Extracts ``src/`` at REV with ``git archive`` into a temporary directory,
 then runs one fixed list of CLI calls under that tree and under this
 checkout's ``src/``, each call in a fresh interpreter, on the synthetic
-genome of ``perfbench/genome.py`` for seeds 1 and 2. Every output file,
-exit code, stdout and stderr is compared; each difference is printed, and
-the exit status is 1 if there is any, or if any call fails (every call on
+genome of ``perfbench/genome.py`` for seeds 1 and 2; the calls include
+``--help`` of trackmc and of every subcommand. Every output file, exit
+code, stdout and stderr is compared; each difference is printed, and the
+exit status is 1 if there is any, or if any call fails (every call on
 the list is valid), else 0.
 
 A change that must alter outputs (a new seed contract, a new header line)
@@ -36,6 +37,8 @@ MODELS = ("uniform-points", "preserve-interpoint", "uniform-segments",
 # line ends behind a '#' line (the comment and blank-line substitution), and
 # one field padded with a space (the per-line parser).
 VARIANTS = ("points_crlf.tsv", "points_padded.tsv")
+COMMANDS = (("test",), ("batch",), ("qvalue",), ("ripley",), ("simulate",),
+            ("simulate", "points"), ("simulate", "segments"), ("study",), ("ordering",))
 INPUTS = ("bins.tsv", "points.tsv", "segments.tsv", *VARIANTS)
 
 
@@ -114,6 +117,9 @@ def calls(seed: int, genome_length: int) -> list[list[str]]:
         ["ripley", "--points", "sim_points.tsv", "--bin-end", "20000",
          "--out", "sim_ripley.tsv"],
     ]
+    # Help text: each call exits 0 and writes it to stdout.
+    out.append(["--help"])
+    out += [[*command, "--help"] for command in COMMANDS]
     for name in VARIANTS:
         stem = name.removesuffix(".tsv")
         out.append(["ripley", "--points", name, *whole[2:], "--out", f"ripley_{stem}.tsv"])
