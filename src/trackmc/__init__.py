@@ -12,15 +12,14 @@ from .mc import (
     run_mc_test,
 )
 from .null_models import (
+    MODELS,
+    NullModel,
     NullModelSpec,
-    Preservation,
     PRESERVE_INTERPOINT,
     PRESERVE_INTERSEGMENT,
-    RandomizedSide,
     UNIFORM_POINTS,
     UNIFORM_SEGMENTS,
     resample_track,
-    sample_counts,
     state_space_size,
 )
 from .qvalues import estimate_pi0, qvalues, reject_at_fdr

@@ -22,7 +22,7 @@ import sys
 
 from . import __version__
 from .mc import ConfigError, Direction, EstimatorMode, MCConfig, run_mc_batch, run_mc_test, write_results_tsv
-from .null_models import NullModelSpec
+from .null_models import SPELLINGS, NullModelSpec
 from .qvalues import estimate_pi0, qvalues, reject_at_fdr
 from .ripley import DEFAULT_SCALES
 from .simulate import PointGenConfig, PointMode, SegmentGenConfig, generate_points, generate_segments
@@ -93,9 +93,7 @@ def _add_bin_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_mc_args(p: argparse.ArgumentParser, default_samples: int) -> None:
-    p.add_argument("--null-model", default="uniform-points",
-                   help="uniform-points | preserve-interpoint | uniform-segments | "
-                        "preserve-intersegment | block:<k>")
+    p.add_argument("--null-model", default="uniform-points", help=" | ".join(SPELLINGS))
     p.add_argument("--samples", type=int, default=default_samples,
                    help=f"Monte Carlo samples (default: {default_samples})")
     p.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")

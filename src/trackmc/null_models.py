@@ -8,15 +8,16 @@ space, which tends to push p-values up. Models that randomize different
 sides have no containment between them. ``state_space_size`` makes the
 containment quantitative on small instances.
 
-Each model has one sampler, which draws many randomized tracks at once as
-bin-relative arrays: ``_point_sampler`` for the point models and
-``block:b``, ``_segment_sampler`` for the segment models. The Monte Carlo
-engine prepares each test once with ``prepare_counts``: the tracks are
-checked, what every sample shares is found, and one chunk's arrays are
+Every model is one ``NullModel`` entry of ``MODELS``, keyed by its name:
+the track class it randomizes, the elements one sample permutes, one
+sampler that draws many randomized tracks at once as bin-relative arrays,
+its state-space size and, where one is known, an exact law of the count. A
+``NullModelSpec`` is a name and, for ``block``, a block size. The Monte
+Carlo engine prepares each test once with ``prepare_counts``: the tracks
+are checked, what every sample shares is found, and one chunk's arrays are
 allocated. Every chunk of the test then draws into those arrays and counts
-each sampled track against the fixed one. ``sample_counts`` is the
-one-chunk form of the same, and ``resample_track`` returns one sampled
-track.
+each sampled track against the fixed one. ``resample_track`` returns one
+sampled track.
 
 The samples are counted by table lookup: a point sample's positions are
 read in a coverage mask of the segments, and a segment sample's starts and
@@ -29,7 +30,6 @@ chunks takes the table, and its later chunks read the same table.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -41,75 +41,77 @@ from .seeding import rng_for
 from .stats import _count_in_intervals
 from .tracks import PointTrack, SegmentTrack
 
+Track = Union[PointTrack, SegmentTrack]
+Draw = Callable[[np.random.Generator, int], np.ndarray]
 
-class RandomizedSide(enum.Enum):
-    POINTS = "points"
-    SEGMENTS = "segments"
+BLOCK = "block"
 
 
-class Preservation(enum.Enum):
-    UNIFORM_LOCATION = "uniform"
-    PRESERVE_INTER_DISTANCES = "preserve"
+@dataclass(frozen=True)
+class NullModel:
+    """One null model. Its functions take the track the model randomizes and
+    ``b``, the block size of ``block:b`` (None under every other model).
+
+    - ``side``: the class of that track.
+    - ``size(track, b)``: how many elements one sample permutes.
+    - ``sampler(track, b, rows)``: checks the track, raising ``ValueError``
+      where the model cannot resample it, and returns ``sample(rng, m)``:
+      ``m <= rows`` randomized tracks as the first ``m`` rows of one
+      bin-relative int64[rows, n] array of positions, or of two int64[rows,
+      k] arrays of segment starts and ends. Segments are in order along each
+      row, and so are points except under ``block:b``. Each call overwrites
+      the rows the one before it returned.
+    - ``states(track, b)``: the exact number of distinct states the sampler
+      reaches, raising where the sampler raises.
+    - ``law(points, segments)``: a ``draw(rng, m)`` of ``m`` counts from
+      the count's exact law, or None where it cannot draw. A model without
+      one keeps the default, which is always None.
+    """
+
+    side: type
+    size: Callable[[Track, int | None], int]
+    sampler: Callable[[Track, int | None, int], Callable]
+    states: Callable[[Track, int | None], int]
+    law: Callable[[PointTrack, SegmentTrack], Draw | None] = lambda points, segments: None
 
 
 @dataclass(frozen=True)
 class NullModelSpec:
-    """Which track is randomized and what the resampling preserves.
+    """A null model: its ``MODELS`` name and, for ``block``, the block size."""
 
-    ``block_size`` selects block permutation of the point indicator
-    sequence instead of the track-level models; it is only meaningful
-    with ``randomized_side=POINTS``.
-    """
-
-    randomized_side: RandomizedSide
-    preservation: Preservation
+    name: str
     block_size: int | None = None
 
     def __post_init__(self) -> None:
+        if self.name not in MODELS or (self.name == BLOCK and self.block_size is None):
+            raise ValueError(
+                f"unknown null model {self.name!r}; expected one of "
+                f"{sorted(MODELS.keys() - {BLOCK})} or {BLOCK}:<k>"
+            )
         if self.block_size is not None:
+            if self.name != BLOCK:
+                raise ValueError(f"null model {self.name!r} takes no block size")
             if self.block_size < 1:
                 raise ValueError(f"block size must be >= 1, got {self.block_size}")
-            if self.randomized_side is not RandomizedSide.POINTS:
-                raise ValueError("block permutation applies to the point track only")
 
-    _NAMES = {
-        (RandomizedSide.POINTS, Preservation.UNIFORM_LOCATION): "uniform-points",
-        (RandomizedSide.POINTS, Preservation.PRESERVE_INTER_DISTANCES): "preserve-interpoint",
-        (RandomizedSide.SEGMENTS, Preservation.UNIFORM_LOCATION): "uniform-segments",
-        (RandomizedSide.SEGMENTS, Preservation.PRESERVE_INTER_DISTANCES): "preserve-intersegment",
-    }
+    @property
+    def model(self) -> NullModel:
+        return MODELS[self.name]
 
     def to_string(self) -> str:
-        if self.block_size is not None:
-            return f"block:{self.block_size}"
-        return self._NAMES[(self.randomized_side, self.preservation)]
+        return self.name if self.block_size is None else f"{self.name}:{self.block_size}"
 
     @classmethod
     def from_string(cls, name: str) -> "NullModelSpec":
-        """Parse the CLI form: uniform-points, preserve-interpoint,
-        uniform-segments, preserve-intersegment, or block:<k>."""
+        """Parse the CLI form: one of ``SPELLINGS``, with ``<k>`` a block size."""
         name = name.strip()
-        if name.startswith("block:"):
+        if name.startswith(f"{BLOCK}:"):
             try:
                 k = int(name.split(":", 1)[1])
             except ValueError:
                 raise ValueError(f"bad block size in null model {name!r}") from None
-            return cls(RandomizedSide.POINTS, Preservation.UNIFORM_LOCATION, block_size=k)
-        for key, val in cls._NAMES.items():
-            if val == name:
-                return cls(*key)
-        raise ValueError(
-            f"unknown null model {name!r}; expected one of "
-            f"{sorted(cls._NAMES.values())} or block:<k>"
-        )
-
-
-UNIFORM_POINTS = NullModelSpec(RandomizedSide.POINTS, Preservation.UNIFORM_LOCATION)
-PRESERVE_INTERPOINT = NullModelSpec(RandomizedSide.POINTS, Preservation.PRESERVE_INTER_DISTANCES)
-UNIFORM_SEGMENTS = NullModelSpec(RandomizedSide.SEGMENTS, Preservation.UNIFORM_LOCATION)
-PRESERVE_INTERSEGMENT = NullModelSpec(
-    RandomizedSide.SEGMENTS, Preservation.PRESERVE_INTER_DISTANCES
-)
+            return cls(BLOCK, k)
+        return cls(name)
 
 
 def _uniform_subset(rng: np.random.Generator, size: int, count: int) -> np.ndarray:
@@ -177,31 +179,209 @@ def _check_block_size(block_size: int, length: int) -> None:
         raise ValueError(f"block size must be in [1, {length}], got {block_size}")
 
 
-# --- samplers and counts: many samples per call ----------------------------
+# --- the models: samplers, state-space sizes and exact laws --------------
+
+def _uniform_points_sampler(points: PointTrack, b: None, rows: int) -> Callable:
+    _check_uniform_points(points)
+    length, n = points.bin.length, len(points)
+    out = np.empty((rows, n), dtype=np.int64)
+
+    def sample(rng: np.random.Generator, m: int) -> np.ndarray:
+        for row in out[:m]:
+            row[:] = _uniform_subset(rng, length, n)
+        return out[:m]
+    return sample
+
+
+def _interpoint_sampler(points: PointTrack, b: None, rows: int) -> Callable:
+    gaps, n_offsets = _interpoint_gaps(points)
+    out = np.empty((rows, len(points)), dtype=np.int64)
+
+    def sample(rng: np.random.Generator, m: int) -> np.ndarray:
+        offsets = rng.integers(0, n_offsets, size=m)
+        drawn = out[:m]
+        drawn[:, 0] = 0
+        rng.permuted(np.broadcast_to(gaps, (m, gaps.size)), axis=1, out=drawn[:, 1:])
+        np.cumsum(drawn[:, 1:], axis=1, out=drawn[:, 1:])
+        drawn += offsets[:, None]
+        return drawn
+    return sample
+
+
+def _block_sampler(points: PointTrack, size: int, rows: int) -> Callable:
+    # A point in block i moves to block slot[i], keeping its offset within
+    # the block. Moving block order[j] to j, as the plain definition does,
+    # makes slot the inverse of order; the inverse of a uniform permutation
+    # is uniform, so a drawn permutation serves as slot directly. Points in
+    # the trailing partial block stay in place.
+    length, rel = points.bin.length, points.positions - points.bin.start
+    _check_block_size(size, length)
+    out = np.empty((rows, rel.size), dtype=np.int64)
+    n_blocks = length // size
+    head = int(np.searchsorted(rel, n_blocks * size))
+    block, within = np.divmod(rel[:head], size)
+    blocks = np.arange(n_blocks)
+    slot = np.empty((rows, n_blocks), dtype=np.int64)
+    out[:, head:] = rel[head:]
+
+    def sample(rng: np.random.Generator, m: int) -> np.ndarray:
+        rng.permuted(np.broadcast_to(blocks, (m, n_blocks)), axis=1, out=slot[:m])
+        moved = out[:m, :head]
+        np.take(slot[:m], block, axis=1, out=moved, mode="clip")
+        moved *= size
+        moved += within
+        return out[:m]
+    return sample
+
+
+def _uniform_segments_sampler(segments: SegmentTrack, b: None, rows: int) -> Callable:
+    k, lengths = len(segments), segments.lengths
+    starts = np.empty((rows, k), dtype=np.int64)
+    ends = np.empty((rows, k), dtype=np.int64)
+    if k == 0:
+        return lambda rng, m: (starts[:m], ends[:m])
+    slack = _segment_slack(segments)
+    bars = np.empty((rows, k), dtype=np.int64)
+    bar_shift = np.arange(k)
+
+    def sample(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
+        # starts holds the permuted lengths until the ends are known.
+        rng.permuted(np.broadcast_to(lengths, (m, k)), axis=1, out=starts[:m])
+        # Stars and bars: k sorted bars among slack + k slots give a uniform
+        # composition of the slack into k+1 gaps; the gaps before segment j
+        # sum to bars[j] - j.
+        for row in bars[:m]:
+            row[:] = rng.choice(slack + k, k, replace=False, shuffle=False)
+        bars[:m].sort(axis=1)
+        bars[:m] -= bar_shift
+        np.cumsum(starts[:m], axis=1, out=ends[:m])
+        ends[:m] += bars[:m]
+        np.subtract(ends[:m], starts[:m], out=starts[:m])
+        return starts[:m], ends[:m]
+    return sample
+
+
+def _intersegment_sampler(segments: SegmentTrack, b: None, rows: int) -> Callable:
+    gaps, n_offsets = _intersegment_gaps(segments)
+    k, lengths = len(segments), segments.lengths
+    starts = np.empty((rows, k), dtype=np.int64)
+    ends = np.empty((rows, k), dtype=np.int64)
+
+    def sample(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
+        offsets = rng.integers(0, n_offsets, size=m)
+        rng.permuted(np.broadcast_to(lengths, (m, k)), axis=1, out=starts[:m])
+        # Segment j ends after the first j+1 lengths and the first j gaps.
+        ends[:m, 0] = 0
+        rng.permuted(np.broadcast_to(gaps, (m, k - 1)), axis=1, out=ends[:m, 1:])
+        ends[:m] += starts[:m]
+        np.cumsum(ends[:m], axis=1, out=ends[:m])
+        ends[:m] += offsets[:, None]
+        np.subtract(ends[:m], starts[:m], out=starts[:m])
+        return starts[:m], ends[:m]
+    return sample
+
+
+def _orders(counts: list[int]) -> int:
+    """Distinct orders of a multiset whose distinct values occur ``counts`` times."""
+    out = math.factorial(sum(counts))
+    for c in counts:
+        out //= math.factorial(c)
+    return out
+
+
+def _multiset_permutations(values: np.ndarray) -> int:
+    """Distinct orders of the elements of ``values``."""
+    return _orders(np.unique(values, return_counts=True)[1].tolist())
+
+
+def _interpoint_states(points: PointTrack, b: None) -> int:
+    if len(points) == 0:
+        return 1
+    gaps, n_offsets = _interpoint_gaps(points)
+    return _multiset_permutations(gaps) * n_offsets
+
+
+def _block_states(points: PointTrack, size: int) -> int:
+    # A state is an order of the blocks' point patterns (the offsets of
+    # their points); every empty block has the same, empty pattern.
+    _check_block_size(size, points.bin.length)
+    n_blocks = points.bin.length // size
+    rel = points.positions - points.bin.start
+    patterns: dict[int, list[int]] = {}
+    for block, within in zip(*np.divmod(rel[rel < n_blocks * size], size)):
+        patterns.setdefault(int(block), []).append(int(within))
+    counts = Counter(tuple(p) for p in patterns.values())
+    return _orders([*counts.values(), n_blocks - len(patterns)])
+
+
+def _uniform_segments_states(segments: SegmentTrack, b: None) -> int:
+    k = len(segments)
+    if k == 0:
+        return 1
+    return _multiset_permutations(segments.lengths) * math.comb(_segment_slack(segments) + k, k)
+
+
+def _intersegment_states(segments: SegmentTrack, b: None) -> int:
+    if len(segments) == 0:
+        return 1
+    gaps, n_offsets = _intersegment_gaps(segments)
+    return _multiset_permutations(segments.lengths) * _multiset_permutations(gaps) * n_offsets
+
 
 # numpy's hypergeometric sampler takes fewer than 10**9 good and bad items.
 _HYPERGEOMETRIC_LIMIT = 10**9
+
+
+def _hypergeometric_law(points: PointTrack, segments: SegmentTrack) -> Draw | None:
+    # n points uniform without replacement: the covered ones are
+    # Hypergeometric(covered bp, uncovered bp, n).
+    _check_uniform_points(points)
+    covered, length, n = segments.total_length, points.bin.length, len(points)
+    if max(covered, length - covered) < _HYPERGEOMETRIC_LIMIT:
+        return lambda rng, m: rng.hypergeometric(covered, length - covered, n, size=m)
+    return None
+
+
+MODELS: dict[str, NullModel] = {
+    "uniform-points": NullModel(
+        PointTrack, size=lambda points, b: 1, sampler=_uniform_points_sampler,
+        states=lambda points, b: math.comb(points.bin.length, len(points)),
+        law=_hypergeometric_law),
+    "preserve-interpoint": NullModel(
+        PointTrack, size=lambda points, b: len(points) - 1, sampler=_interpoint_sampler,
+        states=_interpoint_states),
+    "uniform-segments": NullModel(
+        SegmentTrack, size=lambda segments, b: 2 * len(segments) - 1,
+        sampler=_uniform_segments_sampler, states=_uniform_segments_states),
+    "preserve-intersegment": NullModel(
+        SegmentTrack, size=lambda segments, b: 2 * len(segments) - 1,
+        sampler=_intersegment_sampler, states=_intersegment_states),
+    BLOCK: NullModel(
+        PointTrack, size=lambda points, b: points.bin.length // b,
+        sampler=_block_sampler, states=_block_states),
+}
+# How --null-model spells each model, in table order; block takes its size.
+SPELLINGS = tuple(f"{name}:<k>" if name == BLOCK else name for name in MODELS)
+
+UNIFORM_POINTS = NullModelSpec("uniform-points")
+PRESERVE_INTERPOINT = NullModelSpec("preserve-interpoint")
+UNIFORM_SEGMENTS = NullModelSpec("uniform-segments")
+PRESERVE_INTERSEGMENT = NullModelSpec("preserve-intersegment")
+
+
+# --- the entry points: every model through its entry ---------------------
+
 # A chunk's temporaries hold at most this many int64 elements (8 MB).
 _CHUNK_ELEMENTS = 2**20
 _MAX_CHUNK_ROWS = 64
 
 
 def sample_size(points: PointTrack, segments: SegmentTrack, spec: NullModelSpec) -> int:
-    """How many elements one sample permutes, at least 1.
-
-    n-1 gaps under preserve-interpoint, k lengths plus k-1 gaps under the
-    segment models, L // b blocks under ``block:b`` and 1 under
-    uniform-points. It depends on the tracks and the model alone.
-    """
-    if spec.block_size is not None:
-        size = points.bin.length // spec.block_size
-    elif spec.randomized_side is RandomizedSide.SEGMENTS:
-        size = 2 * len(segments) - 1
-    elif spec.preservation is Preservation.PRESERVE_INTER_DISTANCES:
-        size = len(points) - 1
-    else:
-        size = 1
-    return max(1, size)
+    """How many elements one sample permutes (the entry's ``size``), at least
+    1. It depends on the tracks and the model alone."""
+    model = spec.model
+    track = points if model.side is PointTrack else segments
+    return max(1, model.size(track, spec.block_size))
 
 
 def chunk_rows(points: PointTrack, segments: SegmentTrack, spec: NullModelSpec) -> int:
@@ -216,7 +396,7 @@ def chunk_rows(points: PointTrack, segments: SegmentTrack, spec: NullModelSpec) 
 
 def prepare_counts(
     points: PointTrack, segments: SegmentTrack, spec: NullModelSpec, rows: int
-) -> Callable[[np.random.Generator, int], np.ndarray]:
+) -> Draw:
     """Prepare one test whose null samples are drawn at most ``rows`` at a time.
 
     The tracks are checked under ``spec`` here, so infeasible inputs raise
@@ -226,164 +406,56 @@ def prepare_counts(
 
     The returned ``draw(rng, m)``, for ``m <= rows``, gives ``m`` null
     samples of the points-in-segments count as int64[m]. The side ``spec``
-    randomizes is redrawn for every sample by that side's sampler, and the
-    other track stays fixed. Uniform-points counts are drawn from their
-    exact hypergeometric law instead, where numpy can.
+    randomizes is redrawn for every sample by the model's sampler, and the
+    other track stays fixed. A model with an exact ``law`` draws its counts
+    from that law instead, where the law can.
     """
-    if spec.block_size is None and spec.randomized_side is RandomizedSide.SEGMENTS:
-        sample_segments = _segment_sampler(segments, spec, rows)
+    model = spec.model
+    draw = model.law(points, segments)
+    if draw is not None:
+        return draw
+    if model.side is SegmentTrack:
+        sample_segments = model.sampler(segments, spec.block_size, rows)
         count_between = _between_counter(points, rows)
         return lambda rng, m: count_between(*sample_segments(rng, m))
-    if spec.block_size is None and spec.preservation is Preservation.UNIFORM_LOCATION:
-        # n points uniform without replacement: the covered ones are
-        # Hypergeometric(covered bp, uncovered bp, n).
-        _check_uniform_points(points)
-        covered, length, n = segments.total_length, points.bin.length, len(points)
-        if max(covered, length - covered) < _HYPERGEOMETRIC_LIMIT:
-            return lambda rng, m: rng.hypergeometric(covered, length - covered, n, size=m)
-    sample_points = _point_sampler(points, spec, rows)
+    sample_points = model.sampler(points, spec.block_size, rows)
     count_covered = _covered_counter(segments, rows)
     return lambda rng, m: count_covered(sample_points(rng, m))
 
 
-def sample_counts(
-    points: PointTrack,
-    segments: SegmentTrack,
-    spec: NullModelSpec,
-    rng: np.random.Generator,
-    m: int,
-) -> np.ndarray:
-    """``m`` null samples of the points-in-segments count, as int64[m]: one
-    draw of ``prepare_counts(points, segments, spec, m)``."""
-    return prepare_counts(points, segments, spec, m)(rng, m)
-
-
-def resample_track(
-    track: Union[PointTrack, SegmentTrack],
-    spec: NullModelSpec,
-    rng_seed: int,
-) -> Union[PointTrack, SegmentTrack]:
+def resample_track(track: Track, spec: NullModelSpec, rng_seed: int) -> Track:
     """One randomized track under ``spec``: row 0 of the model's sampler on
     ``rng_for(rng_seed)``.
 
-    Except under uniform-points, its count against a fixed track equals
-    ``sample_counts(..., rng_for(rng_seed), 1)[0]``.
+    Under a model without an exact law, its count against a fixed track
+    equals ``prepare_counts(..., 1)(rng_for(rng_seed), 1)[0]``.
     """
     rng = rng_for(rng_seed)
-    if spec.block_size is not None or spec.randomized_side is RandomizedSide.POINTS:
-        if not isinstance(track, PointTrack):
-            raise TypeError("null model randomizes points but a segment track was given")
-        rel = _point_sampler(track, spec, 1)(rng, 1)[0]
-        return PointTrack(track.bin, np.sort(rel) + track.bin.start)
-    if not isinstance(track, SegmentTrack):
-        raise TypeError("null model randomizes segments but a point track was given")
-    starts, ends = _segment_sampler(track, spec, 1)(rng, 1)
+    _check_side(track, spec)
+    sample = spec.model.sampler(track, spec.block_size, 1)(rng, 1)
+    if spec.model.side is PointTrack:
+        return PointTrack(track.bin, np.sort(sample[0]) + track.bin.start)
+    starts, ends = sample
     return SegmentTrack(track.bin, np.column_stack((starts[0], ends[0])) + track.bin.start)
 
 
-def _point_sampler(
-    points: PointTrack, spec: NullModelSpec, rows: int
-) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """``sample(rng, m)``: ``m <= rows`` randomized point tracks, the first
-    ``m`` rows of one bin-relative int64[rows, n] array.
+def state_space_size(track: Track, spec: NullModelSpec) -> int:
+    """Exact number of distinct states reachable under ``spec``.
 
-    Rows are sorted except under ``block:b``. Each call overwrites the rows
-    the one before it returned.
+    Computed with arbitrary-precision integers, so it is exact at any size
+    (the result may simply be astronomically large).
     """
-    length, rel = points.bin.length, points.positions - points.bin.start
-    out = np.empty((rows, rel.size), dtype=np.int64)
-    if spec.block_size is not None:
-        # A point in block i moves to block slot[i], keeping its offset
-        # within the block. Moving block order[j] to j, as the plain
-        # definition does, makes slot the inverse of order; the inverse of a
-        # uniform permutation is uniform, so a drawn permutation serves as
-        # slot directly. Points in the trailing partial block stay in place.
-        size = spec.block_size
-        _check_block_size(size, length)
-        n_blocks = length // size
-        head = int(np.searchsorted(rel, n_blocks * size))
-        block, within = np.divmod(rel[:head], size)
-        blocks = np.arange(n_blocks)
-        slot = np.empty((rows, n_blocks), dtype=np.int64)
-        out[:, head:] = rel[head:]
-
-        def sample(rng: np.random.Generator, m: int) -> np.ndarray:
-            rng.permuted(np.broadcast_to(blocks, (m, n_blocks)), axis=1, out=slot[:m])
-            moved = out[:m, :head]
-            np.take(slot[:m], block, axis=1, out=moved, mode="clip")
-            moved *= size
-            moved += within
-            return out[:m]
-        return sample
-    if spec.preservation is Preservation.UNIFORM_LOCATION:
-        _check_uniform_points(points)
-
-        def sample(rng: np.random.Generator, m: int) -> np.ndarray:
-            for row in out[:m]:
-                row[:] = _uniform_subset(rng, length, rel.size)
-            return out[:m]
-        return sample
-    gaps, n_offsets = _interpoint_gaps(points)
-
-    def sample(rng: np.random.Generator, m: int) -> np.ndarray:
-        offsets = rng.integers(0, n_offsets, size=m)
-        drawn = out[:m]
-        drawn[:, 0] = 0
-        rng.permuted(np.broadcast_to(gaps, (m, gaps.size)), axis=1, out=drawn[:, 1:])
-        np.cumsum(drawn[:, 1:], axis=1, out=drawn[:, 1:])
-        drawn += offsets[:, None]
-        return drawn
-    return sample
+    _check_side(track, spec)
+    return spec.model.states(track, spec.block_size)
 
 
-def _segment_sampler(
-    segments: SegmentTrack, spec: NullModelSpec, rows: int
-) -> Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]:
-    """``sample(rng, m)``: ``m <= rows`` randomized segment tracks as
-    bin-relative (starts, ends), the first ``m`` rows of two int64[rows, k]
-    arrays, segments in order along each row.
-
-    Each call overwrites the rows the one before it returned.
-    """
-    k, lengths = len(segments), segments.lengths
-    starts = np.empty((rows, k), dtype=np.int64)
-    ends = np.empty((rows, k), dtype=np.int64)
-    if spec.preservation is Preservation.UNIFORM_LOCATION:
-        if k == 0:
-            return lambda rng, m: (starts[:m], ends[:m])
-        slack = _segment_slack(segments)
-        bars = np.empty((rows, k), dtype=np.int64)
-        bar_shift = np.arange(k)
-
-        def sample(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
-            # starts holds the permuted lengths until the ends are known.
-            rng.permuted(np.broadcast_to(lengths, (m, k)), axis=1, out=starts[:m])
-            # Stars and bars: k sorted bars among slack + k slots give a
-            # uniform composition of the slack into k+1 gaps; the gaps before
-            # segment j sum to bars[j] - j.
-            for row in bars[:m]:
-                row[:] = rng.choice(slack + k, k, replace=False, shuffle=False)
-            bars[:m].sort(axis=1)
-            bars[:m] -= bar_shift
-            np.cumsum(starts[:m], axis=1, out=ends[:m])
-            ends[:m] += bars[:m]
-            np.subtract(ends[:m], starts[:m], out=starts[:m])
-            return starts[:m], ends[:m]
-        return sample
-    gaps, n_offsets = _intersegment_gaps(segments)
-
-    def sample(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
-        offsets = rng.integers(0, n_offsets, size=m)
-        rng.permuted(np.broadcast_to(lengths, (m, k)), axis=1, out=starts[:m])
-        # Segment j ends after the first j+1 lengths and the first j gaps.
-        ends[:m, 0] = 0
-        rng.permuted(np.broadcast_to(gaps, (m, k - 1)), axis=1, out=ends[:m, 1:])
-        ends[:m] += starts[:m]
-        np.cumsum(ends[:m], axis=1, out=ends[:m])
-        ends[:m] += offsets[:, None]
-        np.subtract(ends[:m], starts[:m], out=starts[:m])
-        return starts[:m], ends[:m]
-    return sample
+def _check_side(track: Track, spec: NullModelSpec) -> None:
+    side = spec.model.side
+    if not isinstance(track, side):
+        raise TypeError(
+            f"null model {spec.to_string()} randomizes a {side.__name__}, "
+            f"not a {type(track).__name__}"
+        )
 
 
 # A lookup table costs about 3 ns per bp of bin to build, a binary search
@@ -450,59 +522,3 @@ def _between_counter(
         inside -= np.take(before, starts, out=found, mode="clip").sum(axis=-1, dtype=np.int64)
         return inside
     return count
-
-
-def _orders(counts: list[int]) -> int:
-    """Distinct orders of a multiset whose distinct values occur ``counts`` times."""
-    out = math.factorial(sum(counts))
-    for c in counts:
-        out //= math.factorial(c)
-    return out
-
-
-def _multiset_permutations(values: np.ndarray) -> int:
-    """Distinct orders of the elements of ``values``."""
-    return _orders(np.unique(values, return_counts=True)[1].tolist())
-
-
-def state_space_size(obj: Union[PointTrack, SegmentTrack], spec: NullModelSpec) -> int:
-    """Exact number of distinct states reachable under ``spec``.
-
-    Computed with arbitrary-precision integers, so it is exact at any size
-    (the result may simply be astronomically large).
-    """
-    if spec.block_size is not None:
-        if not isinstance(obj, PointTrack):
-            raise TypeError("block permutation applies to point tracks")
-        size = spec.block_size
-        _check_block_size(size, obj.bin.length)
-        n_blocks = obj.bin.length // size
-        rel = obj.positions - obj.bin.start
-        # A state is an order of the blocks' point patterns (the offsets of
-        # their points); every empty block has the same, empty pattern.
-        patterns: dict[int, list[int]] = {}
-        for block, within in zip(*np.divmod(rel[rel < n_blocks * size], size)):
-            patterns.setdefault(int(block), []).append(int(within))
-        counts = Counter(tuple(p) for p in patterns.values())
-        return _orders([*counts.values(), n_blocks - len(patterns)])
-
-    if spec.randomized_side is RandomizedSide.POINTS:
-        if not isinstance(obj, PointTrack):
-            raise TypeError("expected a point track")
-        if spec.preservation is Preservation.UNIFORM_LOCATION:
-            return math.comb(obj.bin.length, len(obj))
-        if len(obj) == 0:
-            return 1
-        gaps, n_offsets = _interpoint_gaps(obj)
-        return _multiset_permutations(gaps) * n_offsets
-
-    if not isinstance(obj, SegmentTrack):
-        raise TypeError("expected a segment track")
-    k = len(obj)
-    if k == 0:
-        return 1
-    orders = _multiset_permutations(obj.lengths)
-    if spec.preservation is Preservation.UNIFORM_LOCATION:
-        return orders * math.comb(_segment_slack(obj) + k, k)
-    gaps, n_offsets = _intersegment_gaps(obj)
-    return orders * _multiset_permutations(gaps) * n_offsets

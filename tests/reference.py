@@ -1,8 +1,9 @@
 """Reference implementations the tests check the package against.
 
 The resamplers build one randomized track per seed, the plainest reading
-of each null model. The engine's samplers (``null_models.sample_counts``
-and its one-track front end ``resample_track``) are pinned to them by
+of each null model; ``resample_track`` picks one by the model's name. The
+engine's samplers (the counts of ``null_models.prepare_counts`` and the
+one-track front end ``null_models.resample_track``) are pinned to them by
 state-uniformity and law tests. ``weighted_sum_statistic``,
 ``segment_indicator_weights`` and ``pair_weight`` spell out the statistic
 and the Ripley edge correction term by term. ``CLEAN_ROWS`` are the
@@ -19,8 +20,6 @@ import numpy as np
 from trackmc import BinarySequence, PointTrack, SegmentTrack, rng_for, to_binary_sequence
 from trackmc.null_models import (
     NullModelSpec,
-    Preservation,
-    RandomizedSide,
     _check_block_size,
     _check_uniform_points,
     _interpoint_gaps,
@@ -126,30 +125,19 @@ def resample_track(
     spec: NullModelSpec,
     rng_seed: int,
 ) -> Union[PointTrack, SegmentTrack]:
-    """Draw one replicate under ``spec``; dispatches to the right resampler."""
-    if spec.block_size is not None:
-        if not isinstance(track, PointTrack):
-            raise TypeError("block permutation requires a point track")
+    """Draw one replicate under ``spec`` by the resampler its name selects.
+    A model without a reference resampler raises ``KeyError``."""
+    if spec.name == "block":
         seq = block_permutation(to_binary_sequence(track), spec.block_size, rng_seed)
         positions = np.flatnonzero(seq.values).astype(np.int64) + track.bin.start
         return PointTrack(track.bin, positions)
-    if spec.randomized_side is RandomizedSide.POINTS:
-        if not isinstance(track, PointTrack):
-            raise TypeError("null model randomizes points but a segment track was given")
-        fn = (
-            resample_points_uniform
-            if spec.preservation is Preservation.UNIFORM_LOCATION
-            else resample_points_preserve_distances
-        )
-        return fn(track, rng_seed)
-    if not isinstance(track, SegmentTrack):
-        raise TypeError("null model randomizes segments but a point track was given")
-    fn = (
-        resample_segments_uniform
-        if spec.preservation is Preservation.UNIFORM_LOCATION
-        else resample_segments_preserve_distances
-    )
-    return fn(track, rng_seed)
+    resample = {
+        "uniform-points": resample_points_uniform,
+        "preserve-interpoint": resample_points_preserve_distances,
+        "uniform-segments": resample_segments_uniform,
+        "preserve-intersegment": resample_segments_preserve_distances,
+    }[spec.name]
+    return resample(track, rng_seed)
 
 
 # --- the statistic and the Ripley edge correction, term by term -------------

@@ -66,6 +66,21 @@ class TestTestCommand:
         assert code == 1
         assert "unknown null model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model,message", [
+        ("nonsense", "unknown null model 'nonsense'; expected one of ['preserve-interpoint', "
+                     "'preserve-intersegment', 'uniform-points', 'uniform-segments'] or block:<k>"),
+        ("block", "unknown null model 'block'; expected one of ['preserve-interpoint', "
+                  "'preserve-intersegment', 'uniform-points', 'uniform-segments'] or block:<k>"),
+        ("block:0", "block size must be >= 1, got 0"),
+        ("block:x", "bad block size in null model 'block:x'"),
+    ])
+    def test_bad_null_model_error_line(self, track_files, capsys, model, message):
+        points, segments = track_files
+        code = run_cli("test", "--points", points, "--segments", segments,
+                       "--bin-end", "200", "--null-model", model)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_out_of_bin_point_fails(self, tmp_path, capsys):
         points = write_lines(tmp_path / "p.tsv", ["500"])
         segments = write_lines(tmp_path / "s.tsv", ["0\t40"])

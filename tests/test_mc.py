@@ -25,18 +25,9 @@ from trackmc import (
 import trackmc.mc
 from trackmc import null_models
 from trackmc.mc import count_exceedances, null_counts, write_results_tsv
-from trackmc.null_models import (
-    NullModelSpec, Preservation, RandomizedSide, chunk_rows, sample_counts, sample_size,
-)
+from trackmc.null_models import NullModelSpec, chunk_rows, prepare_counts, sample_size
 from reference import resample_track
-
-ALL_MODELS = (
-    UNIFORM_POINTS,
-    PRESERVE_INTERPOINT,
-    UNIFORM_SEGMENTS,
-    PRESERVE_INTERSEGMENT,
-    NullModelSpec.from_string("block:4"),
-)
+from testkit import ALL_MODELS
 
 
 def small_case():
@@ -141,7 +132,7 @@ class TestRunMcTest:
 
     def test_block_null_model(self):
         points, segments = small_case()
-        spec = NullModelSpec(RandomizedSide.POINTS, Preservation.UNIFORM_LOCATION, block_size=10)
+        spec = NullModelSpec("block", 10)
         result = run_mc_test(points, segments, spec, MCConfig(n_samples=100, master_seed=41))
         assert result.null_model.block_size == 10
         assert 0.0 < result.p_value <= 1.0
@@ -175,7 +166,7 @@ class TestEstimatorValidity:
     def test_add_one_pvalue_is_valid_under_true_null(self, spec):
         # Observed data drawn from the same null: P(p <= a) <= a for every
         # achievable a, up to Monte Carlo noise (3 SEs).
-        side = "segments" if spec.randomized_side is RandomizedSide.SEGMENTS else "points"
+        side = "segments" if spec.model.side is SegmentTrack else "points"
         points, segments = self.TEMPLATES[side]
         n_rep, n_samples = 10_000, 99
         pvals = np.empty(n_rep)
@@ -282,13 +273,12 @@ class TestPreparedTest:
     def _chunk_by_chunk(points, segments, spec, cfg):
         """The test's counts from one-shot draws, one per chunk stream."""
         r = chunk_rows(points, segments, spec)
-        return np.concatenate([
-            sample_counts(points, segments, spec,
-                          np.random.default_rng(
-                              derive_seed(cfg.master_seed, points.bin.id, "chunk", c)),
-                          min(r, cfg.n_samples - lo))
-            for c, lo in enumerate(range(0, cfg.n_samples, r))
-        ])
+        draws = []
+        for c, lo in enumerate(range(0, cfg.n_samples, r)):
+            m = min(r, cfg.n_samples - lo)
+            rng = np.random.default_rng(derive_seed(cfg.master_seed, points.bin.id, "chunk", c))
+            draws.append(prepare_counts(points, segments, spec, m)(rng, m))
+        return np.concatenate(draws)
 
     @pytest.mark.parametrize("spec", ALL_MODELS, ids=lambda s: s.to_string())
     def test_chunks_equal_one_shot_draws(self, spec):
@@ -297,8 +287,7 @@ class TestPreparedTest:
         assert chunk_rows(points, segments, spec) == 64
         # Lookups per sample: the sampled positions, or both ends of every
         # sampled segment. The full chunks take the table, the last the search.
-        segment_model = spec.block_size is None and \
-            spec.randomized_side is RandomizedSide.SEGMENTS
+        segment_model = spec.model.side is SegmentTrack
         lookups = 2 * len(segments) if segment_model else len(points)
         factor, length = null_models._TABLE_FACTOR, points.bin.length
         assert factor * 10 * lookups < length <= factor * 64 * lookups

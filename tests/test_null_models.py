@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import re
 from collections import Counter
 
@@ -8,14 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trackmc import (
+    MODELS,
     Bin,
     BinarySequence,
     NullModelSpec,
     PointTrack,
     PRESERVE_INTERPOINT,
     PRESERVE_INTERSEGMENT,
-    Preservation,
-    RandomizedSide,
     SegmentTrack,
     UNIFORM_POINTS,
     UNIFORM_SEGMENTS,
@@ -23,12 +23,13 @@ from trackmc import (
     derive_seed,
     resample_track,
     rng_for,
-    sample_counts,
     state_space_size,
     to_binary_sequence,
 )
 from trackmc import null_models
+from trackmc.null_models import prepare_counts
 from testkit import (
+    ALL_MODELS,
     assert_chisquare_fit,
     assert_same_distribution,
     assert_uniform_chisquare,
@@ -43,7 +44,7 @@ from reference import (
     resample_segments_uniform,
 )
 
-BLOCK2 = NullModelSpec(RandomizedSide.POINTS, Preservation.UNIFORM_LOCATION, block_size=2)
+BLOCK2 = NullModelSpec("block", 2)
 
 
 # --- enumeration oracles -------------------------------------------------
@@ -432,17 +433,15 @@ class TestResampleTrackDispatch:
 KERNEL_BIN = Bin("k", 5, 65)
 KERNEL_POINTS = PointTrack(KERNEL_BIN, [6, 9, 10, 22, 31, 40, 47, 55, 63])
 KERNEL_SEGMENTS = SegmentTrack(KERNEL_BIN, [(7, 12), (20, 30), (41, 44), (50, 58)])
-ALL_MODELS = (
-    UNIFORM_POINTS,
-    PRESERVE_INTERPOINT,
-    UNIFORM_SEGMENTS,
-    PRESERVE_INTERSEGMENT,
-    NullModelSpec.from_string("block:4"),
-)
 
 
 def randomizes_points(spec):
-    return spec.block_size is not None or spec.randomized_side is RandomizedSide.POINTS
+    return spec.model.side is PointTrack
+
+
+def with_block(block):
+    """``ALL_MODELS``, with ``block`` as the block size of ``block:<k>``."""
+    return [NullModelSpec(s.name, None if s.block_size is None else block) for s in ALL_MODELS]
 
 
 def reference_counts(points, segments, spec, n_draws, tag):
@@ -506,7 +505,7 @@ class TestSampleCounts:
     def test_matches_reference_resampler(self, spec):
         n_draws = 40_000
         rng = np.random.default_rng(derive_seed("kernel", spec.to_string()))
-        got = sample_counts(KERNEL_POINTS, KERNEL_SEGMENTS, spec, rng, n_draws)
+        got = prepare_counts(KERNEL_POINTS, KERNEL_SEGMENTS, spec, n_draws)(rng, n_draws)
         assert got.shape == (n_draws,) and got.dtype == np.int64
         want = reference_counts(KERNEL_POINTS, KERNEL_SEGMENTS, spec, n_draws, spec.to_string())
         assert_same_distribution(got, want)
@@ -519,12 +518,12 @@ class TestSampleCounts:
         points = PointTrack(b, [4, 5, 9, 15])
         segments = SegmentTrack(b, [(5, 7), (10, 13), (17, 18)])
         rng = np.random.default_rng(derive_seed("kernel-exact", spec.to_string()))
-        got = sample_counts(points, segments, spec, rng, 200_000)
+        got = prepare_counts(points, segments, spec, 200_000)(rng, 200_000)
         assert_counts_follow(got, exact_count_law(points, segments, spec))
 
     def test_uniform_points_is_exactly_hypergeometric(self):
         rng = np.random.default_rng(derive_seed("kernel", "hypergeometric"))
-        got = sample_counts(KERNEL_POINTS, KERNEL_SEGMENTS, UNIFORM_POINTS, rng, 40_000)
+        got = prepare_counts(KERNEL_POINTS, KERNEL_SEGMENTS, UNIFORM_POINTS, 40_000)(rng, 40_000)
         assert_counts_follow(got, hypergeometric_law(
             KERNEL_BIN.length, KERNEL_SEGMENTS.total_length, len(KERNEL_POINTS)))
 
@@ -535,7 +534,7 @@ class TestSampleCounts:
         points = PointTrack(b, [10, 500_000_000, 1_500_000_000, 1_999_999_999])
         segments = SegmentTrack(b, [(0, 1_200_000_000)])
         rng = np.random.default_rng(derive_seed("kernel", "big"))
-        got = sample_counts(points, segments, UNIFORM_POINTS, rng, 4_000)
+        got = prepare_counts(points, segments, UNIFORM_POINTS, 4_000)(rng, 4_000)
         law = hypergeometric_law(b.length, segments.total_length, len(points))
         assert_counts_follow(got, law)
 
@@ -549,7 +548,7 @@ class TestSampleCounts:
         with pytest.raises(ValueError) as want:
             reference.resample_track(target, spec, 0)
         with pytest.raises(ValueError) as got:
-            sample_counts(points, segments, spec, np.random.default_rng(0), 3)
+            prepare_counts(points, segments, spec, 3)(np.random.default_rng(0), 3)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("spec", ALL_MODELS, ids=lambda s: s.to_string())
@@ -557,7 +556,7 @@ class TestSampleCounts:
         points, segments = KERNEL_POINTS, SegmentTrack(KERNEL_BIN, [])
         if spec == PRESERVE_INTERSEGMENT:  # needs a segment; empty the points instead
             points, segments = PointTrack(KERNEL_BIN, []), KERNEL_SEGMENTS
-        got = sample_counts(points, segments, spec, np.random.default_rng(1), 5)
+        got = prepare_counts(points, segments, spec, 5)(np.random.default_rng(1), 5)
         assert got.tolist() == [0] * 5
 
 
@@ -638,12 +637,13 @@ def test_sample_counts_same_on_both_sides(tracks, data):
     points, segments = tracks
     block = data.draw(st.integers(1, points.bin.length))
     seed, m = data.draw(st.integers(0, 2**32)), data.draw(st.integers(1, 5))
-    for spec in (*ALL_MODELS[:4], NullModelSpec.from_string(f"block:{block}")):
+    for spec in with_block(block):
         got = {}
         for side in SIDES:
             rng = np.random.default_rng(seed)
             try:
-                got[side] = on_side(side, sample_counts, points, segments, spec, rng, m).tolist()
+                got[side] = on_side(
+                    side, lambda: prepare_counts(points, segments, spec, m)(rng, m)).tolist()
             except ValueError as exc:
                 got[side] = str(exc)
         assert got["table"] == got["search"], spec.to_string()
@@ -657,9 +657,11 @@ def test_resample_track_is_row_zero_of_sample_counts(tracks, data):
     points, segments = tracks
     block = data.draw(st.integers(1, points.bin.length))
     seed = data.draw(st.integers(0, 2**32))
-    for spec in (*ALL_MODELS[1:4], NullModelSpec.from_string(f"block:{block}")):
+    for spec in with_block(block):
+        if spec == UNIFORM_POINTS:
+            continue
         try:
-            want = sample_counts(points, segments, spec, rng_for(seed), 1)[0]
+            want = prepare_counts(points, segments, spec, 1)(rng_for(seed), 1)[0]
         except ValueError as exc:
             target = points if randomizes_points(spec) else segments
             with pytest.raises(ValueError, match=re.escape(str(exc))):
@@ -691,7 +693,7 @@ def test_point_samplers_keep_their_invariants(tracks, data):
     if rel:
         specs.append(PRESERVE_INTERPOINT)
     for spec in specs:
-        rows = draw_chunk(null_models._point_sampler(points, spec, 64), data)
+        rows = draw_chunk(spec.model.sampler(points, spec.block_size, 64), data)
         assert rows.dtype == np.int64 and rows.shape[1] == len(rel), spec.to_string()
         assert np.all((rows >= 0) & (rows < length)), spec.to_string()
         for row in rows.tolist():
@@ -723,7 +725,7 @@ def test_segment_samplers_keep_their_invariants(tracks, data):
     rel = segments.segments - segments.bin.start
     gaps = sorted(rel[1:, 0] - rel[:-1, 1])
     for spec in (UNIFORM_SEGMENTS, PRESERVE_INTERSEGMENT)[: 2 if k else 1]:
-        starts, ends = draw_chunk(null_models._segment_sampler(segments, spec, 64), data)
+        starts, ends = draw_chunk(spec.model.sampler(segments, spec.block_size, 64), data)
         assert starts.shape == ends.shape and starts.shape[1] == k, spec.to_string()
         for srow, erow in zip(starts.tolist(), ends.tolist()):
             # Sorted, disjoint and inside the bin.
@@ -790,8 +792,8 @@ class TestStateSpaceSize:
         with pytest.raises(ValueError, match=message):
             resample_track(track, block, 0)
         with pytest.raises(ValueError, match=message):
-            sample_counts(track, SegmentTrack(track.bin, [(0, 4)]), block,
-                          np.random.default_rng(0), 1)
+            prepare_counts(track, SegmentTrack(track.bin, [(0, 4)]), block, 1)(
+                np.random.default_rng(0), 1)
         with pytest.raises(ValueError, match=message):
             state_space_size(track, block)
 
@@ -835,6 +837,28 @@ class TestNullModelSpecStrings:
         with pytest.raises(ValueError):
             NullModelSpec.from_string("block:0")
 
-    def test_block_requires_points_side(self):
+    def test_every_model_round_trips(self):
+        assert {spec.name for spec in ALL_MODELS} == set(MODELS)
+        for spec in ALL_MODELS:
+            assert NullModelSpec.from_string(spec.to_string()) == spec
+            assert NullModelSpec(spec.name, spec.block_size) == spec
+            assert spec.model is MODELS[spec.name]
+            assert pickle.loads(pickle.dumps(spec)) == spec
+
+    @pytest.mark.parametrize("name,block_size", [
+        ("uniform-segments", 2), ("block", None), ("block", 0), ("shuffle-everything", None),
+    ])
+    def test_invalid_spec_rejected(self, name, block_size):
         with pytest.raises(ValueError):
-            NullModelSpec(RandomizedSide.SEGMENTS, Preservation.UNIFORM_LOCATION, block_size=2)
+            NullModelSpec(name, block_size)
+
+    def test_equal_string_equal_spec_equal_hash(self):
+        specs = [
+            *ALL_MODELS, *with_block(5), *with_block(40),
+            NullModelSpec("block", 4), NullModelSpec("uniform-points"),
+            *(NullModelSpec.from_string(name) for name in
+              ("block:4", " block:5 ", "block:05", "block:40", "uniform-points")),
+        ]
+        for a, b in itertools.product(specs, repeat=2):
+            same_string = a.to_string() == b.to_string()
+            assert same_string == (a == b) == (hash(a) == hash(b)), (a, b)

@@ -8,6 +8,13 @@ module name, so ``from conftest import`` can reach the wrong one.
 import numpy as np
 from scipy.stats import chi2_contingency, chisquare
 
+from trackmc.null_models import SPELLINGS, NullModelSpec
+
+# One spec per entry of null_models.MODELS, in table order, block:<k> as
+# block:4. Tests parametrized over it run every model, and a model with no
+# oracle fails them.
+ALL_MODELS = tuple(NullModelSpec.from_string(s.replace("<k>", "4")) for s in SPELLINGS)
+
 
 def write_lines(path, rows):
     path.write_text("".join(f"{r}\n" for r in rows))

@@ -130,6 +130,15 @@ def calls(seed: int, genome_length: int) -> list[list[str]]:
     return out
 
 
+def extract_src(rev: str, dest: Path) -> Path:
+    """Extract ``src/`` at git revision ``rev`` under ``dest``; return it."""
+    archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
 def run_all(src: Path, rundir: Path, argvs: list[list[str]]) -> list[tuple]:
     """(exit code, stdout, stderr) of each call, run in ``rundir``."""
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -156,11 +165,7 @@ def main(argv: list[str]) -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="cli_bytes_") as tmp:
         tmp = Path(tmp)
-        archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp / "rev", filter="data")
-        trees = {rev: tmp / "rev" / "src", "working tree": ROOT / "src"}
+        trees = {rev: extract_src(rev, tmp / "rev"), "working tree": ROOT / "src"}
         n_calls = n_diffs = n_failed = 0
         for seed in SEEDS:
             genome = make_genome(seed)
