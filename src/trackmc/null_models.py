@@ -17,7 +17,8 @@ Carlo engine prepares each test once with ``prepare_counts``: the tracks
 are checked, what every sample shares is found, and one chunk's arrays are
 allocated. Every chunk of the test then draws into those arrays and counts
 each sampled track against the fixed one. ``resample_track`` returns one
-sampled track.
+sampled track. Uniform-segments and uniform-points draw a sorted uniform
+subset of slots for every row of a chunk at once (``_sorted_subsets``).
 
 The samples are counted by table lookup: a point sample's positions are
 read in a coverage mask of the segments, and a segment sample's starts and
@@ -103,38 +104,49 @@ class NullModelSpec:
 
     @classmethod
     def from_string(cls, name: str) -> "NullModelSpec":
-        """Parse the CLI form: one of ``SPELLINGS``, with ``<k>`` a block size."""
+        """Parse the CLI form: one of ``SPELLINGS``, with ``<k>`` a block size
+        written in ASCII digits alone."""
         name = name.strip()
         if name.startswith(f"{BLOCK}:"):
-            try:
-                k = int(name.split(":", 1)[1])
-            except ValueError:
-                raise ValueError(f"bad block size in null model {name!r}") from None
-            return cls(BLOCK, k)
+            k = name.split(":", 1)[1]
+            if not (k.isascii() and k.isdigit()):
+                raise ValueError(f"bad block size in null model {name!r}")
+            return cls(BLOCK, int(k))
         return cls(name)
 
 
-def _uniform_subset(rng: np.random.Generator, size: int, count: int) -> np.ndarray:
-    """Sorted uniform random count-subset of range(size), exactly uniform.
+def _slot_dtype(size: int) -> type:
+    """int32 where every slot of range(size) fits in it, else int64. Rows of
+    int32 sort about twice as fast."""
+    return np.int32 if size < 2**31 else np.int64
 
-    Dense requests fall back to a full permutation; sparse ones draw with
-    replacement and deduplicate, which by symmetry still yields a uniform
-    subset once a uniform count-subset of the distinct values is kept.
+
+def _sorted_subsets(rng: np.random.Generator, size: int, out: np.ndarray) -> np.ndarray:
+    """Fill every row of ``out`` (m rows of k) with a sorted, exactly uniform
+    random k-subset of range(size), all rows at once, and return ``out``.
+
+    Dense rows (``4*k >= size``) take the first k slots of a row-wise
+    permutation. Sparse rows draw their k slots with replacement, sort, and
+    redraw exactly the entries equal to their left neighbour, until no row
+    has one. That rule depends only on which slots are equal, and every
+    redraw is uniform, so the law of the final set is unchanged by any
+    relabelling of the slots: it is the uniform law on k-subsets.
     """
-    if count < 0 or count > size:
-        raise ValueError(f"cannot draw {count} distinct values from {size}")
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    if size <= 64 or 4 * count >= size:
-        return np.sort(rng.permutation(size)[:count]).astype(np.int64)
-    have = np.empty(0, dtype=np.int64)
-    while have.size < count:
-        need = count - have.size
-        draw = rng.integers(0, size, size=need + need // 4 + 16, dtype=np.int64)
-        have = np.union1d(have, draw)
-    if have.size > count:
-        have = np.sort(have[rng.permutation(have.size)[:count]])
-    return have
+    m, k = out.shape
+    if 4 * k >= size:
+        # An int64 row permutes faster than an int32 one.
+        out[:] = rng.permuted(np.broadcast_to(np.arange(size), (m, size)), axis=1)[:, :k]
+        out.sort(axis=1)
+        return out
+    out[:] = rng.integers(0, size, size=(m, k), dtype=out.dtype)
+    out.sort(axis=1)
+    later, earlier = out[:, 1:], out[:, :-1]
+    repeats = later == earlier
+    while repeats.any():
+        later[repeats] = rng.integers(0, size, size=np.count_nonzero(repeats), dtype=out.dtype)
+        out.sort(axis=1)
+        np.equal(later, earlier, out=repeats)
+    return out
 
 
 # --- feasibility checks shared by the samplers and state_space_size -------
@@ -185,10 +197,10 @@ def _uniform_points_sampler(points: PointTrack, b: None, rows: int) -> Callable:
     _check_uniform_points(points)
     length, n = points.bin.length, len(points)
     out = np.empty((rows, n), dtype=np.int64)
+    slots = np.empty((rows, n), dtype=_slot_dtype(length))
 
     def sample(rng: np.random.Generator, m: int) -> np.ndarray:
-        for row in out[:m]:
-            row[:] = _uniform_subset(rng, length, n)
+        out[:m] = _sorted_subsets(rng, length, slots[:m])
         return out[:m]
     return sample
 
@@ -236,26 +248,23 @@ def _block_sampler(points: PointTrack, size: int, rows: int) -> Callable:
 
 def _uniform_segments_sampler(segments: SegmentTrack, b: None, rows: int) -> Callable:
     k, lengths = len(segments), segments.lengths
+    slots = _segment_slack(segments) + k
     starts = np.empty((rows, k), dtype=np.int64)
     ends = np.empty((rows, k), dtype=np.int64)
-    if k == 0:
-        return lambda rng, m: (starts[:m], ends[:m])
-    slack = _segment_slack(segments)
-    bars = np.empty((rows, k), dtype=np.int64)
+    bars = np.empty((rows, k), dtype=_slot_dtype(slots))
     bar_shift = np.arange(k)
 
     def sample(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
         # starts holds the permuted lengths until the ends are known.
         rng.permuted(np.broadcast_to(lengths, (m, k)), axis=1, out=starts[:m])
-        # Stars and bars: k sorted bars among slack + k slots give a uniform
-        # composition of the slack into k+1 gaps; the gaps before segment j
-        # sum to bars[j] - j.
-        for row in bars[:m]:
-            row[:] = rng.choice(slack + k, k, replace=False, shuffle=False)
-        bars[:m].sort(axis=1)
-        bars[:m] -= bar_shift
+        # Stars and bars: k bars among slack + k slots, a uniform k-subset
+        # drawn for the whole chunk at once, give a uniform composition of
+        # the slack into k+1 gaps; the gaps before segment j sum to
+        # bars[j] - j.
+        _sorted_subsets(rng, slots, bars[:m])
         np.cumsum(starts[:m], axis=1, out=ends[:m])
         ends[:m] += bars[:m]
+        ends[:m] -= bar_shift
         np.subtract(ends[:m], starts[:m], out=starts[:m])
         return starts[:m], ends[:m]
     return sample

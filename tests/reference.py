@@ -25,8 +25,30 @@ from trackmc.null_models import (
     _interpoint_gaps,
     _intersegment_gaps,
     _segment_slack,
-    _uniform_subset,
 )
+
+
+def _uniform_subset(rng: np.random.Generator, size: int, count: int) -> np.ndarray:
+    """Sorted uniform random count-subset of range(size), exactly uniform.
+
+    Dense requests fall back to a full permutation; sparse ones draw with
+    replacement and deduplicate, which by symmetry still yields a uniform
+    subset once a uniform count-subset of the distinct values is kept.
+    """
+    if count < 0 or count > size:
+        raise ValueError(f"cannot draw {count} distinct values from {size}")
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    if size <= 64 or 4 * count >= size:
+        return np.sort(rng.permutation(size)[:count]).astype(np.int64)
+    have = np.empty(0, dtype=np.int64)
+    while have.size < count:
+        need = count - have.size
+        draw = rng.integers(0, size, size=need + need // 4 + 16, dtype=np.int64)
+        have = np.union1d(have, draw)
+    if have.size > count:
+        have = np.sort(have[rng.permutation(have.size)[:count]])
+    return have
 
 
 def _uniform_composition(rng: np.random.Generator, total: int, parts: int) -> np.ndarray:

@@ -73,6 +73,10 @@ class TestTestCommand:
                   "'preserve-intersegment', 'uniform-points', 'uniform-segments'] or block:<k>"),
         ("block:0", "block size must be >= 1, got 0"),
         ("block:x", "bad block size in null model 'block:x'"),
+        ("block:5_0", "bad block size in null model 'block:5_0'"),
+        ("block: 5", "bad block size in null model 'block: 5'"),
+        ("block:+5", "bad block size in null model 'block:+5'"),
+        ("block:\u0665", "bad block size in null model 'block:\u0665'"),
     ])
     def test_bad_null_model_error_line(self, track_files, capsys, model, message):
         points, segments = track_files

@@ -203,6 +203,40 @@ class TestResamplePointsUniform:
             assert_uniform_chisquare([counts.get(s, 0) for s in sorted(support)])
 
 
+class TestSortedSubsets:
+    """``_sorted_subsets`` on whole chunks: every row of every chunk counts."""
+
+    @staticmethod
+    def drawn_rows(size, k, chunks, seed):
+        out = np.empty((64, k), dtype=null_models._slot_dtype(size))
+        rng = np.random.default_rng(seed)
+        for _ in range(chunks):
+            yield from null_models._sorted_subsets(rng, size, out).tolist()
+
+    @pytest.mark.parametrize("size,k", [
+        (13, 3),  # sparse: about one row in five draws a repeat and redraws it
+        (7, 3),   # dense: the row-wise permutation
+    ])
+    def test_uniform_over_all_subsets(self, size, k):
+        counts = Counter(map(tuple, self.drawn_rows(size, k, 2000, seed=size)))
+        support = list(itertools.combinations(range(size), k))
+        assert set(counts) == set(support)
+        assert_uniform_chisquare([counts[s] for s in support])
+
+    @pytest.mark.parametrize("size,k", [
+        (13, 3), (7, 3), (40, 1), (5, 5), (100_000, 0), (2**31 - 1, 40), (2**32 + 7, 40),
+    ])
+    def test_rows_sorted_distinct_in_range(self, size, k):
+        assert null_models._slot_dtype(size) == (np.int32 if size < 2**31 else np.int64)
+        rows = np.array(list(self.drawn_rows(size, k, 3, seed=k)), dtype=np.int64)
+        assert rows.shape == (192, k)
+        assert np.all(np.diff(rows, axis=1) > 0)
+        assert np.all((rows >= 0) & (rows < size))
+        if size > 2**32:
+            # Slots past int32 are drawn, so none wrapped round.
+            assert rows.max() >= 2**31
+
+
 class TestResamplePointsPreserveDistances:
     def test_single_point_uniform_in_bin(self, bin10):
         track = PointTrack(bin10, [4])

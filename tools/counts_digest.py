@@ -14,10 +14,12 @@ of ``mc.null_counts``, or its error; and on bins up to 200 bp also
 ``resample_track`` and ``state_space_size`` on either track (for a
 ``TypeError`` only its type, since a wrong track type has no CLI path).
 
-Prints how many cases sampled and how many raised under each tree, and
-exits 1 naming the first case that differs, or if a tree fails to run,
-else 0. A change that must alter sampled numbers shows here as a
-difference to explain, not to hide.
+Prints how many cases sampled and how many raised under each tree. On a
+difference it names the first case that differs and prints, for each
+spelling, how many of its cases differ, so one run shows which models a
+change moved and that the others did not move; it then exits 1. It also
+exits 1 if a tree fails to run, else 0. A change that must alter sampled
+numbers shows here as a difference to explain, not to hide.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 from cli_bytes import ROOT, extract_src
@@ -53,8 +56,9 @@ def outcome(fn) -> object:
 
 
 def run_case(i: int) -> str:
-    """One line: the case, whether it sampled or raised, and a digest of
-    everything it recorded."""
+    """One tab-separated line: the case number, its spelling and its
+    tracks, whether it sampled or raised, and a digest of everything it
+    recorded."""
     # Imported here: only the case runners have a trackmc tree on their path.
     import numpy as np
     from trackmc import Bin, MCConfig, PointTrack, SegmentTrack
@@ -77,7 +81,7 @@ def run_case(i: int) -> str:
     segments = SegmentTrack(b, cuts.reshape(k, 2))
     spelling = str(rng.choice([*SPELLINGS, f"block:{length + 1}"]))
     m = int(rng.choice(SAMPLES))
-    case = f"case {i}: {spelling!r} L={length} n={n} k={k} samples={m}"
+    case = f"case {i}\t{spelling!r}\tL={length} n={n} k={k} samples={m}"
 
     status, record = "raised", []
     try:
@@ -98,6 +102,13 @@ def run_case(i: int) -> str:
                            outcome(lambda: state_space_size(track, spec))]
     digest = hashlib.sha256(repr(record).encode()).hexdigest()[:16]
     return f"{case}\t{status}\t{digest}"
+
+
+def spelling_of(line: str) -> str:
+    """The spelling field of a case line; the block longer than the bin,
+    whose spelling names the bin length, as one group."""
+    spelling = line.split("\t")[1]
+    return spelling if spelling in map(repr, SPELLINGS) else "'block:<L+1>'"
 
 
 def print_cases(src: str) -> int:
@@ -141,16 +152,21 @@ def main(argv: list[str]) -> int:
             return 1
         lines = {name: out.read_text().splitlines() for name, _, out, _ in runs}
     for name, tree_lines in lines.items():
-        statuses = [line.split("\t")[1] for line in tree_lines]
+        statuses = [line.split("\t")[3] for line in tree_lines]
         print(f"{name}: {len(statuses)} cases, {statuses.count('sampled')} sampled, "
               f"{statuses.count('raised')} raised")
     old, new = lines.values()
-    for a, b in zip(old, new):
-        if a != b:
-            print(f"first difference:\n  {rev}: {a}\n  working tree: {b}")
-            return 1
     if len(old) != len(new):
         print(f"{len(old)} cases under {rev}, {len(new)} under the working tree")
+        return 1
+    differ = [(a, b) for a, b in zip(old, new) if a != b]
+    if differ:
+        print(f"first difference:\n  {rev}: {differ[0][0]}\n  working tree: {differ[0][1]}")
+        cases = Counter(map(spelling_of, old))
+        differing = Counter(spelling_of(a) for a, _ in differ)
+        for spelling, total in sorted(cases.items()):
+            print(f"  {spelling}: {differing[spelling]} of {total} cases differ")
+        print(f"{len(differ)} of {len(new)} cases against {rev} differ")
         return 1
     print(f"{len(new)} cases against {rev}: identical "
           f"({time.perf_counter() - start:.0f} s)")
