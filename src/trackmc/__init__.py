@@ -20,13 +20,10 @@ from .null_models import (
     UNIFORM_POINTS,
     UNIFORM_SEGMENTS,
     resample_track,
-    state_space_size,
 )
 from .qvalues import estimate_pi0, qvalues, reject_at_fdr
 from .ripley import (
     DEFAULT_SCALES,
-    estimate_k,
-    estimate_l,
     estimate_l_profile,
 )
 from .seeding import derive_seed, rng_for
@@ -39,11 +36,8 @@ from .simulate import (
 )
 from .stats import (
     Direction,
-    binomial_lower_pvalue,
-    binomial_pvalue,
     binomial_upper_pvalue,
     count_points_in_segments,
-    statistic_moments_under_stationarity,
 )
 from .study import (
     ASSUMPTIONS,

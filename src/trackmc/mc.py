@@ -15,10 +15,11 @@ in the study's three MC rows, the ordering experiment's four models, and
 ``test`` runs of several models on one bin.
 
 Each test is prepared once (``null_models.prepare_counts``): the tracks
-are checked and the arrays of one chunk are made, and every chunk draws
-into them; the short last chunk uses their leading rows. The coverage mask
-or prefix count is built the first time a chunk reads it and kept for the
-test's later chunks. Nothing is kept from one test to the next.
+are checked, the arrays of one chunk are made, and the test chooses once
+between table lookup and binary search, building the coverage mask or
+prefix count if it takes the table. Every chunk draws into those arrays
+and counts the same way; the short last chunk uses their leading rows.
+Nothing is kept from one test to the next.
 """
 
 from __future__ import annotations

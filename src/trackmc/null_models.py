@@ -5,34 +5,32 @@ two nested pairs, one per randomized side: for points and for segments
 alike, holding the empirical inter-element distances fixed restricts the
 resampling state space to a subset of that side's uniform-location state
 space, which tends to push p-values up. Models that randomize different
-sides have no containment between them. ``state_space_size`` makes the
-containment quantitative on small instances.
+sides have no containment between them. The tests count the states
+exactly on small instances (``tests/reference.py``).
 
 Every model is one ``NullModel`` entry of ``MODELS``, keyed by its name:
 the track class it randomizes, the elements one sample permutes, one
-sampler that draws many randomized tracks at once as bin-relative arrays,
-its state-space size and, where one is known, an exact law of the count. A
-``NullModelSpec`` is a name and, for ``block``, a block size. The Monte
-Carlo engine prepares each test once with ``prepare_counts``: the tracks
-are checked, what every sample shares is found, and one chunk's arrays are
-allocated. Every chunk of the test then draws into those arrays and counts
-each sampled track against the fixed one. ``resample_track`` returns one
+sampler that draws many randomized tracks at once as bin-relative arrays
+and, where one is known, an exact law of the count. A ``NullModelSpec``
+is a name and, for ``block``, a block size. The Monte Carlo engine
+prepares each test once with ``prepare_counts``: the tracks are checked,
+what every sample shares is found, and one chunk's arrays are allocated.
+Every chunk of the test then draws into those arrays and counts each
+sampled track against the fixed one. ``resample_track`` returns one
 sampled track. Uniform-segments and uniform-points draw a sorted uniform
 subset of slots for every row of a chunk at once (``_sorted_subsets``).
 
 The samples are counted by table lookup: a point sample's positions are
 read in a coverage mask of the segments, and a segment sample's starts and
-ends in a prefix count of the points. A chunk reads the table only when
-the bin is at most four times as long as the chunk's lookups; otherwise it
-binary-searches, which gives the same counts without a table the size of
-the bin. A test builds its table at most once, the first time one of its
-chunks takes the table, and its later chunks read the same table.
+ends in a prefix count of the points. A test reads the table only when the
+bin is at most four times as long as the lookups of one full chunk;
+otherwise it binary-searches, which gives the same counts without a table
+the size of the bin. ``prepare_counts`` makes that choice and builds the
+table, and every chunk of the test, the short last one too, reads it.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -62,8 +60,6 @@ class NullModel:
       k] arrays of segment starts and ends. Segments are in order along each
       row, and so are points except under ``block:b``. Each call overwrites
       the rows the one before it returned.
-    - ``states(track, b)``: the exact number of distinct states the sampler
-      reaches, raising where the sampler raises.
     - ``law(points, segments)``: a ``draw(rng, m)`` of ``m`` counts from
       the count's exact law, or None where it cannot draw. A model without
       one keeps the default, which is always None.
@@ -72,7 +68,6 @@ class NullModel:
     side: type
     size: Callable[[Track, int | None], int]
     sampler: Callable[[Track, int | None, int], Callable]
-    states: Callable[[Track, int | None], int]
     law: Callable[[PointTrack, SegmentTrack], Draw | None] = lambda points, segments: None
 
 
@@ -149,7 +144,7 @@ def _sorted_subsets(rng: np.random.Generator, size: int, out: np.ndarray) -> np.
     return out
 
 
-# --- feasibility checks shared by the samplers and state_space_size -------
+# --- feasibility checks of the samplers ------------------------------------
 
 def _check_uniform_points(track: PointTrack) -> None:
     if len(track) > track.bin.length:
@@ -191,7 +186,7 @@ def _check_block_size(block_size: int, length: int) -> None:
         raise ValueError(f"block size must be in [1, {length}], got {block_size}")
 
 
-# --- the models: samplers, state-space sizes and exact laws --------------
+# --- the models: samplers and exact laws -----------------------------------
 
 def _uniform_points_sampler(points: PointTrack, b: None, rows: int) -> Callable:
     _check_uniform_points(points)
@@ -290,53 +285,6 @@ def _intersegment_sampler(segments: SegmentTrack, b: None, rows: int) -> Callabl
     return sample
 
 
-def _orders(counts: list[int]) -> int:
-    """Distinct orders of a multiset whose distinct values occur ``counts`` times."""
-    out = math.factorial(sum(counts))
-    for c in counts:
-        out //= math.factorial(c)
-    return out
-
-
-def _multiset_permutations(values: np.ndarray) -> int:
-    """Distinct orders of the elements of ``values``."""
-    return _orders(np.unique(values, return_counts=True)[1].tolist())
-
-
-def _interpoint_states(points: PointTrack, b: None) -> int:
-    if len(points) == 0:
-        return 1
-    gaps, n_offsets = _interpoint_gaps(points)
-    return _multiset_permutations(gaps) * n_offsets
-
-
-def _block_states(points: PointTrack, size: int) -> int:
-    # A state is an order of the blocks' point patterns (the offsets of
-    # their points); every empty block has the same, empty pattern.
-    _check_block_size(size, points.bin.length)
-    n_blocks = points.bin.length // size
-    rel = points.positions - points.bin.start
-    patterns: dict[int, list[int]] = {}
-    for block, within in zip(*np.divmod(rel[rel < n_blocks * size], size)):
-        patterns.setdefault(int(block), []).append(int(within))
-    counts = Counter(tuple(p) for p in patterns.values())
-    return _orders([*counts.values(), n_blocks - len(patterns)])
-
-
-def _uniform_segments_states(segments: SegmentTrack, b: None) -> int:
-    k = len(segments)
-    if k == 0:
-        return 1
-    return _multiset_permutations(segments.lengths) * math.comb(_segment_slack(segments) + k, k)
-
-
-def _intersegment_states(segments: SegmentTrack, b: None) -> int:
-    if len(segments) == 0:
-        return 1
-    gaps, n_offsets = _intersegment_gaps(segments)
-    return _multiset_permutations(segments.lengths) * _multiset_permutations(gaps) * n_offsets
-
-
 # numpy's hypergeometric sampler takes fewer than 10**9 good and bad items.
 _HYPERGEOMETRIC_LIMIT = 10**9
 
@@ -354,20 +302,18 @@ def _hypergeometric_law(points: PointTrack, segments: SegmentTrack) -> Draw | No
 MODELS: dict[str, NullModel] = {
     "uniform-points": NullModel(
         PointTrack, size=lambda points, b: 1, sampler=_uniform_points_sampler,
-        states=lambda points, b: math.comb(points.bin.length, len(points)),
         law=_hypergeometric_law),
     "preserve-interpoint": NullModel(
-        PointTrack, size=lambda points, b: len(points) - 1, sampler=_interpoint_sampler,
-        states=_interpoint_states),
+        PointTrack, size=lambda points, b: len(points) - 1, sampler=_interpoint_sampler),
     "uniform-segments": NullModel(
         SegmentTrack, size=lambda segments, b: 2 * len(segments) - 1,
-        sampler=_uniform_segments_sampler, states=_uniform_segments_states),
+        sampler=_uniform_segments_sampler),
     "preserve-intersegment": NullModel(
         SegmentTrack, size=lambda segments, b: 2 * len(segments) - 1,
-        sampler=_intersegment_sampler, states=_intersegment_states),
+        sampler=_intersegment_sampler),
     BLOCK: NullModel(
         PointTrack, size=lambda points, b: points.bin.length // b,
-        sampler=_block_sampler, states=_block_states),
+        sampler=_block_sampler),
 }
 # How --null-model spells each model, in table order; block takes its size.
 SPELLINGS = tuple(f"{name}:<k>" if name == BLOCK else name for name in MODELS)
@@ -411,7 +357,8 @@ def prepare_counts(
     The tracks are checked under ``spec`` here, so infeasible inputs raise
     the sampler's ``ValueError`` before any sample. What every sample
     shares (gaps, lengths, bin-relative positions and edges) is found once,
-    and the arrays of one ``rows``-sample chunk are allocated once.
+    the arrays of one ``rows``-sample chunk are allocated once, and the
+    count's lookup table, where the test reads one, is built once.
 
     The returned ``draw(rng, m)``, for ``m <= rows``, gives ``m`` null
     samples of the points-in-segments count as int64[m]. The side ``spec``
@@ -425,10 +372,10 @@ def prepare_counts(
         return draw
     if model.side is SegmentTrack:
         sample_segments = model.sampler(segments, spec.block_size, rows)
-        count_between = _between_counter(points, rows)
+        count_between = _between_counter(points, rows, len(segments))
         return lambda rng, m: count_between(*sample_segments(rng, m))
     sample_points = model.sampler(points, spec.block_size, rows)
-    count_covered = _covered_counter(segments, rows)
+    count_covered = _covered_counter(segments, rows, len(points))
     return lambda rng, m: count_covered(sample_points(rng, m))
 
 
@@ -440,92 +387,70 @@ def resample_track(track: Track, spec: NullModelSpec, rng_seed: int) -> Track:
     equals ``prepare_counts(..., 1)(rng_for(rng_seed), 1)[0]``.
     """
     rng = rng_for(rng_seed)
-    _check_side(track, spec)
-    sample = spec.model.sampler(track, spec.block_size, 1)(rng, 1)
-    if spec.model.side is PointTrack:
-        return PointTrack(track.bin, np.sort(sample[0]) + track.bin.start)
-    starts, ends = sample
-    return SegmentTrack(track.bin, np.column_stack((starts[0], ends[0])) + track.bin.start)
-
-
-def state_space_size(track: Track, spec: NullModelSpec) -> int:
-    """Exact number of distinct states reachable under ``spec``.
-
-    Computed with arbitrary-precision integers, so it is exact at any size
-    (the result may simply be astronomically large).
-    """
-    _check_side(track, spec)
-    return spec.model.states(track, spec.block_size)
-
-
-def _check_side(track: Track, spec: NullModelSpec) -> None:
     side = spec.model.side
     if not isinstance(track, side):
         raise TypeError(
             f"null model {spec.to_string()} randomizes a {side.__name__}, "
             f"not a {type(track).__name__}"
         )
+    sample = spec.model.sampler(track, spec.block_size, 1)(rng, 1)
+    if side is PointTrack:
+        return PointTrack(track.bin, np.sort(sample[0]) + track.bin.start)
+    starts, ends = sample
+    return SegmentTrack(track.bin, np.column_stack((starts[0], ends[0])) + track.bin.start)
 
 
 # A lookup table costs about 3 ns per bp of bin to build, a binary search
-# about 18 ns per lookup and a table gather about 2 ns. So a chunk reads a
-# table only when the bin spans at most this many bp per lookup of that
-# chunk. A test builds its table the first time a chunk takes it and keeps
-# it for its later chunks, so the table never costs more than the searches
-# of that one chunk, and never outgrows the chunk's own int64 arrays.
+# about 18 ns per lookup and a table gather about 2 ns. So a test reads a
+# table only when the bin spans at most this many bp per lookup of one full
+# chunk. The table is built once per test, so it never costs more than the
+# searches of that one chunk, and never outgrows the chunk's own int64
+# arrays.
 _TABLE_FACTOR = 4
 
 
-def _covered_counter(segments: SegmentTrack, rows: int) -> Callable[[np.ndarray], np.ndarray]:
-    """``count(rel)``: per row of ``m <= rows`` rows of bin-relative
+def _covered_counter(
+    segments: SegmentTrack, rows: int, n: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``count(rel)``: per row of ``m <= rows`` rows of ``n`` bin-relative
     positions, those that some segment covers."""
     length = segments.bin.length
     edges = segments.segments - segments.bin.start
-    table = None  # the coverage mask and a uint8[rows, n] array of lookups
+    if length > _TABLE_FACTOR * rows * n:
+        return lambda rel: _count_in_intervals(rel, edges)
+    # Coverage mask of the bin: +1 at each start, -1 at each end, summed.
+    # Starts are distinct and so are ends, so plain assignment suffices.
+    step = np.zeros(length + 1, dtype=np.int8)
+    step[edges[:, 0]] = 1
+    step[edges[:, 1]] -= 1
+    mask = np.cumsum(step[:length], dtype=np.int8).view(np.uint8)
+    hits = np.empty((rows, n), dtype=np.uint8)
 
     def count(rel: np.ndarray) -> np.ndarray:
-        nonlocal table
-        if length > _TABLE_FACTOR * rel.size:
-            return _count_in_intervals(rel, edges)
-        if table is None:
-            # Coverage mask of the bin: +1 at each start, -1 at each end,
-            # summed. Starts are distinct and so are ends, so plain
-            # assignment suffices.
-            step = np.zeros(length + 1, dtype=np.int8)
-            step[edges[:, 0]] = 1
-            step[edges[:, 1]] -= 1
-            mask = np.cumsum(step[:length], dtype=np.int8).view(np.uint8)
-            table = mask, np.empty((rows, rel.shape[1]), dtype=np.uint8)
-        mask, hits = table
         # mode="clip" writes straight into hits; every position is in the bin.
-        hits = np.take(mask, rel, out=hits[:len(rel)], mode="clip")
-        return hits.sum(axis=-1, dtype=np.int64)
+        found = np.take(mask, rel, out=hits[:len(rel)], mode="clip")
+        return found.sum(axis=-1, dtype=np.int64)
     return count
 
 
 def _between_counter(
-    points: PointTrack, rows: int
+    points: PointTrack, rows: int, k: int
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """``count(starts, ends)``: per row of ``m <= rows`` rows of bin-relative
-    segments, the points inside the half-open [starts, ends)."""
+    """``count(starts, ends)``: per row of ``m <= rows`` rows of ``k``
+    bin-relative segments, the points inside the half-open [starts, ends)."""
     length = points.bin.length
     rel = points.positions - points.bin.start
-    table = None  # the prefix count and an int32[rows, k] array of lookups
+    if length > _TABLE_FACTOR * rows * 2 * k:
+        return lambda starts, ends: (
+            np.searchsorted(rel, ends) - np.searchsorted(rel, starts)).sum(axis=-1)
+    # Prefix count: before[x] is the number of points below x, for x in [0, L].
+    before = np.zeros(length + 1, dtype=np.int32)
+    before[rel + 1] = 1
+    np.cumsum(before, out=before)
+    lookups = np.empty((rows, k), dtype=np.int32)
 
     def count(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        nonlocal table
-        if length > _TABLE_FACTOR * 2 * ends.size:
-            inside = np.searchsorted(rel, ends) - np.searchsorted(rel, starts)
-            return inside.sum(axis=-1)
-        if table is None:
-            # Prefix count: before[x] is the number of points below x, for
-            # x in [0, L].
-            before = np.zeros(length + 1, dtype=np.int32)
-            before[rel + 1] = 1
-            np.cumsum(before, out=before)
-            table = before, np.empty((rows, ends.shape[1]), dtype=np.int32)
-        before, found = table
-        found = found[:len(ends)]
+        found = lookups[:len(ends)]
         # mode="clip" writes straight into found; every boundary is in [0, L].
         inside = np.take(before, ends, out=found, mode="clip").sum(axis=-1, dtype=np.int64)
         inside -= np.take(before, starts, out=found, mode="clip").sum(axis=-1, dtype=np.int64)

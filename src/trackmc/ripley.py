@@ -1,9 +1,10 @@
-"""Ripley's K and scaled L estimators for 1-D binary sequences.
+"""Ripley's scaled L estimator for 1-D binary sequences.
 
 L(t) = K(t) / (2t) reads as: 1 for independent points, above 1 for
 attraction (clustering), below 1 for repulsion. A track that clusters at
 the scale of the tested relation is a candidate for a distance-preserving
-null model.
+null model. ``estimate_l_profile`` gives L over a grid of scales, finding
+the point positions once; L at one scale is a grid of one.
 
 Positions are 1-indexed internally to match the usual estimator algebra;
 the module boundary accepts ordinary 0-indexed sequences.
@@ -20,17 +21,6 @@ from .tracks import BinarySequence
 DEFAULT_SCALES = (10, 25, 50, 100, 250, 500)
 
 
-def estimate_k(seq: BinarySequence, tau: int) -> float:
-    """K estimator at distance ``tau``.
-
-    Sums inverse pair weights over ordered point pairs within ``tau``
-    (out-of-range indicators are zero), normalized by n * lambda_hat^2.
-    Counts the pairs by binary search over the point positions, so cost
-    scales with the points, not with n * tau.
-    """
-    return _k_of_positions(_positions(seq), len(seq), tau)
-
-
 def _positions(seq: BinarySequence) -> np.ndarray:
     """The sorted 1-indexed positions of the 1s of ``seq``."""
     # A BinarySequence holds only 0s and 1s, so its bytes read as booleans;
@@ -39,7 +29,14 @@ def _positions(seq: BinarySequence) -> np.ndarray:
 
 
 def _k_of_positions(positions: np.ndarray, n: int, tau: int) -> float:
-    """``estimate_k`` from the sorted 1-indexed positions of a length-``n`` sequence."""
+    """K at distance ``tau`` from the sorted 1-indexed positions of a
+    length-``n`` sequence.
+
+    Sums inverse pair weights over ordered point pairs within ``tau``
+    (out-of-range indicators are zero), normalized by n * lambda_hat^2.
+    Counts the pairs by binary search over the point positions, so cost
+    scales with the points, not with n * tau.
+    """
     if not 1 <= tau < n:
         raise ValueError(f"tau must lie in [1, {n - 1}], got {tau}")
     m = positions.size
@@ -52,11 +49,6 @@ def _k_of_positions(positions: np.ndarray, n: int, tau: int) -> float:
     ends = np.searchsorted(positions, positions + tau, side="right")
     total = int((ends - np.arange(1, m + 1)).sum())
     return 2.0 * total / (n * lam * lam)
-
-
-def estimate_l(seq: BinarySequence, tau: int) -> float:
-    """Scaled estimator L(tau) = K(tau) / (2 * tau)."""
-    return estimate_k(seq, tau) / (2.0 * tau)
 
 
 def estimate_l_profile(seq: BinarySequence, scales: Sequence[int]) -> tuple[float, ...]:

@@ -1,9 +1,8 @@
 """Test statistics and the analytic binomial reference null.
 
-The workhorse statistic is the number of points falling inside segments;
-its normalized form is a weighted sum (1/n) * sum(y_i * x_i) over the
-bin's indicator sequence, which the moment helpers reason about under a
-stationarity assumption with a decaying correlation function.
+The workhorse statistic is the number of points falling inside segments.
+Its binomial reference null is the upper tail P(T >= t), the one the
+study's analytic rows report.
 
 The binomial tails are computed in-house, without scipy: P(T >= t) is the
 regularized incomplete beta I_p(t, n - t + 1), evaluated by the continued
@@ -24,9 +23,6 @@ import math
 import numpy as np
 
 from .tracks import PointTrack, SegmentTrack
-
-# One weight per base pair of the bin.
-WeightVector = np.ndarray
 
 
 class Direction(enum.Enum):
@@ -170,58 +166,3 @@ def binomial_upper_pvalue(t: int, n: int, p: float) -> float:
     """P(T >= t) under Binomial(n, p), stable down to tiny tails."""
     _check_binomial_args(t, n, p)
     return _binomial_tails(t, n, p)[0]
-
-
-def binomial_lower_pvalue(t: int, n: int, p: float) -> float:
-    """P(T <= t) under Binomial(n, p), stable down to tiny tails."""
-    _check_binomial_args(t, n, p)
-    return 1.0 if t == n else _binomial_tails(t + 1, n, p)[1]
-
-
-def binomial_pvalue(t: int, n: int, p: float, direction: Direction = Direction.GREATER) -> float:
-    """Tail probability for the requested direction.
-
-    Two-sided doubles the smaller of the inclusive tails, capped at 1.
-    """
-    if direction is Direction.GREATER:
-        return binomial_upper_pvalue(t, n, p)
-    if direction is Direction.LESS:
-        return binomial_lower_pvalue(t, n, p)
-    return min(1.0, 2.0 * min(binomial_upper_pvalue(t, n, p), binomial_lower_pvalue(t, n, p)))
-
-
-def statistic_moments_under_stationarity(
-    lam: float,
-    sigma2: float,
-    rho: np.ndarray,
-    weights: WeightVector,
-) -> tuple[float, float]:
-    """Mean and variance of (1/n) * sum(y_i * X_i) for stationary X.
-
-    Assumes E(X_i) = lam, Var(X_i) = sigma2 and Cov(X_i, X_j) =
-    sigma2 * rho(|i - j|) with ``rho`` tabulated by distance (``rho[0]``
-    must be 1) and zero beyond its tabulated support. ``rho`` must be
-    non-negative and non-increasing, the regime in which preserving more
-    short-range correlation can only inflate the variance.
-
-    Runs in O(n * d_max) using the finite support of ``rho``.
-    """
-    y = np.asarray(weights, dtype=np.float64).reshape(-1)
-    r = np.asarray(rho, dtype=np.float64).reshape(-1)
-    if r.size < 1 or abs(r[0] - 1.0) > 1e-12:
-        raise ValueError("rho[0] (distance zero) must equal 1")
-    if np.any(r < 0.0):
-        raise ValueError("rho must be non-negative")
-    if np.any(np.diff(r) > 0.0):
-        raise ValueError("rho must be non-increasing with distance")
-    n = y.size
-    if n == 0:
-        raise ValueError("weights must be non-empty")
-    mean = lam * float(y.sum()) / n
-    acc = float(np.dot(y, y))
-    for d in range(1, min(r.size, n)):
-        if r[d] == 0.0:
-            continue
-        acc += 2.0 * r[d] * float(np.dot(y[:-d], y[d:]))
-    variance = sigma2 * acc / (n * n)
-    return mean, variance

@@ -31,6 +31,9 @@ class TrackValidationError(ValueError):
     """Structurally valid input that violates a track invariant."""
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 @dataclass(frozen=True)
 class Bin:
     """A contiguous analysis region; one hypothesis test per bin."""
@@ -53,6 +56,11 @@ class Bin:
         if self.end <= self.start:
             raise TrackValidationError(
                 f"bin {self.id!r}: end must exceed start, got [{self.start}, {self.end})"
+            )
+        if self.end > _INT64.max:
+            # CLI flags skip the readers' int64 check; the tracks' arrays are int64.
+            raise TrackValidationError(
+                f"bin {self.id!r}: coordinates must fit in int64, got [{self.start}, {self.end})"
             )
 
     @property
@@ -169,9 +177,6 @@ def _data_rows(path: PathLike) -> Iterable[tuple[int, list[str]]]:
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             yield lineno, [f.strip() for f in line.split("\t")]
-
-
-_INT64 = np.iinfo(np.int64)
 
 
 def _parse_int(field: str, path: PathLike, lineno: int) -> int:

@@ -4,15 +4,21 @@ The resamplers build one randomized track per seed, the plainest reading
 of each null model; ``resample_track`` picks one by the model's name. The
 engine's samplers (the counts of ``null_models.prepare_counts`` and the
 one-track front end ``null_models.resample_track``) are pinned to them by
-state-uniformity and law tests. ``weighted_sum_statistic``,
-``segment_indicator_weights`` and ``pair_weight`` spell out the statistic
-and the Ripley edge correction term by term. ``CLEAN_ROWS`` are the
-patterns of a plainly clean track text that the one-pass reader takes.
+state-uniformity and law tests. ``state_space_size`` counts each model's
+states exactly, which makes the nesting of the models quantitative
+(criterion 7). ``weighted_sum_statistic``, ``segment_indicator_weights``
+and ``pair_weight`` spell out the statistic and the Ripley edge correction
+term by term, and ``statistic_moments_under_stationarity`` gives the
+statistic's variance under a stationary correlation (criterion 8).
+``CLEAN_ROWS`` are the patterns of a plainly clean track text that the
+one-pass reader takes.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from collections import Counter
 from typing import Union
 
 import numpy as np
@@ -162,6 +168,73 @@ def resample_track(
     return resample(track, rng_seed)
 
 
+# --- exact state-space sizes ------------------------------------------------
+
+def _orders(counts: list[int]) -> int:
+    """Distinct orders of a multiset whose distinct values occur ``counts`` times."""
+    out = math.factorial(sum(counts))
+    for c in counts:
+        out //= math.factorial(c)
+    return out
+
+
+def _multiset_permutations(values: np.ndarray) -> int:
+    """Distinct orders of the elements of ``values``."""
+    return _orders(np.unique(values, return_counts=True)[1].tolist())
+
+
+def _uniform_points_states(points: PointTrack, b: None) -> int:
+    return math.comb(points.bin.length, len(points))
+
+
+def _interpoint_states(points: PointTrack, b: None) -> int:
+    if len(points) == 0:
+        return 1
+    gaps, n_offsets = _interpoint_gaps(points)
+    return _multiset_permutations(gaps) * n_offsets
+
+
+def _block_states(points: PointTrack, size: int) -> int:
+    # A state is an order of the blocks' point patterns (the offsets of
+    # their points); every empty block has the same, empty pattern.
+    _check_block_size(size, points.bin.length)
+    n_blocks = points.bin.length // size
+    rel = points.positions - points.bin.start
+    patterns: dict[int, list[int]] = {}
+    for block, within in zip(*np.divmod(rel[rel < n_blocks * size], size)):
+        patterns.setdefault(int(block), []).append(int(within))
+    counts = Counter(tuple(p) for p in patterns.values())
+    return _orders([*counts.values(), n_blocks - len(patterns)])
+
+
+def _uniform_segments_states(segments: SegmentTrack, b: None) -> int:
+    k = len(segments)
+    if k == 0:
+        return 1
+    return _multiset_permutations(segments.lengths) * math.comb(_segment_slack(segments) + k, k)
+
+
+def _intersegment_states(segments: SegmentTrack, b: None) -> int:
+    if len(segments) == 0:
+        return 1
+    gaps, n_offsets = _intersegment_gaps(segments)
+    return _multiset_permutations(segments.lengths) * _multiset_permutations(gaps) * n_offsets
+
+
+def state_space_size(track: Union[PointTrack, SegmentTrack], spec: NullModelSpec) -> int:
+    """Exact number of distinct states the model ``spec`` names reaches
+    from ``track``, as an arbitrary-precision integer, raising where its
+    sampler raises. A model without a count raises ``KeyError``."""
+    states = {
+        "uniform-points": _uniform_points_states,
+        "preserve-interpoint": _interpoint_states,
+        "uniform-segments": _uniform_segments_states,
+        "preserve-intersegment": _intersegment_states,
+        "block": _block_states,
+    }[spec.name]
+    return states(track, spec.block_size)
+
+
 # --- the statistic and the Ripley edge correction, term by term -------------
 
 def segment_indicator_weights(segments: SegmentTrack) -> np.ndarray:
@@ -179,6 +252,40 @@ def weighted_sum_statistic(seq: BinarySequence, weights: np.ndarray) -> float:
     if y.size != n:
         raise ValueError(f"length mismatch: {n} indicators vs {y.size} weights")
     return float(np.dot(y, seq.values)) / n
+
+
+def statistic_moments_under_stationarity(
+    lam: float, sigma2: float, rho: np.ndarray, weights: np.ndarray
+) -> tuple[float, float]:
+    """Mean and variance of (1/n) * sum(y_i * X_i) for stationary X.
+
+    Assumes E(X_i) = lam, Var(X_i) = sigma2 and Cov(X_i, X_j) =
+    sigma2 * rho(|i - j|) with ``rho`` tabulated by distance (``rho[0]``
+    must be 1) and zero beyond its tabulated support. ``rho`` must be
+    non-negative and non-increasing, the regime in which preserving more
+    short-range correlation can only inflate the variance.
+
+    Runs in O(n * d_max) using the finite support of ``rho``.
+    """
+    y = np.asarray(weights, dtype=np.float64).reshape(-1)
+    r = np.asarray(rho, dtype=np.float64).reshape(-1)
+    if r.size < 1 or abs(r[0] - 1.0) > 1e-12:
+        raise ValueError("rho[0] (distance zero) must equal 1")
+    if np.any(r < 0.0):
+        raise ValueError("rho must be non-negative")
+    if np.any(np.diff(r) > 0.0):
+        raise ValueError("rho must be non-increasing with distance")
+    n = y.size
+    if n == 0:
+        raise ValueError("weights must be non-empty")
+    mean = lam * float(y.sum()) / n
+    acc = float(np.dot(y, y))
+    for d in range(1, min(r.size, n)):
+        if r[d] == 0.0:
+            continue
+        acc += 2.0 * r[d] * float(np.dot(y[:-d], y[d:]))
+    variance = sigma2 * acc / (n * n)
+    return mean, variance
 
 
 def pair_weight(i: int, j: int, n: int) -> float:

@@ -29,7 +29,7 @@ from trackmc import (
     coverage_fraction,
     decile_table,
     derive_seed,
-    estimate_l,
+    estimate_l_profile,
     generate_points,
     generate_segments,
     qvalues,
@@ -37,11 +37,11 @@ from trackmc import (
     run_false_rejection_study,
     run_mc_test,
     run_ordering_experiment,
-    state_space_size,
     to_binary_sequence,
 )
 from trackmc.cli import main as cli_main
 from trackmc.study import _replicate
+from reference import state_space_size, statistic_moments_under_stationarity
 
 SEED = 0
 WORKERS = 2
@@ -168,24 +168,24 @@ def test_criterion_3_ripley_identity():
     means = {}
     for tau in (25, 50):
         vals = [
-            estimate_l(
+            estimate_l_profile(
                 to_binary_sequence(
                     generate_points(Bin(f"i{r}", 0, 10_000), independent, derive_seed(SEED, "rip-i", r))
                 ),
-                tau,
-            )
+                [tau],
+            )[0]
             for r in range(50)
         ]
         means[tau] = float(np.mean(vals))
         if not 0.9 <= means[tau] <= 1.1:
             failures.append(f"independent mean L({tau}) = {means[tau]:.3f} outside [0.9, 1.1]")
     cl_vals = [
-        estimate_l(
+        estimate_l_profile(
             to_binary_sequence(
                 generate_points(Bin(f"c{r}", 0, 10_000), clustered, derive_seed(SEED, "rip-c", r))
             ),
-            50,
-        )
+            [50],
+        )[0]
         for r in range(50)
     ]
     cl_mean = float(np.mean(cl_vals))
@@ -329,8 +329,6 @@ def test_criterion_7_hierarchy_containment():
 
 
 def test_criterion_8_variance_ordering():
-    from trackmc import statistic_moments_under_stationarity
-
     failures = []
     rng = np.random.default_rng(derive_seed(SEED, "var"))
     for i in range(100):

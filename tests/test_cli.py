@@ -200,6 +200,20 @@ class TestOutOfRangeCoordinate:
             f"{self.HUGE!r}\n"
         )
 
+    @pytest.mark.parametrize("command", ["test", "simulate"])
+    def test_bin_flag_rejected(self, track_files, tmp_path, capsys, command):
+        # Flags do not pass the readers' check, so the bin itself rejects them.
+        points, segments = track_files
+        out = tmp_path / "out.tsv"
+        argv = {
+            "test": ["test", "--points", points, "--segments", segments, "--bin-end", self.HUGE],
+            "simulate": ["simulate", "points", "--bin-length", self.HUGE],
+        }[command]
+        assert run_cli(*argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "coordinates must fit in int64" in err
+        assert "Traceback" not in err and not out.exists()
+
 
 class TestQvalueCommand:
     def test_appends_qvalues_and_flags(self, tmp_path):

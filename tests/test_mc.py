@@ -261,8 +261,8 @@ class TestPreparedTest:
 
     @staticmethod
     def _case(bin_id="prep", seed=0, length=20_000):
-        # 100 points and 50 segments: the full chunks read the table, which
-        # the short chunk's fewer lookups do not pay for.
+        # 100 points and 50 segments: the lookups of a full chunk pay for
+        # the table, those of the short last chunk alone would not.
         rng = np.random.default_rng(seed)
         b = Bin(bin_id, 1_000, 1_000 + length)
         points = PointTrack(b, 1_000 + np.sort(rng.choice(length, 100, replace=False)))
@@ -286,12 +286,19 @@ class TestPreparedTest:
         cfg = MCConfig(n_samples=self.N_SAMPLES, master_seed=11)
         assert chunk_rows(points, segments, spec) == 64
         # Lookups per sample: the sampled positions, or both ends of every
-        # sampled segment. The full chunks take the table, the last the search.
+        # sampled segment. The test takes the table for its full chunks, and
+        # its short last chunk reads the same table.
         segment_model = spec.model.side is SegmentTrack
         lookups = 2 * len(segments) if segment_model else len(points)
         factor, length = null_models._TABLE_FACTOR, points.bin.length
         assert factor * 10 * lookups < length <= factor * 64 * lookups
-        got = null_counts(points, segments, spec, cfg)
+        searches, search = [], null_models._count_in_intervals
+        with pytest.MonkeyPatch.context() as mp:
+            # The point models binary-search through _count_in_intervals.
+            mp.setattr(null_models, "_count_in_intervals",
+                       lambda *args: searches.append(args) or search(*args))
+            got = null_counts(points, segments, spec, cfg)
+        assert searches == []
         assert np.array_equal(got, self._chunk_by_chunk(points, segments, spec, cfg))
 
     def test_back_to_back_tests_keep_their_own_counts(self):

@@ -23,7 +23,6 @@ from trackmc import (
     derive_seed,
     resample_track,
     rng_for,
-    state_space_size,
     to_binary_sequence,
 )
 from trackmc import null_models
@@ -42,6 +41,7 @@ from reference import (
     resample_points_uniform,
     resample_segments_preserve_distances,
     resample_segments_uniform,
+    state_space_size,
 )
 
 BLOCK2 = NullModelSpec("block", 2)
@@ -601,6 +601,8 @@ SIDES = {"search": 0, "table": 10**9}
 
 
 def on_side(side, fn, *args):
+    """``fn(*args)`` with ``_TABLE_FACTOR`` set for ``side``. A test chooses
+    its side when it is prepared, so ``fn`` must build the counter."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(null_models, "_TABLE_FACTOR", SIDES[side])
         return fn(*args)
@@ -645,8 +647,8 @@ def test_count_covered_matches_brute_force(side, tracks, data):
     rel = rows_of(data.draw, data.draw(st.integers(0, 6)), st.integers(0, length - 1))
     covered = [(s - segments.bin.start, e - segments.bin.start) for s, e in segments.segments]
     want = [sum(any(s <= x < e for s, e in covered) for x in row) for row in rel.tolist()]
-    count = null_models._covered_counter(segments, len(rel))
-    assert on_side(side, count, rel).tolist() == want
+    count = on_side(side, null_models._covered_counter, segments, *rel.shape)
+    assert count(rel).tolist() == want
 
 
 @pytest.mark.parametrize("side", SIDES)
@@ -661,8 +663,8 @@ def test_count_between_matches_brute_force(side, tracks, data):
     rel = (points.positions - points.bin.start).tolist()
     want = [sum(s <= x < e for s, e in zip(srow, erow) for x in rel)
             for srow, erow in zip(starts.tolist(), ends.tolist())]
-    count = null_models._between_counter(points, len(ends))
-    assert on_side(side, count, starts, ends).tolist() == want
+    count = on_side(side, null_models._between_counter, points, *ends.shape)
+    assert count(starts, ends).tolist() == want
 
 
 @settings(max_examples=200, deadline=None)

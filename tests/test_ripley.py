@@ -7,13 +7,16 @@ from trackmc import (
     PointGenConfig,
     PointMode,
     derive_seed,
-    estimate_k,
-    estimate_l,
     estimate_l_profile,
     generate_points,
     to_binary_sequence,
 )
 from reference import pair_weight
+
+
+def estimate_l(seq, tau):
+    """L at one scale: a profile of one."""
+    return estimate_l_profile(seq, [tau])[0]
 
 
 class TestPairWeight:
@@ -44,22 +47,21 @@ class TestEstimateK:
         # Two points at the first two coordinates of a length-20 sequence:
         # K(1) = (1/20) * (20/2)^2 * 2 = 10, so L(1) = 5.
         seq = BinarySequence([1, 1] + [0] * 18)
-        assert estimate_k(seq, 1) == pytest.approx(10.0, rel=1e-12)
+        assert 2 * estimate_l(seq, 1) == pytest.approx(10.0, rel=1e-12)
         assert estimate_l(seq, 1) == pytest.approx(5.0, rel=1e-12)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError, match="K undefined"):
-            estimate_k(BinarySequence([0, 1, 0, 0]), 1)
+            estimate_l(BinarySequence([0, 1, 0, 0]), 1)
 
     @pytest.mark.parametrize("tau", [0, -3, 10, 11])
     def test_tau_domain(self, tau):
         with pytest.raises(ValueError, match="tau"):
-            estimate_k(BinarySequence([1, 0, 0, 1] + [0] * 6), tau)
+            estimate_l(BinarySequence([1, 0, 0, 1] + [0] * 6), tau)
 
     def test_spread_lattice_has_no_pairs(self):
         # Equal spacing above tau: L = 0.
         seq = BinarySequence([1 if i % 10 == 0 else 0 for i in range(50)])
-        assert estimate_k(seq, 5) == 0.0
         assert estimate_l(seq, 5) == 0.0
 
     def test_matches_direct_double_sum(self):
@@ -81,11 +83,12 @@ class TestEstimateK:
                     if x[i - 1] and x[j - 1]:
                         direct += 1.0 / pair_weight(i, j, n)
             direct /= n * lam * lam
-            assert estimate_k(seq, tau) == pytest.approx(direct, rel=1e-12)
+            assert 2 * tau * estimate_l(seq, tau) == pytest.approx(direct, rel=1e-12)
 
 
 def estimate_k_loop(seq, tau):
-    # The per-point loop over inverse pair weights that estimate_k replaced.
+    # The per-point loop over inverse pair weights that the binary search
+    # over point positions replaced.
     n = len(seq)
     positions = np.flatnonzero(seq.values).astype(np.int64) + 1
     m = positions.size
@@ -119,7 +122,7 @@ def test_estimate_k_equals_pair_weight_loop():
         if seq.values.sum() < 2:
             continue
         tau = int(rng.integers(1, min(n, 2000)))
-        assert estimate_k(seq, tau) == estimate_k_loop(seq, tau), (rep, n, tau)
+        assert estimate_l(seq, tau) == estimate_k_loop(seq, tau) / (2.0 * tau), (rep, n, tau)
 
 
 class TestEstimateLProfile:
@@ -128,11 +131,6 @@ class TestEstimateLProfile:
         l_values = estimate_l_profile(seq, [2, 2, 3])
         assert len(l_values) == 3
         assert l_values[0] == l_values[1]
-
-    def test_single_scale_matches_estimate_k(self):
-        seq = BinarySequence([1, 0, 1, 0, 0, 1, 0, 0])
-        l_values = estimate_l_profile(seq, [3])
-        assert l_values[0] == pytest.approx(estimate_k(seq, 3) / 6.0)
 
     def test_empty_scales(self):
         seq = BinarySequence([1, 1, 0])
@@ -200,7 +198,7 @@ class TestTheoreticalIdentity:
         estimates = []
         for _ in range(200):
             x = simulate_markov_chain(rng, n, lam, r)
-            estimates.append(estimate_k(BinarySequence(x), tau))
+            estimates.append(2 * tau * estimate_l(BinarySequence(x), tau))
         mean = np.mean(estimates)
         se = np.std(estimates, ddof=1) / np.sqrt(len(estimates))
         assert abs(mean - expected) <= 3 * se, (
@@ -236,6 +234,6 @@ class TestTheoreticalIdentity:
 def test_out_of_range_indicators_do_not_contribute():
     # Points hugging both boundaries: only the in-range pair is summed.
     seq = BinarySequence([1] + [0] * 10 + [1])
-    assert estimate_k(seq, 3) == 0.0
+    assert estimate_l(seq, 3) == 0.0
     seq2 = BinarySequence([1, 0, 1] + [0] * 9)
-    assert estimate_k(seq2, 3) > 0.0
+    assert estimate_l(seq2, 3) > 0.0

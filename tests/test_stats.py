@@ -5,22 +5,28 @@ import pytest
 
 from trackmc import (
     Bin,
-    Direction,
     PointTrack,
     SegmentTrack,
-    binomial_lower_pvalue,
-    binomial_pvalue,
     binomial_upper_pvalue,
     count_points_in_segments,
-    statistic_moments_under_stationarity,
     to_binary_sequence,
 )
-from reference import segment_indicator_weights, weighted_sum_statistic
+from trackmc.stats import _binomial_tails
+from reference import (
+    segment_indicator_weights,
+    statistic_moments_under_stationarity,
+    weighted_sum_statistic,
+)
+
+
+def binomial_lower(t, n, p):
+    """P(T <= t), from the lower tail ``_binomial_tails`` pairs with P(T > t)."""
+    return 1.0 if t == n else _binomial_tails(t + 1, n, p)[1]
 
 
 def binomial_lower_strict(t, n, p):
     """P(T < t), the complement of ``binomial_upper_pvalue``."""
-    return binomial_lower_pvalue(t - 1, n, p) if t else 0.0
+    return binomial_lower(t - 1, n, p) if t else 0.0
 
 
 def brute_force_count(points, segments):
@@ -152,7 +158,7 @@ class TestBinomialPvalues:
         # Lower tails far below 1: a lower tail formed as 1 - upper loses
         # them (0.0 for the first two, a 3e-11 relative error for the third).
         for t, n, p in [(4500, 10_000, 0.5), (7600, 10_000, 0.8), (20, 10_000, 0.005)]:
-            assert binomial_lower_pvalue(t, n, p) == pytest.approx(
+            assert binomial_lower(t, n, p) == pytest.approx(
                 log_space_pmf_sum(0, t + 1, n, p), rel=1e-8, abs=0.0
             )
 
@@ -177,7 +183,7 @@ class TestBinomialPvalues:
             for got, want, ks in [
                 (binomial_upper_pvalue(t, n, p), binom.sf(t - 1, n, p), (t, n + 1)),
                 (binomial_lower_strict(t, n, p), binom.cdf(t - 1, n, p), (0, t)),
-                (binomial_lower_pvalue(t, n, p), binom.cdf(t, n, p), (0, t + 1)),
+                (binomial_lower(t, n, p), binom.cdf(t, n, p), (0, t + 1)),
             ]:
                 if want >= 1e-280:
                     assert got == pytest.approx(want, rel=1e-10, abs=0.0), (t, n, p)
@@ -228,7 +234,7 @@ class TestBinomialPvalues:
                 assert binomial_upper_pvalue(t, n, p) == binom.sf(t - 1, n, p), (t, n, p)
                 assert binomial_lower_strict(t, n, p) == binom.cdf(t - 1, n, p), (t, n, p)
             if t == n or p in (0.0, 1.0):
-                assert binomial_lower_pvalue(t, n, p) == binom.cdf(t, n, p), (t, n, p)
+                assert binomial_lower(t, n, p) == binom.cdf(t, n, p), (t, n, p)
             if t == n:
                 # P(T = n) is p**n; scipy rounds it differently in the last
                 # ulp or two for some (n, p), so only closeness is asserted.
@@ -236,14 +242,6 @@ class TestBinomialPvalues:
                 assert binomial_upper_pvalue(t, n, p) == pytest.approx(
                     binom.sf(t - 1, n, p), rel=1e-15, abs=1e-300
                 )
-
-    def test_two_sided_doubles_smaller_tail(self):
-        upper = binomial_upper_pvalue(8, 10, 0.5)
-        lower = binomial_lower_pvalue(8, 10, 0.5)
-        assert binomial_pvalue(8, 10, 0.5, Direction.TWO_SIDED) == pytest.approx(
-            min(1.0, 2.0 * min(upper, lower))
-        )
-        assert binomial_pvalue(5, 10, 0.5, Direction.TWO_SIDED) == 1.0
 
     @pytest.mark.parametrize("t,n,p", [(-1, 5, 0.5), (6, 5, 0.5), (2, 5, -0.1), (2, 5, 1.5)])
     def test_domain_errors(self, t, n, p):

@@ -50,6 +50,15 @@ class TestBin:
         with pytest.raises(TrackValidationError, match="id must not start with '#'"):
             Bin(bin_id, 0, 10)
 
+    @pytest.mark.parametrize("start,end", [(0, 2**63), (2**63, 2**63 + 5)])
+    def test_coordinates_outside_int64_rejected(self, start, end):
+        # Every array of the bin's tracks is int64.
+        with pytest.raises(TrackValidationError, match="bin 'b': coordinates must fit in int64"):
+            Bin("b", start, end)
+
+    def test_int64_max_end_accepted(self):
+        assert Bin("b", 0, 2**63 - 1).length == 2**63 - 1
+
     def test_id_with_inner_hash_accepted(self):
         assert Bin("a#1", 0, 10).id == "a#1"
 
