@@ -29,7 +29,6 @@ from .ripley import (
 from .seeding import derive_seed, rng_for
 from .simulate import (
     PointGenConfig,
-    PointMode,
     SegmentGenConfig,
     generate_points,
     generate_segments,

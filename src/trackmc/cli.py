@@ -25,7 +25,7 @@ from .mc import ConfigError, Direction, EstimatorMode, MCConfig, run_mc_batch, r
 from .null_models import SPELLINGS, NullModelSpec
 from .qvalues import estimate_pi0, qvalues, reject_at_fdr
 from .ripley import DEFAULT_SCALES
-from .simulate import PointGenConfig, PointMode, SegmentGenConfig, generate_points, generate_segments
+from .simulate import PointGenConfig, SegmentGenConfig, generate_points, generate_segments
 from .study import (
     StudyConfig,
     filter_bins,
@@ -41,9 +41,7 @@ from .study import (
 from .tracks import (
     Bin,
     TrackFormatError,
-    TrackValidationError,
     _data_rows,
-    fmt,
     load_bins,
     load_point_track,
     load_segment_track,
@@ -52,11 +50,9 @@ from .tracks import (
     read_segments,
     save_point_track,
     save_segment_track,
+    table_lines,
     write_tsv,
 )
-
-_DIRECTIONS = {d.value: d for d in Direction}
-_ESTIMATORS = {m.value: m for m in EstimatorMode}
 
 
 def _out(path: str):
@@ -97,16 +93,16 @@ def _add_mc_args(p: argparse.ArgumentParser, default_samples: int) -> None:
     p.add_argument("--samples", type=int, default=default_samples,
                    help=f"Monte Carlo samples (default: {default_samples})")
     p.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
-    p.add_argument("--direction", choices=sorted(_DIRECTIONS), default="greater")
-    p.add_argument("--estimator", choices=sorted(_ESTIMATORS), default="add-one")
+    p.add_argument("--direction", choices=sorted(d.value for d in Direction), default="greater")
+    p.add_argument("--estimator", choices=sorted(m.value for m in EstimatorMode), default="add-one")
 
 
 def _mc_config(args: argparse.Namespace) -> MCConfig:
     return MCConfig(
         n_samples=args.samples,
         master_seed=args.seed,
-        estimator_mode=_ESTIMATORS[args.estimator],
-        direction=_DIRECTIONS[args.direction],
+        estimator_mode=EstimatorMode(args.estimator),
+        direction=Direction(args.direction),
     )
 
 
@@ -130,7 +126,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
     cfg = _mc_config(args)
     result = run_mc_test(points, segments, spec, cfg)
     echo = _mc_echo("test", spec, cfg)
-    write_results_tsv([result], _out(args.out), echo, n_points={result.bin_id: len(points)})
+    write_results_tsv([result], _out(args.out), echo)
     return 0
 
 
@@ -152,9 +148,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         "min_points": args.min_points,
         "min_segments": args.min_segments,
     }
-    write_results_tsv(
-        results, _out(args.out), echo, n_points={b.id: len(points_by_bin[b.id]) for b in kept}
-    )
+    write_results_tsv(results, _out(args.out), echo)
     for err in errors:
         print(f"warning: {err}", file=sys.stderr)
     return 0
@@ -180,28 +174,22 @@ def _cmd_qvalue(args: argparse.Namespace) -> int:
             ) from None
     pi0 = args.pi0 if args.pi0 is not None else estimate_pi0(ps)
     q = qvalues(ps, pi0)
-    echo = {"command": "qvalue", "pi0": fmt(pi0)}
-    extra = ["q_value"]
+    echo = {"command": "qvalue", "pi0": pi0}
+    header.append("q_value")
+    table = [fields + [q_i] for (_, fields), q_i in zip(rows, q)]
     if args.fdr is not None:
-        rejected = reject_at_fdr(q, args.fdr)
-        echo["fdr"] = fmt(args.fdr)
-        extra.append("rejected")
-    lines = ["\t".join(header + extra)]
-    for i, (_, fields) in enumerate(rows):
-        cells = fields + [fmt(float(q[i]))]
-        if args.fdr is not None:
-            cells.append("1" if rejected[i] else "0")
-        lines.append("\t".join(cells))
-    write_tsv(_out(args.out), echo, lines)
+        echo["fdr"] = args.fdr
+        header.append("rejected")
+        for cells, rejected in zip(table, reject_at_fdr(q, args.fdr)):
+            cells.append(int(rejected))
+    write_tsv(_out(args.out), echo, table_lines(header, table))
     return 0
 
 
 def _cmd_ripley(args: argparse.Namespace) -> int:
     bin = Bin(args.bin_id, args.bin_start, args.bin_end)
     track = load_point_track(args.points, bin)
-    rows, failures = run_clustering_survey([track], args.scales)
-    if failures:
-        raise ConfigError(failures[0][2])
+    rows = run_clustering_survey(track, args.scales)
     echo = {"command": "ripley", "scales": ",".join(map(str, args.scales)),
             "n_points": len(track)}
     write_survey_tsv(rows, _out(args.out), echo)
@@ -213,7 +201,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     echo = {"command": "simulate", "kind": args.kind, "bin_length": args.bin_length}
     if args.kind == "points":
         cfg = PointGenConfig(
-            mode=PointMode.CLUSTERED if args.mode == "clustered" else PointMode.INDEPENDENT,
+            clustered=args.mode == "clustered",
             lambda_inter=args.lambda_inter,
             lambda_intra=args.lambda_intra,
             new_cluster_prob=args.new_cluster_prob,
@@ -264,7 +252,7 @@ def _study_echo(command: str, cfg: StudyConfig, **extra) -> dict:
 def _cmd_study(args: argparse.Namespace) -> int:
     cfg = _study_config(args, fdr_threshold=args.fdr)
     pvalues = run_false_rejection_study(cfg, workers=args.workers)
-    echo = _study_echo("study", cfg, fdr=fmt(cfg.fdr_threshold))
+    echo = _study_echo("study", cfg, fdr=cfg.fdr_threshold)
     write_study_tsv(rejection_counts(pvalues, cfg.fdr_threshold), cfg, _out(args.out), echo)
     return 0
 
@@ -400,8 +388,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
-    except (TrackFormatError, TrackValidationError, ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        text = str(exc)
+        if isinstance(exc, MemoryError):  # numpy's names the allocation it could not make
+            text = f"out of memory: {text}" if text else "out of memory"
+        print(f"error: {text}", file=sys.stderr)
         return 1
 
 

@@ -1,5 +1,6 @@
 """Monte Carlo testing engine: sample the statistic under a null model and
-estimate the empirical p-value.
+estimate the empirical p-value. A ``TestResult`` carries its bin's point
+count, so the results alone make the results table.
 
 Seed contract: a test's samples are drawn in chunks of
 ``null_models.chunk_rows`` rows, a number fixed by the two tracks and the
@@ -37,7 +38,7 @@ from .null_models import NullModelSpec, chunk_rows, prepare_counts, sample_size
 from .null_models import resample_track  # noqa: F401
 from .seeding import derive_seed
 from .stats import Direction, count_points_in_segments
-from .tracks import PathLike, PointTrack, SegmentTrack, fmt, write_tsv
+from .tracks import PathLike, PointTrack, SegmentTrack, table_lines, write_tsv
 
 
 class ConfigError(ValueError):
@@ -72,6 +73,7 @@ class MCConfig:
 @dataclass(frozen=True)
 class TestResult:
     bin_id: str
+    n_points: int
     observed: float
     p_value: float
     n_samples: int
@@ -139,7 +141,7 @@ def run_mc_test(
     p = empirical_pvalue(n_exceed, cfg.n_samples, cfg.estimator_mode)
     if cfg.direction is Direction.TWO_SIDED:
         p = min(1.0, 2.0 * p)
-    return TestResult(points.bin.id, float(observed), p, cfg.n_samples, n_exceed, spec)
+    return TestResult(points.bin.id, len(points), float(observed), p, cfg.n_samples, n_exceed, spec)
 
 
 # On 2 vCPUs a sample costs about 25-40 ns per element it permutes
@@ -157,7 +159,7 @@ _POOL_MIN_WORK = 2**21
 
 
 def map_jobs(fn: Callable, jobs: Sequence, workers: int) -> list:
-    """``[fn(job) for job in jobs]``, on a process pool when ``workers > 1``.
+    """``[fn(job) for job in jobs]``, on a pool of ``min(workers, len(jobs))`` processes if over 1.
 
     The caller decides whether a pool pays for itself (``run_mc_batch``
     passes 1 for a small batch). The pool hands out jobs in runs of
@@ -165,6 +167,8 @@ def map_jobs(fn: Callable, jobs: Sequence, workers: int) -> list:
     each pay a round trip while the last runs still balance the load.
     Results come back in job order either way.
     """
+    # A pool starts all its processes at once, so none beyond the jobs.
+    workers = min(workers, len(jobs))
     if workers > 1:
         # Imported here: it loads multiprocessing, which most calls never use.
         from concurrent.futures import ProcessPoolExecutor
@@ -223,13 +227,9 @@ def write_results_tsv(
     results: Iterable[TestResult],
     path_or_file: PathLike | TextIO,
     config_echo: dict,
-    n_points: dict[str, int],
 ) -> None:
     """TSV: bin_id, n_points, statistic, p_value, n_samples, null_model."""
-    lines = ["bin_id\tn_points\tstatistic\tp_value\tn_samples\tnull_model"]
-    for r in results:
-        lines.append(
-            f"{r.bin_id}\t{n_points[r.bin_id]}\t{fmt(r.observed)}\t{fmt(r.p_value)}"
-            f"\t{r.n_samples}\t{r.null_model.to_string()}"
-        )
-    write_tsv(path_or_file, config_echo, lines)
+    header = ("bin_id", "n_points", "statistic", "p_value", "n_samples", "null_model")
+    rows = ((r.bin_id, r.n_points, r.observed, r.p_value, r.n_samples, r.null_model.to_string())
+            for r in results)
+    write_tsv(path_or_file, config_echo, table_lines(header, rows))

@@ -2,7 +2,7 @@
 
 Positions follow a discrete renewal process: consecutive gaps are drawn
 as Geometric(rate) on {1, 2, ...} (mean 1/rate), the lattice analog of a
-rate-per-base-pair point process. Clustered mode mixes two gap rates: each
+rate-per-base-pair point process. ``clustered=True`` mixes two gap rates: each
 new point starts a new cluster with some probability (wide gap at the
 inter-cluster rate), otherwise continues the current cluster (tight gap at
 the intra-cluster rate).
@@ -10,18 +10,12 @@ the intra-cluster rate).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .seeding import rng_for
 from .tracks import Bin, PointTrack, SegmentTrack
-
-
-class PointMode(enum.Enum):
-    INDEPENDENT = "independent"
-    CLUSTERED = "clustered"
 
 
 def _check_rate(name: str, value: float) -> None:
@@ -31,7 +25,7 @@ def _check_rate(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class PointGenConfig:
-    mode: PointMode = PointMode.INDEPENDENT
+    clustered: bool = False
     lambda_inter: float = 0.01
     lambda_intra: float = 0.1
     new_cluster_prob: float = 0.3
@@ -109,9 +103,8 @@ def _renewal_positions(
 def generate_points(bin: Bin, cfg: PointGenConfig, seed: int) -> PointTrack:
     """Renewal point track; may be empty for short bins."""
     rng = rng_for(seed)
-    clustered = cfg.mode is PointMode.CLUSTERED
     positions = _renewal_positions(
-        rng, bin, clustered, cfg.lambda_inter, cfg.lambda_intra, cfg.new_cluster_prob
+        rng, bin, cfg.clustered, cfg.lambda_inter, cfg.lambda_intra, cfg.new_cluster_prob
     )
     return PointTrack(bin, positions)
 

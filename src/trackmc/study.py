@@ -17,7 +17,9 @@ it returns one p-value array per model name, which ``decile_table`` and the
 ordering writers take as they are.
 
 Replicates are pure functions of (master seed, experiment, replicate
-index); worker count never changes any output.
+index); worker count never changes any output. ``run_clustering_survey``
+profiles the one point track of ``ripley``. The writers pass values, which
+``tracks.table_lines`` formats.
 """
 
 from __future__ import annotations
@@ -38,13 +40,7 @@ from .null_models import (
 from .qvalues import estimate_pi0, qvalues, reject_at_fdr
 from .ripley import estimate_l_profile
 from .seeding import derive_seed
-from .simulate import (
-    PointGenConfig,
-    PointMode,
-    SegmentGenConfig,
-    generate_points,
-    generate_segments,
-)
+from .simulate import PointGenConfig, SegmentGenConfig, generate_points, generate_segments
 from .stats import binomial_upper_pvalue, count_points_in_segments
 from .tracks import (
     Bin,
@@ -52,7 +48,7 @@ from .tracks import (
     PointTrack,
     SegmentTrack,
     coverage_fraction,
-    fmt,
+    table_lines,
     to_binary_sequence,
     write_tsv,
 )
@@ -133,9 +129,8 @@ def _replicate(args: tuple) -> dict[str, float]:
     """
     cfg, key, bin_id, cluster_points, cluster_segments, rows, direction = args
     bin = Bin(bin_id, 0, cfg.bin_length)
-    mode = PointMode.CLUSTERED if cluster_points else PointMode.INDEPENDENT
     points = generate_points(
-        bin, PointGenConfig(mode=mode), derive_seed(cfg.master_seed, *key, "points")
+        bin, PointGenConfig(clustered=cluster_points), derive_seed(cfg.master_seed, *key, "points")
     )
     segments = generate_segments(
         bin,
@@ -224,24 +219,15 @@ def decile_table(pvalues: Mapping[str, np.ndarray]) -> list[tuple[float, dict[st
 
 
 def run_clustering_survey(
-    tracks: Sequence[PointTrack], scales: Sequence[int]
-) -> tuple[list[tuple[int, str, int, float, float]], list[tuple[int, str, str]]]:
-    """L per (track, scale): rows (index, bin_id, tau, k_hat, l_hat).
+    track: PointTrack, scales: Sequence[int]
+) -> list[tuple[int, str, int, float, float]]:
+    """L of one track per scale: rows (0, bin_id, tau, k_hat, l_hat).
 
-    Per-track failures (too few points, bad scale) are collected and the
-    survey continues.
+    The leading 0 is the survey table's ``track`` column. Raises
+    ``ValueError`` for too few points or a scale outside the bin.
     """
-    rows: list[tuple[int, str, int, float, float]] = []
-    failures: list[tuple[int, str, str]] = []
-    for idx, track in enumerate(tracks):
-        try:
-            l_values = estimate_l_profile(to_binary_sequence(track), scales)
-        except ValueError as exc:
-            failures.append((idx, track.bin.id, str(exc)))
-            continue
-        for tau, l_val in zip(map(int, scales), l_values):
-            rows.append((idx, track.bin.id, tau, l_val * 2.0 * tau, l_val))
-    return rows, failures
+    l_values = estimate_l_profile(to_binary_sequence(track), scales)
+    return [(0, track.bin.id, tau, l * 2.0 * tau, l) for tau, l in zip(map(int, scales), l_values)]
 
 
 def write_study_tsv(
@@ -251,15 +237,10 @@ def write_study_tsv(
     config_echo: dict | None = None,
 ) -> None:
     """One row per assumption, one column per generation procedure."""
-    lines = [
-        f"# rejected_out_of={cfg.n_replicates}",
-        f"# fdr_threshold={fmt(cfg.fdr_threshold)}",
-        "assumption\t" + "\t".join(GENERATION_COLUMNS),
-    ]
-    for row, _ in ASSUMPTIONS:
-        cells = "\t".join(str(counts[(row, col)]) for col in GENERATION_COLUMNS)
-        lines.append(f"{row}\t{cells}")
-    write_tsv(path_or_file, config_echo, lines)
+    echo = {**(config_echo or {}), "rejected_out_of": cfg.n_replicates,
+            "fdr_threshold": cfg.fdr_threshold}
+    rows = ((row, *(counts[(row, col)] for col in GENERATION_COLUMNS)) for row, _ in ASSUMPTIONS)
+    write_tsv(path_or_file, echo, table_lines(("assumption", *GENERATION_COLUMNS), rows))
 
 
 def write_ordering_tsv(
@@ -267,11 +248,8 @@ def write_ordering_tsv(
     path_or_file: PathLike | TextIO,
     config_echo: dict | None = None,
 ) -> None:
-    lines = ["replicate\t" + "\t".join(pvalues)]
-    for rep, row in enumerate(zip(*pvalues.values())):
-        cells = "\t".join(fmt(float(p)) for p in row)
-        lines.append(f"{rep}\t{cells}")
-    write_tsv(path_or_file, config_echo, lines)
+    rows = ((rep, *row) for rep, row in enumerate(zip(*pvalues.values())))
+    write_tsv(path_or_file, config_echo, table_lines(("replicate", *pvalues), rows))
 
 
 def write_deciles_tsv(
@@ -279,11 +257,8 @@ def write_deciles_tsv(
     path_or_file: PathLike | TextIO,
     config_echo: dict | None = None,
 ) -> None:
-    lines = ["decile\t" + "\t".join(pvalues)]
-    for q, row in decile_table(pvalues):
-        cells = "\t".join(fmt(v) for v in row.values())
-        lines.append(f"{fmt(q)}\t{cells}")
-    write_tsv(path_or_file, config_echo, lines)
+    rows = ((q, *row.values()) for q, row in decile_table(pvalues))
+    write_tsv(path_or_file, config_echo, table_lines(("decile", *pvalues), rows))
 
 
 def write_survey_tsv(
@@ -291,7 +266,5 @@ def write_survey_tsv(
     path_or_file: PathLike | TextIO,
     config_echo: dict | None = None,
 ) -> None:
-    lines = ["track\tbin_id\ttau\tk_hat\tl_hat"]
-    for idx, bin_id, tau, k_hat, l_hat in rows:
-        lines.append(f"{idx}\t{bin_id}\t{tau}\t{fmt(k_hat)}\t{fmt(l_hat)}")
-    write_tsv(path_or_file, config_echo, lines)
+    header = ("track", "bin_id", "tau", "k_hat", "l_hat")
+    write_tsv(path_or_file, config_echo, table_lines(header, rows))

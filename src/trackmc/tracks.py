@@ -11,6 +11,9 @@ only when the text can hold such a line, and the numbers are converted in
 one C-level parse. Any other file goes to the per-line parser, which names
 the bad line. Both paths accept the same files, give the same arrays and
 raise the same errors.
+
+Every table trackmc writes is formatted here: ``table_lines`` and the echo of
+``write_tsv`` write a float (numpy's too) with ``fmt``, any other value with ``str``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO, Union
+from typing import Iterable, Iterator, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -427,11 +430,23 @@ def fmt(x: float) -> str:
     return format(x, ".12g")
 
 
+def _cell(value: object) -> str:
+    """A value as output text: a float (numpy's too) by ``fmt``, else ``str``."""
+    return fmt(value) if isinstance(value, (float, np.floating)) else str(value)
+
+
+def table_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    """The tab-joined header, then one tab-joined line of cells per row."""
+    yield "\t".join(header)
+    for row in rows:
+        yield "\t".join(map(_cell, row))
+
+
 def write_tsv(
     path_or_file: PathLike | TextIO, config_echo: dict | None, lines: Iterable[str]
 ) -> None:
     """Write one ``# key=value`` line per ``config_echo`` item, then ``lines``."""
-    echo = (f"# {key}={value}\n" for key, value in (config_echo or {}).items())
+    echo = (f"# {key}={_cell(value)}\n" for key, value in (config_echo or {}).items())
     text = "".join(echo) + "".join(f"{line}\n" for line in lines)
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)

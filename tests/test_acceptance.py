@@ -19,7 +19,6 @@ from trackmc import (
     MCConfig,
     PRESERVE_INTERPOINT,
     PointGenConfig,
-    PointMode,
     PointTrack,
     SegmentGenConfig,
     SegmentTrack,
@@ -163,8 +162,8 @@ def test_criterion_2_null_complexity_ordering(full_ordering):
 
 def test_criterion_3_ripley_identity():
     failures = []
-    independent = PointGenConfig(mode=PointMode.INDEPENDENT)
-    clustered = PointGenConfig(mode=PointMode.CLUSTERED)
+    independent = PointGenConfig()
+    clustered = PointGenConfig(clustered=True)
     means = {}
     for tau in (25, 50):
         vals = [

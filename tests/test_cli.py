@@ -376,6 +376,20 @@ class TestSimulateCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 74.5 GiB", ""])
+    def test_out_of_memory_is_an_error_line(self, tmp_path, capsys, monkeypatch, message):
+        # A real allocation this large would take the machine's memory.
+        def exhaust(*args):
+            raise MemoryError(message) if message else MemoryError
+
+        monkeypatch.setattr(trackmc.cli, "generate_points", exhaust)
+        out = tmp_path / "sim.tsv"
+        assert run_cli("simulate", "points", "--bin-length", "5000", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        expected = f"error: out of memory: {message}" if message else "error: out of memory"
+        assert err == expected + "\n"
+        assert not out.exists()
+
 
 class TestStudyAndOrderingCommands:
     def test_study_workers_byte_identical(self, tmp_path):

@@ -379,6 +379,33 @@ class TestRunMcBatch:
         with pytest.raises(NoPool):
             run_mc_batch(tests, UNIFORM_POINTS, self.POOLED, workers=2)
 
+    def test_pool_no_larger_than_its_jobs(self, monkeypatch):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        def square(x):
+            return x * x
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        assert trackmc.mc.map_jobs(square, [1, 2, 3], workers=64) == [1, 4, 9]
+        assert trackmc.mc.map_jobs(square, [1, 2, 3], workers=2) == [1, 4, 9]
+        assert started == [3, 2]
+        # One job runs in this process, whatever the worker count.
+        assert trackmc.mc.map_jobs(square, [5], workers=64) == [25]
+        assert started == [3, 2]
+
     def test_errors_collected_batch_continues(self):
         b = Bin("empty", 0, 100)
         bad = (PointTrack(b, []), SegmentTrack(b, [(0, 10)]))
@@ -399,7 +426,8 @@ class TestWriters:
         cfg = MCConfig(n_samples=100, master_seed=5)
         result = run_mc_test(points, segments, UNIFORM_POINTS, cfg)
         out = tmp_path / "res.tsv"
-        write_results_tsv([result], out, {"samples": 100}, n_points={"case": 6})
+        assert result.n_points == 6
+        write_results_tsv([result], out, {"samples": 100})
         lines = out.read_text().splitlines()
         assert lines[0] == "# samples=100"
         assert lines[1] == "bin_id\tn_points\tstatistic\tp_value\tn_samples\tnull_model"

@@ -5,7 +5,6 @@ from trackmc import (
     Bin,
     BinarySequence,
     PointGenConfig,
-    PointMode,
     derive_seed,
     estimate_l_profile,
     generate_points,
@@ -113,7 +112,7 @@ def test_estimate_k_equals_pair_weight_loop():
         if rep % 2:
             track = generate_points(
                 Bin("b", 0, n),
-                PointGenConfig(mode=PointMode.CLUSTERED, new_cluster_prob=0.3),
+                PointGenConfig(clustered=True, new_cluster_prob=0.3),
                 derive_seed("k-loop", rep),
             )
             seq = to_binary_sequence(track)
@@ -209,9 +208,9 @@ class TestTheoreticalIdentity:
         # Smaller new-cluster probability means bigger clusters, hence more
         # short-range correlation and larger L at every scale.
         configs = [
-            PointGenConfig(mode=PointMode.CLUSTERED, new_cluster_prob=0.3),
-            PointGenConfig(mode=PointMode.CLUSTERED, new_cluster_prob=0.7),
-            PointGenConfig(mode=PointMode.INDEPENDENT),
+            PointGenConfig(clustered=True, new_cluster_prob=0.3),
+            PointGenConfig(clustered=True, new_cluster_prob=0.7),
+            PointGenConfig(),
         ]
         for tau in (10, 25, 50):
             means = []

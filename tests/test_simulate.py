@@ -4,7 +4,6 @@ import pytest
 from trackmc import (
     Bin,
     PointGenConfig,
-    PointMode,
     SegmentGenConfig,
     coverage_fraction,
     derive_seed,
@@ -35,16 +34,16 @@ class TestGeneratePoints:
 
     def test_deterministic(self):
         b = Bin("b", 0, 5000)
-        cfg = PointGenConfig(mode=PointMode.CLUSTERED)
+        cfg = PointGenConfig(clustered=True)
         assert generate_points(b, cfg, 12) == generate_points(b, cfg, 12)
         assert generate_points(b, cfg, 12) != generate_points(b, cfg, 13)
 
     def test_track_invariants_hold(self):
         for i in range(40):
             length = 10 + 137 * i
-            for mode in PointMode:
+            for clustered in (False, True):
                 track = generate_points(
-                    Bin("b", 3, 3 + length), PointGenConfig(mode=mode), derive_seed("v", i)
+                    Bin("b", 3, 3 + length), PointGenConfig(clustered=clustered), derive_seed("v", i)
                 )
                 # constructor validates; spot-check bounds anyway
                 if len(track):
@@ -81,7 +80,7 @@ class TestGeneratePoints:
     def test_degenerate_cluster_prob_reduces_to_independent(self):
         # new_cluster_prob=1 draws every gap at lambda_inter.
         rate = 0.02
-        cfg = PointGenConfig(mode=PointMode.CLUSTERED, new_cluster_prob=1.0, lambda_inter=rate)
+        cfg = PointGenConfig(clustered=True, new_cluster_prob=1.0, lambda_inter=rate)
         gaps = []
         for rep in range(40):
             track = generate_points(Bin("b", 0, 50_000), cfg, derive_seed("d", rep))
@@ -101,7 +100,7 @@ class TestGeneratePoints:
         assert_chisquare_fit(counts, expected)
 
     def test_clustered_mode_tightens_gaps(self):
-        cfg = PointGenConfig(mode=PointMode.CLUSTERED)
+        cfg = PointGenConfig(clustered=True)
         track = generate_points(Bin("b", 0, 100_000), cfg, 1)
         gaps = np.diff(track.positions)
         # mixture mean: 0.3/0.01 + 0.7/0.1 = 37

@@ -10,7 +10,6 @@ from trackmc import (
     GENERATION_COLUMNS,
     PRESERVE_INTERPOINT,
     PointGenConfig,
-    PointMode,
     PointTrack,
     SegmentTrack,
     StudyConfig,
@@ -173,37 +172,45 @@ class TestOrderingExperiment:
 
 class TestClusteringSurvey:
     @staticmethod
-    def _tracks(mode, n, length=10_000):
-        cfg = PointGenConfig(mode=mode)
+    def _tracks(clustered, n, length=10_000):
+        mode = "clustered" if clustered else "independent"
+        cfg = PointGenConfig(clustered=clustered)
         return [
-            generate_points(Bin(f"{mode.value}-{i}", 0, length), cfg, derive_seed("svy", mode.value, i))
+            generate_points(Bin(f"{mode}-{i}", 0, length), cfg, derive_seed("svy", mode, i))
             for i in range(n)
         ]
 
+    @staticmethod
+    def _survey(tracks, scales):
+        return [row for track in tracks for row in run_clustering_survey(track, scales)]
+
     def test_clustered_tracks_cluster(self):
-        rows, failures = run_clustering_survey(self._tracks(PointMode.CLUSTERED, 50), [50])
-        assert not failures
+        rows = self._survey(self._tracks(True, 50), [50])
         l_values = [l for *_, l in rows]
         assert np.mean([l > 1.0 for l in l_values]) > 0.9
 
     def test_independent_tracks_near_one(self):
-        rows, failures = run_clustering_survey(self._tracks(PointMode.INDEPENDENT, 50), [50])
-        assert not failures
+        rows = self._survey(self._tracks(False, 50), [50])
         assert 0.9 <= np.median([l for *_, l in rows]) <= 1.1
 
     def test_empty_scales_empty_table(self):
-        rows, failures = run_clustering_survey(self._tracks(PointMode.INDEPENDENT, 3), [])
-        assert rows == [] and failures == []
+        assert self._survey(self._tracks(False, 3), []) == []
 
-    def test_failures_collected_survey_continues(self):
-        good = self._tracks(PointMode.INDEPENDENT, 2)
+    def test_one_point_track_raises(self):
         sparse = PointTrack(Bin("sparse", 0, 100), [7])
-        rows, failures = run_clustering_survey([sparse] + good, [10])
-        assert len(failures) == 1 and failures[0][1] == "sparse"
-        assert len(rows) == 2
+        with pytest.raises(ValueError, match="at least 2 points"):
+            run_clustering_survey(sparse, [10])
+
+    def test_rows_of_one_track(self):
+        (track,) = self._tracks(False, 1)
+        rows = run_clustering_survey(track, [10, 25])
+        assert [(idx, bin_id, tau) for idx, bin_id, tau, *_ in rows] == [
+            (0, track.bin.id, 10), (0, track.bin.id, 25)
+        ]
+        assert all(k == pytest.approx(l * 2.0 * tau) for _, _, tau, k, l in rows)
 
     def test_survey_tsv(self):
-        rows, _ = run_clustering_survey(self._tracks(PointMode.INDEPENDENT, 2), [10, 25])
+        rows = self._survey(self._tracks(False, 2), [10, 25])
         buf = io.StringIO()
         write_survey_tsv(rows, buf, {"scales": "10,25"})
         lines = buf.getvalue().splitlines()

@@ -262,6 +262,23 @@ class TestRoundTrip:
         assert load_segment_track(path, bin10).segments.tolist() == [[1, 4]]
 
 
+class TestTableFormat:
+    def test_floats_by_fmt_else_str(self):
+        row = (0.1 + 0.2, np.float64(1 / 3), np.float32(0.5), 7, np.int64(-3), "a b", 2.0)
+        lines = list(tracks.table_lines(("x", "y"), [row, ()]))
+        assert lines == [
+            "x\ty",
+            "0.3\t0.333333333333\t0.5\t7\t-3\ta b\t2",
+            "",
+        ]
+        assert lines[1].split("\t")[:3] == [tracks.fmt(0.1 + 0.2), tracks.fmt(1 / 3), "0.5"]
+
+    def test_echo_floats_by_fmt(self):
+        buf = io.StringIO()
+        tracks.write_tsv(buf, {"fdr": 0.1 + 0.2, "pi0": np.float64(2 / 3), "seed": 3}, ["x"])
+        assert buf.getvalue() == "# fdr=0.3\n# pi0=0.666666666667\n# seed=3\nx\n"
+
+
 def test_load_bins(tmp_path):
     path = write_lines(tmp_path / "bins.tsv", ["# id\tstart\tend", "a\t0\t100", "b\t100\t250"])
     bins = load_bins(path)
