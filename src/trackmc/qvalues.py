@@ -24,12 +24,14 @@ def estimate_pi0(pvalues: Sequence[float]) -> float:
     """Pounds-Cheng style estimate: min(1, 2 * mean(p)).
 
     Cheap, and conservative whenever the p-value distribution is a mixture
-    of uniform nulls and small alternatives.
+    of uniform nulls and small alternatives. It is 1 when every p-value is
+    0: those say nothing of the null share, and give 0 q-values under any
+    pi0.
     """
     p = _as_pvalues(pvalues)
     if p.size == 0:
         raise ValueError("cannot estimate pi0 from an empty p-value list")
-    return min(1.0, 2.0 * float(np.mean(p)))
+    return min(1.0, 2.0 * float(np.mean(p))) if p.any() else 1.0
 
 
 def qvalues(pvalues: Sequence[float], pi0: float) -> np.ndarray:

@@ -4,15 +4,12 @@ The workhorse statistic is the number of points falling inside segments.
 Its binomial reference null is the upper tail P(T >= t), the one the
 study's analytic rows report.
 
-The binomial tails are computed in-house, without scipy: P(T >= t) is the
-regularized incomplete beta I_p(t, n - t + 1), evaluated by the continued
-fraction of TOMS 708's ``bfrac`` (DiDonato & Morris 1992, "Algorithm 708:
-significant digit computation of the incomplete beta function ratios").
-The prefactor p^t (1 - p)^(n - t + 1) / B(t, n - t + 1) equals
-t * dbinom(t, n, p) * (1 - p), taken from Loader's saddle-point binomial
-pmf (Loader 2000, "Fast and accurate computation of binomial
-probabilities"; also R's ``dbinom``), which stays accurate for n in the
-millions where differences of ``lgamma`` values do not.
+The binomial tails are computed in-house, without scipy, from Loader's
+saddle-point binomial pmf (Loader 2000, "Fast and accurate computation of
+binomial probabilities"; also R's ``dbinom``), which stays accurate for n
+in the millions where differences of ``lgamma`` values do not. The smaller
+tail, beyond t as seen from the mode, is summed from t outwards by the
+ratio of successive terms; the other tail is its complement.
 """
 
 from __future__ import annotations
@@ -102,63 +99,38 @@ def _binomial_pmf(k: int, n: int, p: float, q: float) -> float:
     return math.exp(lc - 0.5 * lf)
 
 
-def _beta_frac(a: float, b: float, x: float, y: float, lam: float) -> float:
-    """Continued fraction r with I_x(a, b) = x^a y^b / B(a, b) * r, y = 1 - x.
-
-    TOMS 708's ``bfrac`` (DiDonato & Morris 1992), given
-    lam = (a + b) y - b formed by the caller without cancellation. Only
-    relative errors of x and y enter the terms, so x may be a rounded
-    1 - p. Converges quickly for lam > -1, which the branch choice in
-    ``_binomial_tails`` ensures, in O(sqrt(max(a, b))) iterations at worst.
-    """
-    c = 1.0 + lam
-    c0 = b / a
-    c1 = 1.0 + 1.0 / a
-    yp1 = y + 1.0
-    p, s = 1.0, a + 1.0
-    an, bn, anp1, bnp1 = 0.0, 1.0, 1.0, c / c1
-    r = c1 / c
-    for n in range(1, 100 + 10 * math.isqrt(int(a + b))):
-        t = n / a
-        w = n * (b - n) * x
-        e = a / s
-        alpha = p * (p + c0) * e * e * (w * x)
-        e = (1.0 + t) / (c1 + t + t)
-        beta = n + w / s + e * (c + n * yp1)
-        p = 1.0 + t
-        s += 2.0
-        an, anp1 = anp1, alpha * an + beta * anp1
-        bn, bnp1 = bnp1, alpha * bn + beta * bnp1
-        r0, r = r, anp1 / bnp1
-        if abs(r - r0) <= 1e-15 * r:
-            return r
-        # Rescale so the recurrences stay in range.
-        an, bn, anp1, bnp1 = an / bnp1, bn / bnp1, r, 1.0
-    raise ArithmeticError(f"incomplete beta fraction did not converge: a={a}, b={b}, x={x}")
+def _tail_sum(k: int, n: int, p: float, q: float, step: int) -> float:
+    """Sum of P(T = j), j = k, k + step, ..., with ``step`` = +1 or -1 pointing
+    away from the mode so the terms shrink; it stops at a term below 2**-53
+    of the sum, or at j = 0 or n."""
+    term = total = _binomial_pmf(k, n, p, q)
+    while term > total * 2.0**-53 and 0 < k < n:
+        if step > 0:
+            term *= (n - k) / (k + 1) * p / q
+        else:
+            term *= k / (n - k + 1) * q / p
+        k += step
+        total += term
+    return total
 
 
 def _binomial_tails(t: int, n: int, p: float) -> tuple[float, float]:
     """(P(T >= t), P(T < t)) under Binomial(n, p), arguments already checked.
 
-    One continued fraction gives the smaller tail directly, so a tiny tail
-    keeps its relative accuracy on either side; the other tail is its
-    complement, so the two sum to 1 to rounding. The fraction's cancelling
-    term is formed from p in both branches, so the rounding of q = 1 - p
-    enters only as a relative error.
+    The tail beyond t as seen from the mode is summed term by term, so a
+    tiny tail keeps its relative accuracy on either side; the other tail is
+    its complement, so the two sum to 1 to rounding.
     """
     t, n, p = int(t), int(n), float(p)
     if t == 0 or t == n or p == 0.0 or p == 1.0:
         upper = 1.0 if t == 0 else p**n
         return upper, 1.0 - upper
     q = 1.0 - p
-    a, b = t, n - t + 1
-    # x^a y^b / B(a, b) in both orientations: dbinom(t, n, p) * q * a.
-    front = _binomial_pmf(t, n, p, q) * q * a
-    if p < (a + 1.0) / (a + b + 2.0):
-        upper = front * _beta_frac(a, b, p, q, a - (a + b) * p)
+    if t > (n + 1) * p:
+        upper = _tail_sum(t, n, p, q, 1)
         return upper, 1.0 - upper
-    # I_q(b, a) = P(T < t).
-    lower = front * _beta_frac(b, a, q, p, (a + b) * p - a)
+    # P(T = 0) = q^n, from p itself: the rounding of q grows n-fold in q**n.
+    lower = math.exp(n * math.log1p(-p)) if t == 1 else _tail_sum(t - 1, n, p, q, -1)
     return 1.0 - lower, lower
 
 

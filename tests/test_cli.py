@@ -247,6 +247,15 @@ class TestQvalueCommand:
         assert capsys.readouterr().err == "error: p-values must lie in [0, 1]\n"
         assert not out.exists()
 
+    def test_all_zero_pvalues(self, tmp_path):
+        # What `test --estimator raw` writes when no sample reaches the statistic.
+        table = write_lines(tmp_path / "p.tsv", ["bin_id\tp_value", "a\t0", "b\t0"])
+        out = tmp_path / "q.tsv"
+        assert run_cli("qvalue", "--input", table, "--fdr", "0.1", "--out", str(out)) == 0
+        rows = [l.split("\t") for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert [(r[2], r[3]) for r in rows[1:]] == [("0", "1"), ("0", "1")]
+        assert run_cli("qvalue", "--input", table, "--pi0", "0") == 1
+
     def test_non_numeric_pvalue_fails(self, tmp_path, capsys):
         table = write_lines(tmp_path / "p.tsv", ["# seed=1", "bin_id\tp_value", "a\tlow"])
         assert run_cli("qvalue", "--input", table) == 1
@@ -262,10 +271,10 @@ class TestRipleyCommand:
                        "--scales", "5,10", "--out", str(out))
         assert code == 0
         rows = [l.split("\t") for l in out.read_text().splitlines() if not l.startswith("#")]
-        assert rows[0] == ["track", "bin_id", "tau", "k_hat", "l_hat"]
-        assert [r[2] for r in rows[1:]] == ["5", "10"]
+        assert rows[0] == ["bin_id", "tau", "k_hat", "l_hat"]
+        assert [r[1] for r in rows[1:]] == ["5", "10"]
         for r in rows[1:]:
-            assert float(r[3]) == pytest.approx(float(r[4]) * 2 * int(r[2]))
+            assert float(r[2]) == pytest.approx(float(r[3]) * 2 * int(r[1]))
 
     def test_too_few_points_fails(self, tmp_path, capsys):
         points = write_lines(tmp_path / "p.tsv", ["10"])
@@ -287,8 +296,8 @@ class TestRipleyCommand:
         lines = out.read_text().splitlines()
         assert f"# scales={echo}" in lines
         rows = [l for l in lines if not l.startswith("#")]
-        assert rows[0] == "track\tbin_id\ttau\tk_hat\tl_hat"
-        assert [r.split("\t")[2] for r in rows[1:]] == echo.split(",")
+        assert rows[0] == "bin_id\ttau\tk_hat\tl_hat"
+        assert [r.split("\t")[1] for r in rows[1:]] == echo.split(",")
 
     @pytest.mark.parametrize("scales,message", [
         ("", "need at least one integer, got ''"),

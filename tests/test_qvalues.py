@@ -28,6 +28,11 @@ class TestEstimatePi0:
         p = rng.uniform(0, 1, size=20_000)
         assert estimate_pi0(p) == pytest.approx(1.0, abs=0.02)
 
+    def test_all_zero_pvalues_give_one(self):
+        # 2 * mean would be 0, which qvalues rejects as a pi0.
+        assert estimate_pi0([0.0, 0.0, 0.0]) == 1.0
+        assert qvalues([0.0, 0.0, 0.0], estimate_pi0([0.0, 0.0, 0.0])).tolist() == [0.0] * 3
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             estimate_pi0([])

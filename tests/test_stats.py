@@ -148,6 +148,19 @@ class TestBinomialPvalues:
             total = binomial_upper_pvalue(t, n, p) + binomial_lower_strict(t, n, p)
             assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_monotone_across_the_mode(self):
+        # Which tail is summed switches at t = (n + 1) p; on both sides of
+        # the switch the upper tail falls, the lower rises, and they sum to 1.
+        for n in (10, 999, 10**6):
+            for p in (0.01, 0.3, 0.5, 0.97):
+                mode = math.floor((n + 1) * p)
+                ts = range(max(0, mode - 50), min(n, mode + 50) + 1)
+                tails = [_binomial_tails(t, n, p) for t in ts]
+                for t, (upper, lower), (next_upper, next_lower) in zip(ts, tails, tails[1:]):
+                    assert next_upper <= upper and next_lower >= lower, (t, n, p)
+                for t, (upper, lower) in zip(ts, tails):
+                    assert upper + lower == pytest.approx(1.0, abs=1e-12), (t, n, p)
+
     def test_stable_extreme_tails_at_large_n(self):
         # Term-wise pmf values underflow here; a log-space oracle still
         # agrees, so the implementation is not summing raw terms.
@@ -164,7 +177,7 @@ class TestBinomialPvalues:
 
     def test_matches_scipy_sweep(self):
         # n log-uniform up to 10^7; t either anywhere or within 3 sd of
-        # the mean, where the continued fraction works hardest.
+        # the mean, where the tail sum runs over the most terms.
         from scipy.stats import binom
 
         rng = np.random.default_rng(29)
@@ -201,10 +214,10 @@ class TestBinomialPvalues:
                 assert got == pytest.approx(oracle, rel=1e-6, abs=1e-290), (t, n, p)
 
     def test_small_p_large_n_against_mpmath(self):
-        # Where n p is small and n large the fraction runs in q = 1 - p for
-        # t at or past the mean; only a fraction whose cancelling terms are
-        # formed from p keeps both tails to full precision there (at
-        # (9, 10^7, 10^-6) a fraction in q was 3.4e-10 off, scipy 1.4e-10).
+        # Where n p is small and n large, q**n multiplies the rounding of
+        # q = 1 - p n-fold, so P(T = 0) must come from p itself (at
+        # (1, 2265440, 6.55e-7) q**n put it 1e-10 off; at (9, 10^7, 10^-6)
+        # scipy is 1.4e-10 off).
         # The oracle sums the k < t terms at 40 digits with q = 1 - p exact.
         import mpmath
 
