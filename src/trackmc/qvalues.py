@@ -31,7 +31,7 @@ def estimate_pi0(pvalues: Sequence[float]) -> float:
     p = _as_pvalues(pvalues)
     if p.size == 0:
         raise ValueError("cannot estimate pi0 from an empty p-value list")
-    return min(1.0, 2.0 * float(np.mean(p))) if p.any() else 1.0
+    return min(1.0, 2.0 * float(np.mean(p))) or 1.0
 
 
 def qvalues(pvalues: Sequence[float], pi0: float) -> np.ndarray:

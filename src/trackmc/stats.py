@@ -95,21 +95,19 @@ def _bd0(x: float, mean: float) -> float:
 def _binomial_pmf(k: int, n: int, p: float, q: float) -> float:
     """P(T = k) for 0 < k < n and 0 < p < 1, q = 1 - p (Loader's dbinom)."""
     lc = _stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(k, n * p) - _bd0(n - k, n * q)
-    lf = _LOG_2PI + math.log(k) + math.log1p(-k / n)
+    # log(k (n - k) / n) from exact integers keeps the pmf symmetric under
+    # (k, p) <-> (n - k, q), which the lower tail relies on.
+    lf = _LOG_2PI + math.log(k * (n - k) / n)
     return math.exp(lc - 0.5 * lf)
 
 
-def _tail_sum(k: int, n: int, p: float, q: float, step: int) -> float:
-    """Sum of P(T = j), j = k, k + step, ..., with ``step`` = +1 or -1 pointing
-    away from the mode so the terms shrink; it stops at a term below 2**-53
-    of the sum, or at j = 0 or n."""
+def _tail_sum(k: int, n: int, p: float, q: float) -> float:
+    """P(T >= k) for k past the mode, summed upwards by the ratio of
+    successive terms until a term is below 2**-53 of the sum, or at j = n."""
     term = total = _binomial_pmf(k, n, p, q)
-    while term > total * 2.0**-53 and 0 < k < n:
-        if step > 0:
-            term *= (n - k) / (k + 1) * p / q
-        else:
-            term *= k / (n - k + 1) * q / p
-        k += step
+    while term > total * 2.0**-53 and k < n:
+        term *= (n - k) / (k + 1) * p / q
+        k += 1
         total += term
     return total
 
@@ -127,10 +125,11 @@ def _binomial_tails(t: int, n: int, p: float) -> tuple[float, float]:
         return upper, 1.0 - upper
     q = 1.0 - p
     if t > (n + 1) * p:
-        upper = _tail_sum(t, n, p, q, 1)
+        upper = _tail_sum(t, n, p, q)
         return upper, 1.0 - upper
+    # P(T < t) = P(n - T > n - t), the upper tail of Binomial(n, q).
     # P(T = 0) = q^n, from p itself: the rounding of q grows n-fold in q**n.
-    lower = math.exp(n * math.log1p(-p)) if t == 1 else _tail_sum(t - 1, n, p, q, -1)
+    lower = math.exp(n * math.log1p(-p)) if t == 1 else _tail_sum(n - t + 1, n, q, p)
     return 1.0 - lower, lower
 
 

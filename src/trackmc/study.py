@@ -220,13 +220,14 @@ def decile_table(pvalues: Mapping[str, np.ndarray]) -> list[tuple[float, dict[st
 
 def run_clustering_survey(
     track: PointTrack, scales: Sequence[int]
-) -> list[tuple[str, int, float, float]]:
-    """L of one track per scale: rows (bin_id, tau, k_hat, l_hat).
+) -> list[tuple[int, str, int, float, float]]:
+    """L of one track per scale: rows (0, bin_id, tau, k_hat, l_hat).
 
-    Raises ``ValueError`` for too few points or a scale outside the bin.
+    The leading 0 is the survey table's ``track`` column. Raises
+    ``ValueError`` for too few points or a scale outside the bin.
     """
     l_values = estimate_l_profile(to_binary_sequence(track), scales)
-    return [(track.bin.id, tau, l * 2.0 * tau, l) for tau, l in zip(map(int, scales), l_values)]
+    return [(0, track.bin.id, tau, l * 2.0 * tau, l) for tau, l in zip(map(int, scales), l_values)]
 
 
 def write_study_tsv(
@@ -261,9 +262,9 @@ def write_deciles_tsv(
 
 
 def write_survey_tsv(
-    rows: Iterable[tuple[str, int, float, float]],
+    rows: Iterable[tuple[int, str, int, float, float]],
     path_or_file: PathLike | TextIO,
     config_echo: dict | None = None,
 ) -> None:
-    header = ("bin_id", "tau", "k_hat", "l_hat")
+    header = ("track", "bin_id", "tau", "k_hat", "l_hat")
     write_tsv(path_or_file, config_echo, table_lines(header, rows))

@@ -271,10 +271,10 @@ class TestRipleyCommand:
                        "--scales", "5,10", "--out", str(out))
         assert code == 0
         rows = [l.split("\t") for l in out.read_text().splitlines() if not l.startswith("#")]
-        assert rows[0] == ["bin_id", "tau", "k_hat", "l_hat"]
-        assert [r[1] for r in rows[1:]] == ["5", "10"]
+        assert rows[0] == ["track", "bin_id", "tau", "k_hat", "l_hat"]
+        assert [r[2] for r in rows[1:]] == ["5", "10"]
         for r in rows[1:]:
-            assert float(r[2]) == pytest.approx(float(r[3]) * 2 * int(r[1]))
+            assert float(r[3]) == pytest.approx(float(r[4]) * 2 * int(r[2]))
 
     def test_too_few_points_fails(self, tmp_path, capsys):
         points = write_lines(tmp_path / "p.tsv", ["10"])
@@ -296,8 +296,8 @@ class TestRipleyCommand:
         lines = out.read_text().splitlines()
         assert f"# scales={echo}" in lines
         rows = [l for l in lines if not l.startswith("#")]
-        assert rows[0] == "bin_id\ttau\tk_hat\tl_hat"
-        assert [r.split("\t")[1] for r in rows[1:]] == echo.split(",")
+        assert rows[0] == "track\tbin_id\ttau\tk_hat\tl_hat"
+        assert [r.split("\t")[2] for r in rows[1:]] == echo.split(",")
 
     @pytest.mark.parametrize("scales,message", [
         ("", "need at least one integer, got ''"),

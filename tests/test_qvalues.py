@@ -32,6 +32,8 @@ class TestEstimatePi0:
         # 2 * mean would be 0, which qvalues rejects as a pi0.
         assert estimate_pi0([0.0, 0.0, 0.0]) == 1.0
         assert qvalues([0.0, 0.0, 0.0], estimate_pi0([0.0, 0.0, 0.0])).tolist() == [0.0] * 3
+        # 5e-324 / 3 rounds to 0, so the mean is 0 though one p-value is not.
+        assert estimate_pi0([5e-324, 0.0, 0.0]) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

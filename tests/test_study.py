@@ -204,17 +204,17 @@ class TestClusteringSurvey:
     def test_rows_of_one_track(self):
         (track,) = self._tracks(False, 1)
         rows = run_clustering_survey(track, [10, 25])
-        assert [(bin_id, tau) for bin_id, tau, *_ in rows] == [
-            (track.bin.id, 10), (track.bin.id, 25)
+        assert [(idx, bin_id, tau) for idx, bin_id, tau, *_ in rows] == [
+            (0, track.bin.id, 10), (0, track.bin.id, 25)
         ]
-        assert all(k == pytest.approx(l * 2.0 * tau) for _, tau, k, l in rows)
+        assert all(k == pytest.approx(l * 2.0 * tau) for _, _, tau, k, l in rows)
 
     def test_survey_tsv(self):
         rows = self._survey(self._tracks(False, 2), [10, 25])
         buf = io.StringIO()
         write_survey_tsv(rows, buf, {"scales": "10,25"})
         lines = buf.getvalue().splitlines()
-        assert lines[1] == "bin_id\ttau\tk_hat\tl_hat"
+        assert lines[1] == "track\tbin_id\ttau\tk_hat\tl_hat"
         assert len(lines) == 2 + 4
 
 
