@@ -150,10 +150,11 @@ def run_mc_test(
 # _SAMPLE_OVERHEAD elements. A two-worker pool adds about 30 ms to start,
 # feed and stop, so it pays only for a batch that runs longer than about
 # 60 ms in-process. On the 54 bins of a genome-scan batch it broke even at
-# 1.1 times _POOL_MIN_WORK under block:100 and between 0.9 and 1.8 times
-# it under preserve-interpoint. Per element of batch_work, in-process on
-# those bins at 100 samples, every model that samples costs 20-37 ns
-# (uniform-segments 29-32 ns), so one weight serves every model.
+# 1.1-2.2 times _POOL_MIN_WORK under block:100 and between 0.9 and 1.8
+# times it under preserve-interpoint. Per element of batch_work, in-process
+# on those bins at 100 samples, every model that samples costs 24-39 ns
+# (uniform-segments 34-51 ns; the host's speed drifts up to 2x between
+# runs), so one weight serves every model.
 _SAMPLE_OVERHEAD = 64
 _POOL_MIN_WORK = 2**21
 

@@ -18,7 +18,9 @@ what every sample shares is found, and one chunk's arrays are allocated.
 Every chunk of the test then draws into those arrays and counts each
 sampled track against the fixed one. ``resample_track`` returns one
 sampled track. Uniform-segments and uniform-points draw a sorted uniform
-subset of slots for every row of a chunk at once (``_sorted_subsets``).
+subset of slots for every row of a chunk at once (``_sorted_subsets``),
+and every row-wise permutation of a chunk is one sort of packed random
+keys (``_permute_rows``).
 
 The samples are counted by table lookup: a point sample's positions are
 read in a coverage mask of the segments, and a segment sample's starts and
@@ -116,6 +118,81 @@ def _slot_dtype(size: int) -> type:
     return np.int32 if size < 2**31 else np.int64
 
 
+def _permute_rows(rng: np.random.Generator, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill every row of ``out`` (m rows of n) with an exactly uniform random
+    order of the n non-negative integers ``values``, all rows at once, and
+    return ``out``.
+
+    Each value is packed under a random key into one word, the rows are
+    sorted and the keys masked off. A word is int32 where the value leaves
+    at least ``max(1, 2*bitlen(n) - 4)`` key bits in it, else int64 with the
+    value, or where that leaves too few key bits its index, as the payload.
+    The keys are the top bits of ``random_raw`` draws, two to a draw in
+    int32 words and one in int64. Rows with three equal keys in a run are
+    drawn again, in row order, until none is left; then each pair of equal
+    keys, which the sort left in payload order, is swapped by a fair coin.
+    Both rules depend on the keys alone, and the keys are exchangeable, so
+    every order of the row is equally likely.
+    """
+    m, n = out.shape
+    if n < 2:
+        out[:] = values
+        return out
+    value_bits = max(1, int(values.max()).bit_length())
+    # At least one key bit: with none, three values would always run.
+    min_key_bits = max(1, 2 * n.bit_length() - 4)
+    word, by_index = np.uint32, False
+    if 31 - value_bits < min_key_bits:
+        word, by_index = np.uint64, 63 - value_bits < min_key_bits
+    payload_bits = (n - 1).bit_length() if by_index else value_bits
+    payload = (np.arange(n) if by_index else values).astype(word)
+    key_shift, payload_shift = word(payload_bits + 1), word(payload_bits)
+
+    def draw(rows: int) -> tuple[np.ndarray, np.ndarray]:
+        # The sorted words of ``rows`` rows, and where their keys tie.
+        if word is np.uint32:
+            raw = rng.bit_generator.random_raw((rows * n + 1) // 2).view(np.uint32)
+            words = raw[:rows * n].reshape(rows, n)
+        else:
+            words = rng.bit_generator.random_raw(rows * n).reshape(rows, n)
+        # The key fills every bit above the payload but the sign bit.
+        words >>= key_shift
+        words <<= payload_shift
+        words |= payload
+        words.sort(axis=1)
+        keys = words >> payload_shift
+        return words, keys[:, 1:] == keys[:, :-1]
+
+    def three_in_a_run(tie: np.ndarray) -> np.ndarray:
+        # The rows holding ties at two neighbouring places. A tie is a flat
+        # index into the tie mask, whose rows are n - 1 long.
+        later = tie[1:][np.diff(tie) == 1]
+        return np.unique(later[later % (n - 1) != 0] // (n - 1))
+
+    words, ties = draw(m)
+    tie = np.flatnonzero(ties)
+    # Most chunks of a wide row tie nowhere, and need nothing more.
+    again = three_in_a_run(tie) if tie.size else tie
+    if again.size:
+        # Redrawn rows tie elsewhere, so the ties are found again after.
+        while again.size:
+            words[again], redrawn = draw(again.size)
+            ties[again] = redrawn
+            again = again[three_in_a_run(np.flatnonzero(redrawn))]
+        tie = np.flatnonzero(ties)
+    if tie.size:
+        # The ties are disjoint pairs now.
+        tie = tie[rng.integers(0, 2, size=tie.size, dtype=np.int8) == 1]
+        tie += tie // (n - 1)
+        flat = words.reshape(-1)
+        flat[tie], flat[tie + 1] = flat[tie + 1], flat[tie]
+    if by_index:
+        out[:] = values[words.view(np.int64) & ((1 << payload_bits) - 1)]
+    else:
+        np.bitwise_and(words, word((1 << payload_bits) - 1), out=out)
+    return out
+
+
 def _sorted_subsets(rng: np.random.Generator, size: int, out: np.ndarray) -> np.ndarray:
     """Fill every row of ``out`` (m rows of k) with a sorted, exactly uniform
     random k-subset of range(size), all rows at once, and return ``out``.
@@ -123,25 +200,31 @@ def _sorted_subsets(rng: np.random.Generator, size: int, out: np.ndarray) -> np.
     Dense rows (``4*k >= size``) take the first k slots of a row-wise
     permutation. Sparse rows draw their k slots with replacement, sort, and
     redraw exactly the entries equal to their left neighbour, until no row
-    has one. That rule depends only on which slots are equal, and every
-    redraw is uniform, so the law of the final set is unchanged by any
-    relabelling of the slots: it is the uniform law on k-subsets.
+    has one; each round re-sorts only the rows it redrew in. That rule
+    depends only on which slots are equal, and every redraw is uniform, so
+    the law of the final set is unchanged by any relabelling of the slots:
+    it is the uniform law on k-subsets.
     """
     m, k = out.shape
     if 4 * k >= size:
-        # An int64 row permutes faster than an int32 one.
-        out[:] = rng.permuted(np.broadcast_to(np.arange(size), (m, size)), axis=1)[:, :k]
+        slots = np.arange(size, dtype=out.dtype)
+        out[:] = _permute_rows(rng, slots, np.empty((m, size), dtype=out.dtype))[:, :k]
         out.sort(axis=1)
         return out
     out[:] = rng.integers(0, size, size=(m, k), dtype=out.dtype)
     out.sort(axis=1)
-    later, earlier = out[:, 1:], out[:, :-1]
-    repeats = later == earlier
-    while repeats.any():
-        later[repeats] = rng.integers(0, size, size=np.count_nonzero(repeats), dtype=out.dtype)
-        out.sort(axis=1)
-        np.equal(later, earlier, out=repeats)
-    return out
+    rows, held = np.arange(m), out
+    while True:
+        repeats = held[:, 1:] == held[:, :-1]
+        again = repeats.any(axis=1)
+        if not again.any():
+            return out
+        rows, repeats = rows[again], repeats[again]
+        held = out[rows]
+        held[:, 1:][repeats] = rng.integers(
+            0, size, size=np.count_nonzero(repeats), dtype=out.dtype)
+        held.sort(axis=1)
+        out[rows] = held
 
 
 # --- feasibility checks of the samplers ------------------------------------
@@ -205,12 +288,10 @@ def _interpoint_sampler(points: PointTrack, b: None, rows: int) -> Callable:
     out = np.empty((rows, len(points)), dtype=np.int64)
 
     def sample(rng: np.random.Generator, m: int) -> np.ndarray:
-        offsets = rng.integers(0, n_offsets, size=m)
         drawn = out[:m]
-        drawn[:, 0] = 0
-        rng.permuted(np.broadcast_to(gaps, (m, gaps.size)), axis=1, out=drawn[:, 1:])
-        np.cumsum(drawn[:, 1:], axis=1, out=drawn[:, 1:])
-        drawn += offsets[:, None]
+        drawn[:, 0] = rng.integers(0, n_offsets, size=m)
+        _permute_rows(rng, gaps, drawn[:, 1:])
+        np.cumsum(drawn, axis=1, out=drawn)
         return drawn
     return sample
 
@@ -232,7 +313,7 @@ def _block_sampler(points: PointTrack, size: int, rows: int) -> Callable:
     out[:, head:] = rel[head:]
 
     def sample(rng: np.random.Generator, m: int) -> np.ndarray:
-        rng.permuted(np.broadcast_to(blocks, (m, n_blocks)), axis=1, out=slot[:m])
+        _permute_rows(rng, blocks, slot[:m])
         moved = out[:m, :head]
         np.take(slot[:m], block, axis=1, out=moved, mode="clip")
         moved *= size
@@ -251,7 +332,7 @@ def _uniform_segments_sampler(segments: SegmentTrack, b: None, rows: int) -> Cal
 
     def sample(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
         # starts holds the permuted lengths until the ends are known.
-        rng.permuted(np.broadcast_to(lengths, (m, k)), axis=1, out=starts[:m])
+        _permute_rows(rng, lengths, starts[:m])
         # Stars and bars: k bars among slack + k slots, a uniform k-subset
         # drawn for the whole chunk at once, give a uniform composition of
         # the slack into k+1 gaps; the gaps before segment j sum to
@@ -272,14 +353,15 @@ def _intersegment_sampler(segments: SegmentTrack, b: None, rows: int) -> Callabl
     ends = np.empty((rows, k), dtype=np.int64)
 
     def sample(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
-        offsets = rng.integers(0, n_offsets, size=m)
-        rng.permuted(np.broadcast_to(lengths, (m, k)), axis=1, out=starts[:m])
-        # Segment j ends after the first j+1 lengths and the first j gaps.
-        ends[:m, 0] = 0
-        rng.permuted(np.broadcast_to(gaps, (m, k - 1)), axis=1, out=ends[:m, 1:])
+        # The lengths come first, so a chunk orders them as uniform-segments
+        # does on the same stream.
+        _permute_rows(rng, lengths, starts[:m])
+        # Segment j ends after the offset, the first j+1 lengths and the
+        # first j gaps.
+        ends[:m, 0] = rng.integers(0, n_offsets, size=m)
+        _permute_rows(rng, gaps, ends[:m, 1:])
         ends[:m] += starts[:m]
         np.cumsum(ends[:m], axis=1, out=ends[:m])
-        ends[:m] += offsets[:, None]
         np.subtract(ends[:m], starts[:m], out=starts[:m])
         return starts[:m], ends[:m]
     return sample

@@ -236,6 +236,130 @@ class TestSortedSubsets:
             # Slots past int32 are drawn, so none wrapped round.
             assert rows.max() >= 2**31
 
+    @pytest.mark.parametrize("size,k", [(13, 3), (20_000, 875), (40_000, 1665)])
+    def test_sparse_rows_match_whole_chunk_redraws(self, size, k):
+        # Re-sorting only the rows that held a repeat gives the arrays that
+        # re-sorting the whole chunk every round gives.
+        def whole_chunk(rng, out):
+            out[:] = rng.integers(0, size, size=out.shape, dtype=out.dtype)
+            out.sort(axis=1)
+            later, earlier = out[:, 1:], out[:, :-1]
+            repeats = later == earlier
+            while repeats.any():
+                later[repeats] = rng.integers(
+                    0, size, size=np.count_nonzero(repeats), dtype=out.dtype)
+                out.sort(axis=1)
+                np.equal(later, earlier, out=repeats)
+            return out
+
+        for seed in range(20):
+            got = null_models._sorted_subsets(
+                np.random.default_rng(seed), size, np.empty((64, k), np.int32))
+            want = whole_chunk(np.random.default_rng(seed), np.empty((64, k), np.int32))
+            assert np.array_equal(got, want)
+
+
+class RecordingRng:
+    """A generator that records the size of every ``random_raw`` call."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.raw_sizes = []
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        self.raw_sizes.append(size)
+        return self.rng.bit_generator.random_raw(size)
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+
+class TestPermuteRows:
+    """``_permute_rows``: every order of a row equally likely, on each word."""
+
+    @staticmethod
+    def orders(values, chunks, seed, rows=64):
+        out = np.empty((rows, len(values)), dtype=np.int64)
+        rng = RecordingRng(seed)
+        counts = Counter()
+        for _ in range(chunks):
+            counts.update(map(tuple, null_models._permute_rows(rng, values, out).tolist()))
+        return counts, rng.raw_sizes[0]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("base,word", [
+        (2**27, np.int32),  # 3 key bits
+        (2**28, np.int32),  # 2 key bits: ties and three-key runs in most rows
+        (2**59, np.int64),  # 3 key bits
+        (2**60, np.int64),  # 2 key bits
+    ], ids=["int32-3", "int32-2", "int64-3", "int64-2"])
+    def test_uniform_over_all_orders(self, n, base, word):
+        values = base + np.arange(n)
+        counts, first_raw = self.orders(values, 60 * math.factorial(n), seed=n)
+        rows = 64 * 60 * math.factorial(n)
+        assert first_raw == (64 * n + 1) // 2 if word is np.int32 else 64 * n
+        support = list(itertools.permutations(values.tolist()))
+        assert set(counts) == set(support) and sum(counts.values()) == rows
+        assert_uniform_chisquare([counts[s] for s in support])
+
+    def test_uniform_over_orders_of_repeated_values(self):
+        values = 2**28 + np.array([5, 3, 3, 1, 5])
+        counts, _ = self.orders(values, 400, seed=3)
+        support = sorted(set(itertools.permutations(values.tolist())))
+        assert len(support) == 30 and set(counts) == set(support)
+        assert_uniform_chisquare([counts[s] for s in support])
+
+    def test_index_payload(self):
+        # A value of 63 bits leaves no key bits in an int64 word beside it,
+        # so the word holds the value's index and the value is read back.
+        values = 2**62 + np.array([9, 0, 2**61, 4])
+        counts, first_raw = self.orders(values, 600, seed=5)
+        assert first_raw == 64 * 4
+        support = list(itertools.permutations(values.tolist()))
+        assert set(counts) == set(support)
+        assert_uniform_chisquare([counts[s] for s in support])
+        wide = 2**62 + np.arange(1000) * 7
+        out = null_models._permute_rows(np.random.default_rng(1), wide, np.empty((8, 1000), np.int64))
+        assert np.array_equal(np.sort(out, axis=1), np.broadcast_to(wide, (8, 1000)))
+        assert not np.array_equal(out[0], wide)
+
+    @pytest.mark.parametrize("values", [[], [7], [2**40]])
+    def test_fewer_than_two_values_draw_nothing(self, values):
+        values = np.array(values, dtype=np.int64)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        out = null_models._permute_rows(rng, values, np.empty((5, values.size), np.int64))
+        assert np.array_equal(out, np.broadcast_to(values, (5, values.size)))
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("value", [0, 1, 1000, 2**31, 2**62])
+    def test_all_equal_values(self, value):
+        # A zero maximum still takes one payload bit.
+        values = np.full(300, value, dtype=np.int64)
+        out = null_models._permute_rows(np.random.default_rng(2), values, np.empty((4, 300), np.int64))
+        assert np.all(out == value)
+
+    def test_rows_are_permutations_into_a_strided_view(self):
+        rng = np.random.default_rng(4)
+        values = rng.integers(0, 5000, size=2000)
+        out = np.full((64, 2001), -1, dtype=np.int64)
+        null_models._permute_rows(rng, values, out[:, 1:])
+        assert np.all(out[:, 0] == -1)
+        assert np.array_equal(np.sort(out[:, 1:], axis=1), np.broadcast_to(np.sort(values), (64, 2000)))
+        assert len({tuple(row) for row in out.tolist()}) == 64
+
+    def test_segment_models_share_a_chunks_length_order(self):
+        b = Bin("b", 0, 5000)
+        segments = SegmentTrack(b, [(10, 12), (40, 47), (300, 301), (900, 930), (2000, 2011)])
+        lengths = {}
+        for spec in (UNIFORM_SEGMENTS, PRESERVE_INTERSEGMENT):
+            sample = spec.model.sampler(segments, None, 64)
+            starts, ends = sample(np.random.default_rng(8), 64)
+            lengths[spec.name] = ends - starts
+        assert np.array_equal(lengths["uniform-segments"], lengths["preserve-intersegment"])
+        assert len({tuple(row) for row in lengths["uniform-segments"].tolist()}) > 10
+
 
 class TestResamplePointsPreserveDistances:
     def test_single_point_uniform_in_bin(self, bin10):

@@ -7,9 +7,10 @@ then runs one fixed list of CLI calls under that tree and under this
 checkout's ``src/``, each call in a fresh interpreter, on the synthetic
 genome of ``perfbench/genome.py`` for seeds 1 and 2; the calls include
 ``--help`` of trackmc and of every subcommand. Every output file, exit
-code, stdout and stderr is compared; each difference is printed, and the
-exit status is 1 if there is any, or if any call fails (every call on
-the list is valid), else 0.
+code, stdout and stderr is compared; each difference is printed with the
+first line that differs, under both trees, and the exit status is 1 if
+there is any, or if any call fails (every call on the list is valid),
+else 0.
 
 A change that must alter outputs (a new seed contract, a new header line)
 shows here as a difference to explain, not to hide.
@@ -157,6 +158,15 @@ def outputs(rundir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(rundir.iterdir()) if p.name not in INPUTS}
 
 
+def first_difference(old: bytes | None, new: bytes | None) -> tuple[int, bytes, bytes]:
+    """The number, from 1, of the first line where two differing outputs
+    differ, and that line of each, line end included. A missing output, or
+    a line past an output's end, reads as b""."""
+    a, b = (x.splitlines(keepends=True) if x else [] for x in (old, new))
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return i + 1, (a[i] if i < len(a) else b""), (b[i] if i < len(b) else b"")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -185,16 +195,22 @@ def main(argv: list[str]) -> int:
                         n_failed += 1
                         print(f"seed {seed}: {' '.join(argv)}: exit {code} under {name}:\n"
                               f"  {err.decode(errors='replace').strip()}")
+            differing = []
             for argv, a, b in zip(argvs, old, new):
-                for label, x, y in zip(("exit code", "stdout", "stderr"), a, b):
-                    if x != y:
-                        n_diffs += 1
-                        print(f"seed {seed}: {' '.join(argv)}: {label} differs:\n"
-                              f"  {rev}: {x!r}\n  working tree: {y!r}")
-            for fname in sorted(old_files.keys() | new_files.keys()):
-                if old_files.get(fname) != new_files.get(fname):
+                if a[0] != b[0]:
                     n_diffs += 1
-                    print(f"seed {seed}: output {fname} differs")
+                    print(f"seed {seed}: {' '.join(argv)}: exit code differs:\n"
+                          f"  {rev}: {a[0]}\n  working tree: {b[0]}")
+                differing += [(f"{' '.join(argv)}: {label}", x, y)
+                              for label, x, y in zip(("stdout", "stderr"), a[1:], b[1:]) if x != y]
+            differing += [(f"output {fname}", old_files.get(fname), new_files.get(fname))
+                          for fname in sorted(old_files.keys() | new_files.keys())
+                          if old_files.get(fname) != new_files.get(fname)]
+            for what, x, y in differing:
+                n_diffs += 1
+                line, x, y = first_difference(x, y)
+                print(f"seed {seed}: {what} differs at line {line}:\n"
+                      f"  {rev}: {x!r}\n  working tree: {y!r}")
             print(f"seed {seed}: {len(argvs)} calls, {len(new_files)} output files compared")
     verdict = "identical" if n_diffs == 0 else f"{n_diffs} differences"
     print(f"{n_calls} calls against {rev}: {verdict} ({time.perf_counter() - start:.0f} s)")
