@@ -229,30 +229,12 @@ def _sorted_subsets(rng: np.random.Generator, size: int, out: np.ndarray) -> np.
 
 # --- feasibility checks of the samplers ------------------------------------
 
-def _check_uniform_points(track: PointTrack) -> None:
-    if len(track) > track.bin.length:
-        raise ValueError(
-            f"bin of length {track.bin.length} cannot host {len(track)} distinct points"
-        )
-
-
 def _interpoint_gaps(track: PointTrack) -> tuple[np.ndarray, int]:
     """The n-1 inter-point gaps and the number of feasible first positions."""
     if len(track) < 1:
         raise ValueError("distance-preserving resample needs at least one point")
     gaps = np.diff(track.positions)
-    span = int(gaps.sum())
-    if span >= track.bin.length:
-        raise ValueError("point span exceeds bin length")
-    return gaps, track.bin.length - span
-
-
-def _segment_slack(track: SegmentTrack) -> int:
-    """Uncovered base pairs of the bin."""
-    slack = track.bin.length - track.total_length
-    if slack < 0:
-        raise ValueError("total segment length exceeds bin length")
-    return slack
+    return gaps, track.bin.length - int(gaps.sum())
 
 
 def _intersegment_gaps(track: SegmentTrack) -> tuple[np.ndarray, int]:
@@ -272,7 +254,6 @@ def _check_block_size(block_size: int, length: int) -> None:
 # --- the models: samplers and exact laws -----------------------------------
 
 def _uniform_points_sampler(points: PointTrack, b: None, rows: int) -> Callable:
-    _check_uniform_points(points)
     length, n = points.bin.length, len(points)
     out = np.empty((rows, n), dtype=np.int64)
     slots = np.empty((rows, n), dtype=_slot_dtype(length))
@@ -324,7 +305,7 @@ def _block_sampler(points: PointTrack, size: int, rows: int) -> Callable:
 
 def _uniform_segments_sampler(segments: SegmentTrack, b: None, rows: int) -> Callable:
     k, lengths = len(segments), segments.lengths
-    slots = _segment_slack(segments) + k
+    slots = segments.bin.length - segments.total_length + k
     starts = np.empty((rows, k), dtype=np.int64)
     ends = np.empty((rows, k), dtype=np.int64)
     bars = np.empty((rows, k), dtype=_slot_dtype(slots))
@@ -374,7 +355,6 @@ _HYPERGEOMETRIC_LIMIT = 10**9
 def _hypergeometric_law(points: PointTrack, segments: SegmentTrack) -> Draw | None:
     # n points uniform without replacement: the covered ones are
     # Hypergeometric(covered bp, uncovered bp, n).
-    _check_uniform_points(points)
     covered, length, n = segments.total_length, points.bin.length, len(points)
     if max(covered, length - covered) < _HYPERGEOMETRIC_LIMIT:
         return lambda rng, m: rng.hypergeometric(covered, length - covered, n, size=m)

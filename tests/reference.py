@@ -1,21 +1,29 @@
 """Reference implementations the tests check the package against.
 
 The resamplers build one randomized track per seed, the plainest reading
-of each null model; ``resample_track`` picks one by the model's name. The
-engine's samplers (the counts of ``null_models.prepare_counts`` and the
-one-track front end ``null_models.resample_track``) are pinned to them by
-state-uniformity and law tests. ``state_space_size`` counts each model's
-states exactly, which makes the nesting of the models quantitative
-(criterion 7). ``weighted_sum_statistic``, ``segment_indicator_weights``
-and ``pair_weight`` spell out the statistic and the Ripley edge correction
-term by term, and ``statistic_moments_under_stationarity`` gives the
-statistic's variance under a stationary correlation (criterion 8).
+of each null model; ``resample_track`` picks one by the model's name.
+``enumerate_states`` lists every state a model reaches from a small track,
+by the model's name: every n-subset of the bin (uniform-points), every
+order of the gaps at every feasible offset (preserve-interpoint), every
+order of the blocks (``block:b``), every order of the lengths with every
+split of the slack (uniform-segments), and every order of the lengths and
+of the gaps at every feasible offset (preserve-intersegment). Both the
+resamplers and the engine's samplers are checked for uniformity over those
+states, and the engine's counts against the resamplers and the exact laws
+the states give. ``state_space_size`` counts each model's states by
+formula, which makes the nesting of the models quantitative (criterion 7
+and its segment-side sweep). ``weighted_sum_statistic``,
+``segment_indicator_weights`` and ``pair_weight`` spell out the statistic
+and the Ripley edge correction term by term, and
+``statistic_moments_under_stationarity`` gives the statistic's variance
+under a stationary correlation (criterion 8).
 ``CLEAN_ROWS`` are the patterns of a plainly clean track text that the
 one-pass reader takes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections import Counter
@@ -27,10 +35,8 @@ from trackmc import BinarySequence, PointTrack, SegmentTrack, rng_for, to_binary
 from trackmc.null_models import (
     NullModelSpec,
     _check_block_size,
-    _check_uniform_points,
     _interpoint_gaps,
     _intersegment_gaps,
-    _segment_slack,
 )
 
 
@@ -77,7 +83,6 @@ def _uniform_composition(rng: np.random.Generator, total: int, parts: int) -> np
 
 def resample_points_uniform(track: PointTrack, rng_seed: int) -> PointTrack:
     """n points drawn uniformly without replacement from the bin."""
-    _check_uniform_points(track)
     rng = rng_for(rng_seed)
     positions = _uniform_subset(rng, track.bin.length, len(track)) + track.bin.start
     return PointTrack(track.bin, positions)
@@ -106,7 +111,7 @@ def resample_segments_uniform(track: SegmentTrack, rng_seed: int) -> SegmentTrac
     k = len(track)
     if k == 0:
         return SegmentTrack(track.bin, np.empty((0, 2), dtype=np.int64))
-    slack = _segment_slack(track)
+    slack = track.bin.length - track.total_length
     rng = rng_for(rng_seed)
     new_lengths = rng.permutation(track.lengths)
     gaps = _uniform_composition(rng, slack, k + 1)
@@ -211,7 +216,8 @@ def _uniform_segments_states(segments: SegmentTrack, b: None) -> int:
     k = len(segments)
     if k == 0:
         return 1
-    return _multiset_permutations(segments.lengths) * math.comb(_segment_slack(segments) + k, k)
+    slots = segments.bin.length - segments.total_length + k
+    return _multiset_permutations(segments.lengths) * math.comb(slots, k)
 
 
 def _intersegment_states(segments: SegmentTrack, b: None) -> int:
@@ -223,8 +229,9 @@ def _intersegment_states(segments: SegmentTrack, b: None) -> int:
 
 def state_space_size(track: Union[PointTrack, SegmentTrack], spec: NullModelSpec) -> int:
     """Exact number of distinct states the model ``spec`` names reaches
-    from ``track``, as an arbitrary-precision integer, raising where its
-    sampler raises. A model without a count raises ``KeyError``."""
+    from ``track``, as an arbitrary-precision integer. It raises where the
+    sampler raises, except that an empty track has its one, empty state.
+    A model without a count raises ``KeyError``."""
     states = {
         "uniform-points": _uniform_points_states,
         "preserve-interpoint": _interpoint_states,
@@ -233,6 +240,94 @@ def state_space_size(track: Union[PointTrack, SegmentTrack], spec: NullModelSpec
         "block": _block_states,
     }[spec.name]
     return states(track, spec.block_size)
+
+
+# --- exact state enumeration ------------------------------------------------
+
+def _compositions(total: int, parts: int):
+    """Every composition of ``total`` into ``parts`` non-negative integers."""
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        edges = (-1, *bars, total + parts - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def _laid_out(start: int, gaps: tuple, lengths: tuple) -> tuple:
+    """Segments of ``lengths`` in order from ``start``, each after its gap."""
+    segments, pos = [], start
+    for gap, length in zip(gaps, lengths):
+        pos += gap
+        segments.append((pos, pos + length))
+        pos += length
+    return tuple(segments)
+
+
+def _uniform_points_support(points: PointTrack, b: None) -> set:
+    start = points.bin.start
+    return {
+        tuple(start + p for p in combo)
+        for combo in itertools.combinations(range(points.bin.length), len(points))
+    }
+
+
+def _interpoint_support(points: PointTrack, b: None) -> set:
+    if len(points) == 0:
+        return {()}
+    gaps, n_offsets = _interpoint_gaps(points)
+    return {
+        tuple(itertools.accumulate((points.bin.start + offset, *order)))
+        for order in set(itertools.permutations(gaps.tolist()))
+        for offset in range(n_offsets)
+    }
+
+
+def _block_support(points: PointTrack, size: int) -> set:
+    # Every order of the blocks, moved as ``block_permutation`` moves them.
+    # Each distinct state is reached by the same number of orders.
+    _check_block_size(size, points.bin.length)
+    values = to_binary_sequence(points).values
+    n_blocks = len(values) // size
+    head = values[: n_blocks * size].reshape(n_blocks, size)
+    states = set()
+    for order in itertools.permutations(range(n_blocks)):
+        moved = np.concatenate((head[list(order)].reshape(-1), values[head.size :]))
+        states.add(tuple((np.flatnonzero(moved) + points.bin.start).tolist()))
+    return states
+
+
+def _uniform_segments_support(segments: SegmentTrack, b: None) -> set:
+    slack = segments.bin.length - segments.total_length
+    return {
+        _laid_out(segments.bin.start, gaps, order)
+        for order in set(itertools.permutations(segments.lengths.tolist()))
+        for gaps in _compositions(slack, len(segments) + 1)
+    }
+
+
+def _intersegment_support(segments: SegmentTrack, b: None) -> set:
+    if len(segments) == 0:
+        return {()}
+    gaps, n_offsets = _intersegment_gaps(segments)
+    return {
+        _laid_out(segments.bin.start, (offset, *gap_order), order)
+        for order in set(itertools.permutations(segments.lengths.tolist()))
+        for gap_order in set(itertools.permutations(gaps.tolist()))
+        for offset in range(n_offsets)
+    }
+
+
+def enumerate_states(track: Union[PointTrack, SegmentTrack], spec: NullModelSpec) -> set:
+    """Every state the model ``spec`` names reaches from ``track``, as a
+    tuple of positions or of (start, end) pairs; ``state_space_size``
+    counts them, and raises where this raises. Under every model the
+    distinct states are equally likely."""
+    support = {
+        "uniform-points": _uniform_points_support,
+        "preserve-interpoint": _interpoint_support,
+        "uniform-segments": _uniform_segments_support,
+        "preserve-intersegment": _intersegment_support,
+        "block": _block_support,
+    }[spec.name]
+    return support(track, spec.block_size)
 
 
 # --- the statistic and the Ripley edge correction, term by term -------------

@@ -40,7 +40,7 @@ from trackmc import (
 )
 from trackmc.cli import main as cli_main
 from trackmc.study import _replicate
-from reference import state_space_size, statistic_moments_under_stationarity
+from reference import enumerate_states, state_space_size, statistic_moments_under_stationarity
 
 SEED = 0
 WORKERS = 2
@@ -268,42 +268,19 @@ def test_criterion_6_minimum_achievable_pvalue():
     report(6, f"minimum achievable p at 10,000 samples = {result.p_value:.6g}", failures)
 
 
-def enumerate_preserve_support(track):
-    n = len(track)
-    length, start = track.bin.length, track.bin.start
-    if n == 0:
-        return {()}
-    if n == 1:
-        return {(start + p,) for p in range(length)}
-    gaps = np.diff(track.positions)
-    states = set()
-    for perm in set(itertools.permutations(gaps.tolist())):
-        span = sum(perm)
-        for off in range(length - span):
-            pos = [start + off]
-            for g in perm:
-                pos.append(pos[-1] + g)
-            states.add(tuple(pos))
-    return states
-
-
 def test_criterion_7_hierarchy_containment():
     failures = []
-    uniform_support_cache = {}
     n_tracks = 0
     for length in range(1, 13):
+        b = Bin("h", 0, length)
         for n in range(0, 5):
             if n > length:
                 continue
-            key = (length, n)
-            if key not in uniform_support_cache:
-                uniform_support_cache[key] = set(
-                    itertools.combinations(range(length), n)
-                )
-            uniform = uniform_support_cache[key]
+            # Uniform-points' states depend on the bin and n alone.
+            uniform = enumerate_states(PointTrack(b, range(n)), UNIFORM_POINTS)
             for combo in itertools.combinations(range(length), n):
-                track = PointTrack(Bin("h", 0, length), combo)
-                preserve = enumerate_preserve_support(track)
+                track = PointTrack(b, combo)
+                preserve = enumerate_states(track, PRESERVE_INTERPOINT)
                 n_tracks += 1
                 if not preserve <= uniform:
                     failures.append(f"support not contained for track {combo}, L={length}")

@@ -1,4 +1,6 @@
 import concurrent.futures
+import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,6 +196,27 @@ class TestSampleStream:
         longest = null_counts(points, segments, spec, MCConfig(n_samples=3 * r + 9, master_seed=7))
         assert np.array_equal(short, longer[:r])
         assert np.array_equal(longer[: 3 * r], longest[: 3 * r])
+
+    # The seed contract, pinned: the sha256 of the lines that the first
+    # DIGEST_CASES cases of tools/counts_digest.py print, one per case.
+    DIGEST_CASES = 400
+    CASES_SHA256 = "5795b61fd1238666be2189843551abb880f3b9a15ac9a6d9ed99f0de5e77c594"
+
+    def test_seeded_cases_match_the_committed_digest(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+        import counts_digest
+
+        lines = [counts_digest.run_case(i) for i in range(self.DIGEST_CASES)]
+        # The prefix reaches every spelling, and cases that sample and raise.
+        assert {counts_digest.spelling_of(line) for line in lines} == {
+            *map(repr, counts_digest.SPELLINGS), "'block:<L+1>'"}
+        assert {line.split("\t")[3] for line in lines} == {"sampled", "raised"}
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.CASES_SHA256, (
+            f"the first {self.DIGEST_CASES} cases of tools/counts_digest.py draw other "
+            f"numbers or raise other errors (numpy {np.__version__}). A stream change, "
+            "whether from the code or from numpy (NEP 19 does not promise Generator streams "
+            "stable across releases), must be stated in CHANGES.md with the new digest.")
 
     @staticmethod
     def _big_case():

@@ -37,6 +37,7 @@ from testkit import (
 import reference
 from reference import (
     block_permutation,
+    enumerate_states,
     resample_points_preserve_distances,
     resample_points_uniform,
     resample_segments_preserve_distances,
@@ -45,98 +46,6 @@ from reference import (
 )
 
 BLOCK2 = NullModelSpec("block", 2)
-
-
-# --- enumeration oracles -------------------------------------------------
-
-def enumerate_uniform_points(track):
-    length, start = track.bin.length, track.bin.start
-    return {
-        tuple(start + p for p in combo)
-        for combo in itertools.combinations(range(length), len(track))
-    }
-
-
-def enumerate_preserve_points(track):
-    length, start = track.bin.length, track.bin.start
-    n = len(track)
-    if n == 0:
-        return {()}
-    if n == 1:
-        return {(start + p,) for p in range(length)}
-    gaps = np.diff(track.positions)
-    states = set()
-    for perm in set(itertools.permutations(gaps.tolist())):
-        span = sum(perm)
-        for off in range(length - span):
-            pos = [start + off]
-            for g in perm:
-                pos.append(pos[-1] + g)
-            states.add(tuple(pos))
-    return states
-
-
-def compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for cut in itertools.combinations(range(total + parts - 1), parts - 1):
-        out = [cut[0]]
-        out.extend(cut[i] - cut[i - 1] - 1 for i in range(1, parts - 1))
-        out.append(total + parts - 2 - cut[-1])
-        yield tuple(out)
-
-
-def enumerate_uniform_segments(track):
-    start = track.bin.start
-    k = len(track)
-    if k == 0:
-        return {()}
-    lengths = track.lengths.tolist()
-    slack = track.bin.length - sum(lengths)
-    states = set()
-    for lorder in set(itertools.permutations(lengths)):
-        for gaps in compositions(slack, k + 1):
-            pos = start
-            segs = []
-            for g, ln in zip(gaps[:-1], lorder):
-                pos += g
-                segs.append((pos, pos + ln))
-                pos += ln
-            states.add(tuple(segs))
-    return states
-
-
-def enumerate_preserve_segments(track):
-    start = track.bin.start
-    k = len(track)
-    lengths = track.lengths.tolist()
-    gaps = (track.segments[1:, 0] - track.segments[:-1, 1]).tolist()
-    span = sum(lengths) + sum(gaps)
-    states = set()
-    for lorder in set(itertools.permutations(lengths)):
-        for gorder in set(itertools.permutations(gaps)):
-            for off in range(track.bin.length - span + 1):
-                pos = start + off
-                segs = []
-                for idx, ln in enumerate(lorder):
-                    segs.append((pos, pos + ln))
-                    pos += ln
-                    if idx < k - 1:
-                        pos += gorder[idx]
-                states.add(tuple(segs))
-    return states
-
-
-def draw_states(fn, track, n_draws, tag):
-    counts = Counter()
-    for i in range(n_draws):
-        out = fn(track, derive_seed(tag, i))
-        if isinstance(out, PointTrack):
-            counts[tuple(out.positions.tolist())] += 1
-        else:
-            counts[tuple(map(tuple, out.segments.tolist()))] += 1
-    return counts
 
 
 def engine(spec):
@@ -151,8 +60,7 @@ def engine_blocks(seq, block_size, seed):
     return to_binary_sequence(resample_track(track, spec, seed))
 
 
-# Each resampler test runs the reference resampler and the engine's
-# resample_track under the same model.
+# The reference resampler and the engine's resample_track under one model.
 POINTS_UNIFORM = (resample_points_uniform, engine(UNIFORM_POINTS))
 POINTS_PRESERVE = (resample_points_preserve_distances, engine(PRESERVE_INTERPOINT))
 SEGMENTS_UNIFORM = (resample_segments_uniform, engine(UNIFORM_SEGMENTS))
@@ -185,22 +93,6 @@ class TestResamplePointsUniform:
                 out = fn(track, i)
                 assert len(out) == n and out.bin == track.bin
 
-    def test_uniform_over_all_subsets_dense_path(self):
-        # n=3 in [0,10): every 3-subset equally likely, 1/C(10,3).
-        track = PointTrack(Bin("b", 0, 10), [0, 1, 2])
-        for fn in POINTS_UNIFORM:
-            counts = draw_states(fn, track, 100_000, "unif-dense")
-            assert set(counts) == enumerate_uniform_points(track)
-            assert_uniform_chisquare([counts[s] for s in sorted(counts)])
-
-    def test_uniform_over_all_subsets_sparse_path(self):
-        # n=3 in [0,40): exercises the draw-and-deduplicate path.
-        track = PointTrack(Bin("b", 0, 40), [0, 1, 2])
-        support = enumerate_uniform_points(track)
-        for fn in POINTS_UNIFORM:
-            counts = draw_states(fn, track, 200_000, "unif-sparse")
-            assert set(counts) <= support
-            assert_uniform_chisquare([counts.get(s, 0) for s in sorted(support)])
 
 
 class TestSortedSubsets:
@@ -362,13 +254,6 @@ class TestPermuteRows:
 
 
 class TestResamplePointsPreserveDistances:
-    def test_single_point_uniform_in_bin(self, bin10):
-        track = PointTrack(bin10, [4])
-        for fn in POINTS_PRESERVE:
-            counts = draw_states(fn, track, 100_000, "pd1")
-            assert set(counts) == {(p,) for p in range(10)}
-            assert_uniform_chisquare([counts[s] for s in sorted(counts)])
-
     def test_empty_track_rejected(self, bin10):
         for fn in POINTS_PRESERVE:
             with pytest.raises(ValueError):
@@ -386,15 +271,6 @@ class TestResamplePointsPreserveDistances:
                 out = fn(track, i)
                 assert sorted(np.diff(out.positions)) == sorted(np.diff(track.positions))
 
-    def test_fourteen_equally_likely_states(self):
-        # Distances {1,2} in a length-10 bin: 2 orders x 7 offsets.
-        track = PointTrack(Bin("b", 0, 10), [0, 1, 3])
-        support = enumerate_preserve_points(track)
-        assert len(support) == 14
-        for fn in POINTS_PRESERVE:
-            counts = draw_states(fn, track, 100_000, "pd3")
-            assert set(counts) == support
-            assert_uniform_chisquare([counts[s] for s in sorted(counts)])
 
 
 # --- segment resamplers --------------------------------------------------
@@ -422,26 +298,9 @@ class TestResampleSegmentsUniform:
                 assert sorted(out.lengths) == sorted(track.lengths)
                 assert out.total_length == track.total_length
 
-    def test_uniform_over_arrangements(self):
-        # Lengths {1,2} in a length-6 bin: 2 orders x C(5,2)=10 gap splits.
-        track = SegmentTrack(Bin("b", 0, 6), [(0, 1), (2, 4)])
-        support = enumerate_uniform_segments(track)
-        assert len(support) == 20
-        for fn in SEGMENTS_UNIFORM:
-            counts = draw_states(fn, track, 100_000, "su")
-            assert set(counts) == support
-            assert_uniform_chisquare([counts[s] for s in sorted(counts)])
 
 
 class TestResampleSegmentsPreserveDistances:
-    def test_single_segment_uniform_feasible_start(self):
-        b = Bin("b", 0, 8)
-        track = SegmentTrack(b, [(2, 5)])
-        for fn in SEGMENTS_PRESERVE:
-            counts = draw_states(fn, track, 60_000, "sp1")
-            assert set(counts) == {((s, s + 3),) for s in range(6)}
-            assert_uniform_chisquare([counts[s] for s in sorted(counts)])
-
     def test_empty_track_rejected(self, bin10):
         for fn in SEGMENTS_PRESERVE:
             with pytest.raises(ValueError):
@@ -464,15 +323,6 @@ class TestResampleSegmentsPreserveDistances:
                 in_gaps = sorted(track.segments[1:, 0] - track.segments[:-1, 1])
                 assert out_gaps == in_gaps
 
-    def test_eight_equally_likely_states(self):
-        # Lengths {2,3}, gap {4}, bin 12: 2 orders x 4 offsets.
-        track = SegmentTrack(Bin("b", 0, 12), [(0, 2), (6, 9)])
-        support = enumerate_preserve_segments(track)
-        assert len(support) == 8
-        for fn in SEGMENTS_PRESERVE:
-            counts = draw_states(fn, track, 80_000, "sp2")
-            assert set(counts) == support
-            assert_uniform_chisquare([counts[s] for s in sorted(counts)])
 
 
 # --- block permutation ---------------------------------------------------
@@ -482,26 +332,6 @@ class TestBlockPermutation:
         seq = BinarySequence([1, 0, 1, 1])
         for fn in BLOCKS:
             assert fn(seq, 4, 3) == seq
-
-    def test_block_one_is_full_shuffle(self):
-        seq = BinarySequence([1, 0, 0])
-        for fn in BLOCKS:
-            counts = Counter()
-            for i in range(30_000):
-                out = fn(seq, 1, derive_seed("b1", i))
-                counts[tuple(out.values.tolist())] += 1
-            assert set(counts) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-            assert_uniform_chisquare([counts[s] for s in sorted(counts)])
-
-    def test_two_block_states_equally_likely(self):
-        seq = BinarySequence([1, 1, 0, 0])
-        for fn in BLOCKS:
-            counts = Counter()
-            for i in range(20_000):
-                out = fn(seq, 2, derive_seed("b2", i))
-                counts[tuple(out.values.tolist())] += 1
-            assert set(counts) == {(1, 1, 0, 0), (0, 0, 1, 1)}
-            assert_uniform_chisquare([counts[s] for s in sorted(counts)])
 
     def test_partial_trailing_block_stays_in_place(self):
         seq = BinarySequence([1, 0, 0, 0, 1])
@@ -526,6 +356,75 @@ class TestBlockPermutation:
         for fn in BLOCKS:
             with pytest.raises(ValueError):
                 fn(BinarySequence([1, 0, 1, 0]), block_size, 0)
+
+
+# --- every state equally likely: the reference and the engine ----------
+
+# (spec, track, draws, tag, states): every case draws ``draws`` states from
+# each side and checks them against the ``states`` enumerated ones.
+STATE_CASES = [
+    # Every 3-subset of [0, 10): the dense path of the subset draws.
+    (UNIFORM_POINTS, PointTrack(Bin("b", 0, 10), [0, 1, 2]), 100_000, "unif-dense", 120),
+    # Every 3-subset of [0, 40): the sparse path and its redraws.
+    (UNIFORM_POINTS, PointTrack(Bin("b", 0, 40), [0, 1, 2]), 200_000, "unif-sparse", 9880),
+    # One point: every position in the bin.
+    (PRESERVE_INTERPOINT, PointTrack(Bin("b", 0, 10), [4]), 100_000, "pd1", 10),
+    # Distances {1, 2} in a length-10 bin: 2 orders x 7 offsets.
+    (PRESERVE_INTERPOINT, PointTrack(Bin("b", 0, 10), [0, 1, 3]), 100_000, "pd3", 14),
+    # Lengths {1, 2} in a length-6 bin: 2 orders x C(5, 2) gap splits.
+    (UNIFORM_SEGMENTS, SegmentTrack(Bin("b", 0, 6), [(0, 1), (2, 4)]), 100_000, "su", 20),
+    # One segment of 3 in a length-8 bin: 6 feasible starts.
+    (PRESERVE_INTERSEGMENT, SegmentTrack(Bin("b", 0, 8), [(2, 5)]), 60_000, "sp1", 6),
+    # Lengths {2, 3}, gap {4}, bin 12: 2 orders x 4 offsets.
+    (PRESERVE_INTERSEGMENT, SegmentTrack(Bin("b", 0, 12), [(0, 2), (6, 9)]), 80_000, "sp2", 8),
+    # Blocks of 1 are a full shuffle: 1, 0, 0 in any order.
+    (NullModelSpec("block", 1), PointTrack(Bin("s", 0, 3), [0]), 30_000, "b1", 3),
+    # Two blocks of 2 on 1, 1, 0, 0: either order.
+    (BLOCK2, PointTrack(Bin("s", 0, 4), [0, 1]), 20_000, "b2", 2),
+]
+
+
+def state_of(track):
+    if isinstance(track, PointTrack):
+        return tuple(track.positions.tolist())
+    return tuple(map(tuple, track.segments.tolist()))
+
+
+def reference_states(track, spec, draws, tag):
+    """The states of ``draws`` reference replicates, draw i seeded by
+    ``derive_seed(tag, i)``."""
+    return Counter(
+        state_of(reference.resample_track(track, spec, derive_seed(tag, i)))
+        for i in range(draws))
+
+
+def engine_states(track, spec, draws, tag):
+    """The states of ``draws`` rows of one 64-row sampler, as a test's
+    chunks draw them: chunk c on ``rng_for(tag, "chunk", c)``, and the last
+    chunk short."""
+    sample = spec.model.sampler(track, spec.block_size, 64)
+    counts = Counter()
+    for chunk, lo in enumerate(range(0, draws, 64)):
+        drawn = sample(rng_for(tag, "chunk", chunk), min(64, draws - lo))
+        if isinstance(track, PointTrack):
+            # block:b leaves a row's positions out of order.
+            counts.update(map(tuple, (np.sort(drawn, axis=1) + track.bin.start).tolist()))
+        else:
+            rows = (np.stack(drawn, axis=-1) + track.bin.start).tolist()
+            counts.update(tuple(map(tuple, row)) for row in rows)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "spec,track,draws,tag,states", STATE_CASES,
+    ids=[f"{case[0].to_string()}-{case[3]}" for case in STATE_CASES])
+def test_every_state_equally_likely(spec, track, draws, tag, states):
+    support = enumerate_states(track, spec)
+    assert len(support) == states == state_space_size(track, spec)
+    for draw_states in (reference_states, engine_states):
+        counts = draw_states(track, spec, draws, tag)
+        assert set(counts) == support, draw_states.__name__
+        assert_uniform_chisquare([counts[s] for s in sorted(support)])
 
 
 # --- determinism and dispatch -------------------------------------------
@@ -617,29 +516,12 @@ def reference_counts(points, segments, spec, n_draws, tag):
 
 
 def exact_count_law(points, segments, spec):
-    """{count: number of equally likely reference states giving it}."""
-    if spec.block_size is not None:
-        # Every block order is equally likely (not only the distinct states).
-        values = np.zeros(points.bin.length, dtype=np.uint8)
-        values[points.positions - points.bin.start] = 1
-        n_blocks = points.bin.length // spec.block_size
-        head = values[: n_blocks * spec.block_size].reshape(n_blocks, spec.block_size)
-        law = Counter()
-        for order in itertools.permutations(range(n_blocks)):
-            moved = np.concatenate((head[list(order)].reshape(-1), values[head.size :]))
-            track = PointTrack(points.bin, np.flatnonzero(moved) + points.bin.start)
-            law[count_points_in_segments(track, segments)] += 1
-        return law
-    enumerate_states = {
-        UNIFORM_POINTS: enumerate_uniform_points,
-        PRESERVE_INTERPOINT: enumerate_preserve_points,
-        UNIFORM_SEGMENTS: enumerate_uniform_segments,
-        PRESERVE_INTERSEGMENT: enumerate_preserve_segments,
-    }[spec]
+    """{count: number of reference states giving it}. The states are
+    equally likely, so this is the count's law up to a factor."""
     if randomizes_points(spec):
-        tracks = (PointTrack(points.bin, s) for s in enumerate_states(points))
+        tracks = (PointTrack(points.bin, s) for s in enumerate_states(points, spec))
         return Counter(count_points_in_segments(t, segments) for t in tracks)
-    tracks = (SegmentTrack(segments.bin, s) for s in enumerate_states(segments))
+    tracks = (SegmentTrack(segments.bin, s) for s in enumerate_states(segments, spec))
     return Counter(count_points_in_segments(points, t) for t in tracks)
 
 
@@ -924,12 +806,8 @@ class TestStateSpaceSize:
 
     def test_segment_sizes_match_enumeration(self):
         track = SegmentTrack(Bin("b", 0, 12), [(0, 2), (6, 9)])
-        assert state_space_size(track, UNIFORM_SEGMENTS) == len(
-            enumerate_uniform_segments(track)
-        )
-        assert state_space_size(track, PRESERVE_INTERSEGMENT) == len(
-            enumerate_preserve_segments(track)
-        )
+        for spec in (UNIFORM_SEGMENTS, PRESERVE_INTERSEGMENT):
+            assert state_space_size(track, spec) == len(enumerate_states(track, spec))
 
     def test_single_segment_offsets(self):
         track = SegmentTrack(Bin("b", 0, 8), [(2, 5)])
@@ -938,7 +816,7 @@ class TestStateSpaceSize:
     def test_duplicate_lengths_collapse_orders(self):
         track = SegmentTrack(Bin("b", 0, 10), [(0, 2), (4, 6)])
         assert state_space_size(track, PRESERVE_INTERSEGMENT) == len(
-            enumerate_preserve_segments(track)
+            enumerate_states(track, PRESERVE_INTERSEGMENT)
         )
 
     def test_block_state_count(self):
@@ -960,20 +838,26 @@ class TestStateSpaceSize:
 
 class TestHierarchyContainment:
     def test_small_sweep(self):
-        # Exhaustive check on tracks with n <= 3 in bins of length <= 8;
-        # the acceptance suite runs the larger sweep.
-        for length in range(2, 9):
+        # The segment side of criterion 7: every track of at most three
+        # segments, touching ones included, in bins of length <= 10.
+        for length in range(1, 11):
             b = Bin("b", 0, length)
-            for n in range(1, 4):
-                if n > length:
-                    continue
-                for combo in itertools.combinations(range(length), n):
-                    track = PointTrack(b, combo)
-                    preserve = enumerate_preserve_points(track)
-                    uniform = enumerate_uniform_points(track)
-                    assert preserve <= uniform
-                    assert len(preserve) == state_space_size(track, PRESERVE_INTERPOINT)
-                    assert len(uniform) == state_space_size(track, UNIFORM_POINTS)
+            uniform_support = {}
+            for k in range(4):
+                for bounds in itertools.combinations_with_replacement(range(length + 1), 2 * k):
+                    pairs = list(zip(bounds[::2], bounds[1::2]))
+                    if any(start == end for start, end in pairs):
+                        continue
+                    track = SegmentTrack(b, pairs)
+                    # Uniform-segments' states depend on the lengths alone.
+                    lengths = tuple(sorted(track.lengths.tolist()))
+                    if lengths not in uniform_support:
+                        uniform_support[lengths] = enumerate_states(track, UNIFORM_SEGMENTS)
+                    uniform = uniform_support[lengths]
+                    preserve = enumerate_states(track, PRESERVE_INTERSEGMENT)
+                    assert preserve <= uniform, pairs
+                    assert len(preserve) == state_space_size(track, PRESERVE_INTERSEGMENT)
+                    assert len(uniform) == state_space_size(track, UNIFORM_SEGMENTS)
 
 
 # --- spec strings ---------------------------------------------------------

@@ -21,6 +21,10 @@ spelling, how many of its cases differ, so one run shows which models a
 change moved and that the others did not move; it then exits 1. It also
 exits 1 if a tree fails to run, else 0. A change that must alter sampled
 numbers shows here as a difference to explain, not to hide.
+
+``tests/test_mc.py`` runs the first 400 cases through ``run_case`` in
+Tier-1 and compares a sha256 of their lines with a committed one, so a
+change to how a case is made changes that digest too.
 """
 
 from __future__ import annotations
