@@ -4,13 +4,13 @@ Coordinates are 0-based, half-open (BED convention), so a bin or segment
 of length L satisfies ``end - start == L``. All types are immutable after
 construction and safe to share across workers.
 
-``read_points`` and ``read_segments`` read a file in one vectorized pass
-when every data row is plainly clean (ASCII integers of at most 18 digits,
-single tabs): comment and blank lines are dropped by one substitution, run
-only when the text can hold such a line, and the numbers are converted in
-one C-level parse. Any other file goes to the per-line parser, which names
-the bad line. Both paths accept the same files, give the same arrays and
-raise the same errors.
+``read_points`` and ``read_segments`` read a file in one pass. The first
+data row fixes the width; a vectorized check finds the plain lines (ASCII
+integers of at most 18 digits between single tabs), whose numbers are
+converted in one C-level parse per block; only the other lines are split and
+parsed one at a time, by the rule that ``_data_rows`` applies to the other
+tables. The value checks are vectorized too; only when one fails are the
+rows walked in line order, to name the first bad line.
 
 Every table trackmc writes is formatted here: ``table_lines`` and the echo of
 ``write_tsv`` write a float (numpy's too) with ``fmt``, any other value with ``str``.
@@ -18,6 +18,7 @@ Every table trackmc writes is formatted here: ``table_lines`` and the echo of
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -172,14 +173,20 @@ class BinarySequence:
 PathLike = Union[str, Path]
 
 
+def _fields(line: str) -> list[str] | None:
+    """A line's stripped tab-separated fields; None for a blank or comment line."""
+    if not line.strip() or line.lstrip().startswith("#"):
+        return None
+    return [f.strip() for f in line.split("\t")]
+
+
 def _data_rows(path: PathLike) -> Iterable[tuple[int, list[str]]]:
     """Yield (1-based line number, fields) for non-comment, non-blank lines."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            yield lineno, [f.strip() for f in line.split("\t")]
+            fields = _fields(line.rstrip("\n").rstrip("\r"))
+            if fields is not None:
+                yield lineno, fields
 
 
 def _parse_int(field: str, path: PathLike, lineno: int) -> int:
@@ -196,81 +203,105 @@ def _parse_int(field: str, path: PathLike, lineno: int) -> int:
     return value
 
 
-# A blank line, or one whose first non-blank character is '#', with its
-# line end. ``[^\S\n]`` and ``str.strip`` agree on what is blank.
-_SKIPPED_LINE = re.compile(r"^[^\S\n]*(?:#[^\n]*)?(?:\n|\Z)", re.MULTILINE)
-# A plainly clean text is rows of ``ncols`` fields, joined by tabs and each
-# ended by a line feed (the last row may lack it), every field 1-18 ASCII
-# digits after at most a leading '-'. At most 18 digits, so that the sum of
-# two fields cannot overflow int64. ``_is_clean`` checks that with numpy on
-# line-aligned blocks of at most _CHECK_BLOCK characters, so its memory does
-# not grow with the file. A block must hold the longest clean row (40
-# characters), so a block without a line feed cannot be clean.
+# The first line that ``_fields`` does not skip. ``[^\S\n]`` and ``\s`` agree
+# with ``str.strip`` on what is blank.
+_FIRST_ROW = re.compile(r"^[^\S\n]*[^\s#].*$", re.MULTILINE)
+# Characters per block of ``_rows``'s check, so that its memory does not
+# grow with the file.
 _CHECK_BLOCK = 1 << 20
 
 
-def _is_clean(text: str, ncols: int) -> bool:
-    """Whether ``text`` is plainly clean rows of ``ncols`` fields."""
-    if not text.isascii():
-        return False
-    start = 0
-    while start < len(text):
-        stop = start + _CHECK_BLOCK
-        stop = len(text) if stop >= len(text) else text.rfind("\n", start, stop) + 1
-        if stop <= start or not _is_clean_block(text[start:stop].encode("ascii"), ncols):
-            return False
-        start = stop
-    return True
-
-
-def _is_clean_block(block: bytes, ncols: int) -> bool:
-    """``_is_clean`` of whole rows, as ASCII bytes."""
-    if not block.endswith(b"\n"):
-        block += b"\n"
+def _plain_lines(block: bytes, ncols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The offset of each line feed of ``block`` (whole lines, the last one
+    ended by a line feed too), and whether each line is plain: ``ncols``
+    fields joined by single tabs, each at most a leading '-' and then 1-18
+    ASCII digits. At most 18, so that the sum of two fields fits in int64."""
     b = np.frombuffer(block, dtype=np.uint8)
-    # Each field ends at the next byte below '-': every such byte must be
-    # a tab or a line feed, and each row's ends ncols - 1 tabs and a line feed.
-    ends = np.flatnonzero(b < ord("-"))
-    if ends.size % ncols:
-        return False
-    row_ends = b[ends].reshape(-1, ncols)
-    if not ((row_ends[:, :-1] == ord("\t")).all() and (row_ends[:, -1] == ord("\n")).all()):
-        return False
-    minus = b == ord("-")
-    n_minus = np.count_nonzero(minus)
-    if ends.size + n_minus + np.count_nonzero((b >= ord("0")) & (b <= ord("9"))) != b.size:
-        return False
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    signed = minus[starts]
-    # A '-' anywhere but first in its field is not clean.
-    if n_minus != np.count_nonzero(signed):
-        return False
-    digits = ends - starts - signed
-    return bool(digits.min() >= 1 and digits.max() <= 18)
+    # Every byte but a digit, and the number of digits just before it.
+    at = np.flatnonzero(b - np.uint8(ord("0")) > 9)
+    kinds, digits = b[at], np.diff(at, prepend=-1) - 1
+    line_at = np.flatnonzero(kinds == ord("\n"))
+    minus = np.flatnonzero(kinds == ord("-"))
+    # A tab or line feed ends a field of 1-18 digits, a '-' right after one
+    # starts a field (at offset 0, ``sep[-1]`` is the block's last line
+    # feed), and no other byte occurs.
+    sep = (kinds == ord("\t")) | (kinds == ord("\n"))
+    good = sep & (digits >= 1) & (digits <= 18)
+    good[minus] = (digits[minus] == 0) & sep[minus - 1]
+    # The fields of a plain line: its bytes but digits, less its '-' signs.
+    fields = np.diff(line_at, prepend=-1)
+    fields -= np.bincount(np.searchsorted(line_at, minus), minlength=line_at.size)
+    ends = at[line_at]
+    plain = fields == ncols
+    plain[np.searchsorted(ends, at[~good])] = False
+    return ends, plain
 
 
-def _clean_rows(path: PathLike, widths: tuple[int, ...]) -> np.ndarray | None:
-    """All data rows as an int64 (rows, columns) array, in one pass.
+def _rows(path: PathLike, widths: tuple[int, ...]) -> tuple[
+        np.ndarray, Iterator[tuple[int, list[int]]], TrackFormatError | None]:
+    """The data rows of a track file as an int64 (rows, columns) array in
+    line order, read in one pass; a lazy (line number, row) of each; and the
+    first format error, after which nothing is read, so that a caller can
+    name an invalid value of an earlier row first.
 
-    Returns None unless every data row is plainly clean and has the width
-    of the first one, which must be in ``widths``; the per-line parser then
-    decides what such a file holds.
+    The first data row fixes the width, which must be in ``widths``. The
+    text is checked in line-aligned blocks of about ``_CHECK_BLOCK``
+    characters (or one longer row). Plain lines (``_plain_lines``) are
+    converted in one C-level parse per block, and empty and '#' lines
+    skipped; only the others are split by ``_fields`` and parsed by
+    ``_parse_int``.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None
-    # Without these, the only skipped lines left are whitespace-only ones,
-    # which fail the clean pattern and so reach the per-line parser.
-    if "#" in text or "\n\n" in text or text.startswith("\n"):
-        text = _SKIPPED_LINE.sub("", text)
-    ncols = text.partition("\n")[0].count("\t") + 1
-    if ncols not in widths or not _is_clean(text, ncols):
-        return None
-    # The check admits only ASCII decimal fields between tabs and line
-    # ends; ``fromstring`` reads any whitespace as a separator.
-    return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, ncols)
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    first_row = _FIRST_ROW.search(text)
+    start = first_row.start() if first_row else len(text)
+    first = lineno = text.count("\n", 0, start) + 1
+    ncols = len(_fields(first_row.group())) if first_row else widths[-1]
+    if ncols not in widths:
+        raise TrackFormatError(f"{path}: line {lineno}: expected "
+                               f"{' or '.join(map(str, widths))} columns, got {ncols}")
+    values, skipped, error = [np.empty((0, ncols), dtype=np.int64)], set(), None
+    while start < len(text) and error is None:
+        stop = min(start + _CHECK_BLOCK, len(text))
+        if stop < len(text):
+            stop = (text.rfind("\n", start, stop) + 1) or (text.find("\n", stop) + 1) or len(text)
+        block = text[start:stop].encode()
+        if not block.endswith(b"\n"):
+            block += b"\n"
+        ends, plain = _plain_lines(block, ncols)
+        parsed, parsed_at = [], []
+        if not plain.all():
+            b, starts = np.frombuffer(block, dtype=np.uint8), np.r_[0, ends + 1]
+            heads = b[starts[:-1]]
+            # Empty lines and lines that start with '#' are skipped unparsed.
+            skip = ~plain & ((heads == ord("#")) | (heads == ord("\n")))
+            skipped.update((lineno + np.flatnonzero(skip)).tolist())
+            for i in np.flatnonzero(~plain & ~skip).tolist():
+                fields = _fields(block[starts[i]:starts[i + 1]].decode())
+                if fields is None:
+                    skipped.add(lineno + i)
+                    continue
+                try:
+                    if len(fields) != ncols:
+                        raise TrackFormatError(f"{path}: line {lineno + i}: "
+                                               f"expected {ncols} columns, got {len(fields)}")
+                    parsed.append([_parse_int(f, path, lineno + i) for f in fields])
+                except TrackFormatError as exc:
+                    error = exc
+                    plain[i:] = False
+                    break
+                parsed_at.append(i)
+            # Only the plain lines' bytes: the parse reads any whitespace as a
+            # separator, but a text of blanks as [0].
+            block = b[np.repeat(plain, np.diff(starts))].tobytes()
+        rows = np.fromstring(block, dtype=np.int64, sep=" ").reshape(-1, ncols)
+        if parsed:
+            rows = np.insert(rows, np.cumsum(plain)[parsed_at], parsed, axis=0)
+        values.append(rows)
+        start, lineno = stop, lineno + ends.size
+    rows = np.concatenate(values)
+    lines = (n for n in itertools.count(first) if n not in skipped)
+    return rows, zip(lines, map(np.ndarray.tolist, rows)), error
 
 
 def read_points(path: PathLike) -> np.ndarray:
@@ -281,46 +312,26 @@ def read_points(path: PathLike) -> np.ndarray:
     midpoints, ``floor((start + end) / 2)``. Lines starting with '#' are
     skipped. A repeated coordinate is rejected with its line.
     """
-    rows = _clean_rows(path, (1, 2))
-    if rows is not None and (rows.shape[1] == 1 or np.all(rows[:, 1] > rows[:, 0])):
-        pos = np.sort(rows[:, 0] if rows.shape[1] == 1 else (rows[:, 0] + rows[:, 1]) // 2)
-        if not np.any(pos[1:] == pos[:-1]):
-            return pos
-    return _read_points_per_line(path)
-
-
-def _read_points_per_line(path: PathLike) -> np.ndarray:
-    """``read_points`` one line at a time; it names the first bad line."""
+    rows, numbered, error = _rows(path, (1, 2))
+    s, e = rows[:, 0], rows[:, -1]
+    inverted = rows.shape[1] == 2 and np.any(e <= s)
+    # floor((s + e) / 2) without the sum, which may overflow; s on 1 column.
+    pos = np.sort((s >> 1) + (e >> 1) + (s & e & 1))
+    if error is None and not inverted and not np.any(pos[1:] == pos[:-1]):
+        return pos
+    # Name the first bad line.
     first_line: dict[int, int] = {}
-    ncols: int | None = None
-    for lineno, fields in _data_rows(path):
-        if ncols is None:
-            ncols = len(fields)
-            if ncols not in (1, 2):
-                raise TrackFormatError(
-                    f"{path}: line {lineno}: expected 1 or 2 columns, got {ncols}"
-                )
-        elif len(fields) != ncols:
-            raise TrackFormatError(
-                f"{path}: line {lineno}: expected {ncols} columns, got {len(fields)}"
-            )
-        if ncols == 1:
-            pos = _parse_int(fields[0], path, lineno)
-        else:
-            start = _parse_int(fields[0], path, lineno)
-            end = _parse_int(fields[1], path, lineno)
-            if end <= start:
-                raise TrackValidationError(
-                    f"{path}: line {lineno}: interval end must exceed start"
-                )
-            pos = (start + end) // 2
-        if pos in first_line:
+    for lineno, row in numbered:
+        if len(row) == 2 and row[1] <= row[0]:
+            raise TrackValidationError(f"{path}: line {lineno}: interval end must exceed start")
+        point = (row[0] + row[-1]) // 2
+        if point in first_line:
             raise TrackValidationError(
-                f"{path}: line {lineno}: duplicate point coordinate {pos} "
-                f"(first at line {first_line[pos]})"
+                f"{path}: line {lineno}: duplicate point coordinate {point} "
+                f"(first at line {first_line[point]})"
             )
-        first_line[pos] = lineno
-    return np.sort(np.fromiter(first_line, dtype=np.int64, count=len(first_line)))
+        first_line[point] = lineno
+    raise error
 
 
 def read_segments(path: PathLike) -> np.ndarray:
@@ -329,28 +340,14 @@ def read_segments(path: PathLike) -> np.ndarray:
     Overlapping input intervals are merged into maximal disjoint intervals;
     intervals that merely touch are kept separate.
     """
-    rows = _clean_rows(path, (2,))
-    if rows is not None and np.all(rows[:, 1] > rows[:, 0]):
+    rows, numbered, error = _rows(path, (2,))
+    if error is None and np.all(rows[:, 1] > rows[:, 0]):
         return merge_overlapping(rows)
-    return _read_segments_per_line(path)
-
-
-def _read_segments_per_line(path: PathLike) -> np.ndarray:
-    """``read_segments`` one line at a time; it names the first bad line."""
-    raw: list[tuple[int, int]] = []
-    for lineno, fields in _data_rows(path):
-        if len(fields) != 2:
-            raise TrackFormatError(
-                f"{path}: line {lineno}: expected 2 columns, got {len(fields)}"
-            )
-        start = _parse_int(fields[0], path, lineno)
-        end = _parse_int(fields[1], path, lineno)
+    # Name the first bad line.
+    for lineno, (start, end) in numbered:
         if end <= start:
-            raise TrackValidationError(
-                f"{path}: line {lineno}: segment end must exceed start"
-            )
-        raw.append((start, end))
-    return merge_overlapping(raw)
+            raise TrackValidationError(f"{path}: line {lineno}: segment end must exceed start")
+    raise error
 
 
 def load_point_track(path: PathLike, bin: Bin) -> PointTrack:

@@ -17,8 +17,11 @@ and its segment-side sweep). ``weighted_sum_statistic``,
 and the Ripley edge correction term by term, and
 ``statistic_moments_under_stationarity`` gives the statistic's variance
 under a stationary correlation (criterion 8).
-``CLEAN_ROWS`` are the patterns of a plainly clean track text that the
-one-pass reader takes.
+``read_points_per_line`` and ``read_segments_per_line`` read a track file
+one line at a time and raise at its first bad line; ``tracks.read_points``
+and ``read_segments`` must return the same arrays and raise the same
+errors. ``CLEAN_ROWS`` are the patterns of the plain lines that those
+readers convert without parsing them one at a time.
 """
 
 from __future__ import annotations
@@ -37,6 +40,14 @@ from trackmc.null_models import (
     _check_block_size,
     _interpoint_gaps,
     _intersegment_gaps,
+)
+from trackmc.tracks import (
+    PathLike,
+    TrackFormatError,
+    TrackValidationError,
+    _data_rows,
+    _parse_int,
+    merge_overlapping,
 )
 
 
@@ -395,12 +406,63 @@ def pair_weight(i: int, j: int, n: int) -> float:
     return (min(hi, n) - max(lo, 1)) / (hi - lo)
 
 
-# A plainly clean track text, as regular expressions: rows of ``ncols``
-# fields of at most a leading '-' and 1-18 ASCII digits, tab-separated and
-# line-feed-ended, the last row's line feed optional. ``tracks._is_clean``
-# must accept exactly the texts these match in full.
+def read_points_per_line(path: PathLike) -> np.ndarray:
+    """``read_points`` one line at a time; it names the first bad line."""
+    first_line: dict[int, int] = {}
+    ncols: int | None = None
+    for lineno, fields in _data_rows(path):
+        if ncols is None:
+            ncols = len(fields)
+            if ncols not in (1, 2):
+                raise TrackFormatError(
+                    f"{path}: line {lineno}: expected 1 or 2 columns, got {ncols}"
+                )
+        elif len(fields) != ncols:
+            raise TrackFormatError(
+                f"{path}: line {lineno}: expected {ncols} columns, got {len(fields)}"
+            )
+        if ncols == 1:
+            pos = _parse_int(fields[0], path, lineno)
+        else:
+            start = _parse_int(fields[0], path, lineno)
+            end = _parse_int(fields[1], path, lineno)
+            if end <= start:
+                raise TrackValidationError(
+                    f"{path}: line {lineno}: interval end must exceed start"
+                )
+            pos = (start + end) // 2
+        if pos in first_line:
+            raise TrackValidationError(
+                f"{path}: line {lineno}: duplicate point coordinate {pos} "
+                f"(first at line {first_line[pos]})"
+            )
+        first_line[pos] = lineno
+    return np.sort(np.fromiter(first_line, dtype=np.int64, count=len(first_line)))
+
+
+def read_segments_per_line(path: PathLike) -> np.ndarray:
+    """``read_segments`` one line at a time; it names the first bad line."""
+    raw: list[tuple[int, int]] = []
+    for lineno, fields in _data_rows(path):
+        if len(fields) != 2:
+            raise TrackFormatError(
+                f"{path}: line {lineno}: expected 2 columns, got {len(fields)}"
+            )
+        start = _parse_int(fields[0], path, lineno)
+        end = _parse_int(fields[1], path, lineno)
+        if end <= start:
+            raise TrackValidationError(
+                f"{path}: line {lineno}: segment end must exceed start"
+            )
+        raw.append((start, end))
+    return merge_overlapping(raw)
+
+
+# A plain track line, as regular expressions: ``ncols`` fields of at most a
+# leading '-' and 1-18 ASCII digits, joined by tabs. ``tracks._plain_lines``
+# must call plain exactly the lines these match in full.
 CLEAN_FIELD = r"-?[0-9]{1,18}"
 CLEAN_ROWS = {
-    ncols: re.compile(rf"(?:{row}\n)*(?:{row})?")
+    ncols: re.compile(row)
     for ncols, row in ((1, CLEAN_FIELD), (2, rf"{CLEAN_FIELD}\t{CLEAN_FIELD}"))
 }

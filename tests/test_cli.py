@@ -169,6 +169,17 @@ class TestSharedPointRules:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] == f"error: {points}: {message}\n"
 
+    def test_non_utf8_file_is_an_error_line(self, tmp_path, capsys):
+        points = tmp_path / "p.tsv"
+        points.write_bytes(b"10\n\xff\n")
+        segments = write_lines(tmp_path / "s.tsv", ["0\t50"])
+        code = run_cli("test", "--points", str(points), "--segments", segments,
+                       "--bin-end", "100", "--samples", "10")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "can't decode byte 0xff in position 3" in err
+        assert "Traceback" not in err
+
 
 class TestOutOfRangeCoordinate:
     """A coordinate beyond int64 is a format error with its line, not a traceback."""

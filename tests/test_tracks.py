@@ -25,7 +25,7 @@ from trackmc import (
     save_segment_track,
     to_binary_sequence,
 )
-from reference import CLEAN_ROWS
+from reference import CLEAN_ROWS, read_points_per_line, read_segments_per_line
 from testkit import write_lines
 
 
@@ -422,9 +422,10 @@ def _outcome(read, path):
 
 
 def _fast_path_edges(test):
-    """Files at the edges of the one-pass reader's shortcuts: the comment and
-    blank-line substitution runs only on text with a '#', an empty line or a
-    leading line end, and the numbers are converted by ``np.fromstring``."""
+    """Files at the edges of the reader's shortcuts: lines before the first
+    data row are never checked, empty and '#' lines are dropped unparsed,
+    whitespace-only lines are parsed one at a time, and the numbers are
+    converted by ``np.fromstring``."""
     for text in [
         "1\t2\n \n3\t4\n",  # a whitespace-only line and no '#'
         "1\t2\n\t\n",  # the same as the last line
@@ -452,7 +453,7 @@ def _fast_path_edges(test):
 def test_read_points_matches_per_line_parser(tmp_path, text):
     path = tmp_path / "p.tsv"
     path.write_bytes(text.encode("utf-8"))
-    assert _outcome(read_points, path) == _outcome(tracks._read_points_per_line, path)
+    assert _outcome(read_points, path) == _outcome(read_points_per_line, path)
 
 
 @settings(max_examples=300, deadline=None,
@@ -463,21 +464,34 @@ def test_read_points_matches_per_line_parser(tmp_path, text):
 def test_read_segments_matches_per_line_parser(tmp_path, text):
     path = tmp_path / "s.tsv"
     path.write_bytes(text.encode("utf-8"))
-    assert _outcome(read_segments, path) == _outcome(tracks._read_segments_per_line, path)
+    assert _outcome(read_segments, path) == _outcome(read_segments_per_line, path)
 
 
 @pytest.fixture
 def one_pass_only(monkeypatch):
-    """Fail any read that falls back to the per-line parser."""
-    def per_line(path):
-        raise AssertionError(f"{path} fell back to the per-line parser")
+    """Fail any read that parses a field one at a time."""
+    def parse_int(field, path, lineno):
+        raise AssertionError(f"{path}: line {lineno}: {field!r} parsed one at a time")
 
-    monkeypatch.setattr(tracks, "_data_rows", per_line)
+    monkeypatch.setattr(tracks, "_parse_int", parse_int)
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """The (line, field) of every field parsed one at a time."""
+    calls = []
+
+    def parse_int(field, path, lineno, parse=tracks._parse_int):
+        calls.append((lineno, field))
+        return parse(field, path, lineno)
+
+    monkeypatch.setattr(tracks, "_parse_int", parse_int)
+    return calls
 
 
 @pytest.mark.usefixtures("one_pass_only")
 def test_own_formats_read_in_one_pass(tmp_path):
-    """Interval files and saved point tracks never reach the per-line parser."""
+    """Interval files and saved point tracks parse no field one at a time."""
     intervals = write_lines(tmp_path / "s.tsv", ["100\t200", "150\t300", "300\t310"])
     assert read_segments(intervals).tolist() == [[100, 300], [300, 310]]
     assert read_points(intervals).tolist() == [150, 225, 305]
@@ -510,8 +524,14 @@ _check_token = st.one_of(
 @example(text="1\t2\t")  # a trailing tab
 @example(text="1\n2\t")
 def test_clean_check_matches_regex_oracle(text):
+    block = (text + "\n").encode()
+    lines = block.split(b"\n")[:-1]
+    line_feeds = [i for i, byte in enumerate(block) if byte == ord("\n")]
     for ncols in (1, 2):
-        assert tracks._is_clean(text, ncols) == bool(CLEAN_ROWS[ncols].fullmatch(text)), ncols
+        ends, plain = tracks._plain_lines(block, ncols)
+        assert ends.tolist() == line_feeds
+        assert plain.tolist() == [bool(CLEAN_ROWS[ncols].fullmatch(line.decode()))
+                                  for line in lines], ncols
 
 
 # Rows of 12 characters with their line feeds: a 64-character block holds
@@ -519,26 +539,62 @@ def test_clean_check_matches_regex_oracle(text):
 _BLOCK_ROWS = [f"{10_000 + 10 * i}\t{10_005 + 10 * i}" for i in range(17)]
 
 
-@pytest.mark.parametrize("bad", [(), (4,), (5,), (9,), (10,), (4, 10)], ids=str)
-def test_clean_check_sees_rows_at_block_edges(tmp_path, monkeypatch, bad):
-    """A row the per-line parser reads but the clean check must refuse
-    ('+' for the first digit) is seen on either side of a block edge."""
+@pytest.mark.parametrize("bad,long", [
+    *(pytest.param(bad, (), id=str(bad)) for bad in [(), (4,), (5,), (9,), (10,), (4, 10)]),
+    *(pytest.param(bad, long, id=f"{bad}-long{long}") for bad, long in [((4,), (5,)), ((), (16,))]),
+])
+def test_clean_check_sees_rows_at_block_edges(tmp_path, monkeypatch, parse_calls, bad, long):
+    """A row that ``int`` reads but the clean check must refuse ('+' for the
+    first digit) is seen on either side of a block edge, and so is a row
+    padded to more than a block, which makes a block of its own."""
     monkeypatch.setattr(tracks, "_CHECK_BLOCK", 64)
-    rows = ["+" + row[1:] if i in bad else row for i, row in enumerate(_BLOCK_ROWS)]
+    rows = list(_BLOCK_ROWS)
+    for i in bad:
+        rows[i] = "+" + rows[i][1:]
+    for i in long:
+        rows[i] = rows[i].replace("\t", " " * 60 + "\t")
     path = write_lines(tmp_path / "p.tsv", rows)
-    one_pass = tracks._clean_rows(path, (2,))
-    if bad:
-        assert one_pass is None
-    else:
-        assert one_pass.tolist() == [[int(f) for f in row.split("\t")] for row in rows]
-    assert _outcome(read_points, path) == _outcome(tracks._read_points_per_line, path)
-    assert _outcome(read_segments, path) == _outcome(tracks._read_segments_per_line, path)
+    for read, oracle in ((read_points, read_points_per_line),
+                         (read_segments, read_segments_per_line)):
+        parse_calls.clear()
+        assert _outcome(read, path) == _outcome(oracle, path)
+        assert parse_calls == [(i + 1, field.strip())
+                               for i in sorted(bad + long) for field in rows[i].split("\t")]
+
+
+@pytest.mark.parametrize("read,oracle,width", [
+    (read_points, read_points_per_line, 1),
+    (read_points, read_points_per_line, 2),
+    (read_segments, read_segments_per_line, 2),
+], ids=["points-1", "points-2", "segments"])
+def test_one_refused_row_costs_only_its_own_parse(tmp_path, parse_calls, read, oracle, width):
+    """A clean file but for one space-padded field parses only that row's
+    fields one at a time."""
+    rows = [f"{10 * i}\t{10 * i + 5}" if width == 2 else str(10 * i) for i in range(3000)]
+    rows[1500] += " "
+    path = write_lines(tmp_path / "f.tsv", rows)
+    assert _outcome(read, path) == _outcome(oracle, path)
+    assert parse_calls == [(1501, field.strip()) for field in rows[1500].split("\t")]
+
+
+@pytest.mark.parametrize("read", [read_points, read_segments])
+@pytest.mark.parametrize("text", [
+    b"1\t5\n2\t\xff\n",
+    # A bad first row does not come first: the file is decoded whole.
+    b"x\t1\n" + b"1\t5\n" * 3000 + b"\xff\n",
+], ids=["short", "late"])
+def test_non_utf8_file_raises_decode_error(tmp_path, read, text):
+    path = tmp_path / "f.tsv"
+    path.write_bytes(text)
+    with pytest.raises(UnicodeDecodeError) as info:
+        read(path)
+    assert info.value.start == text.index(b"\xff")
 
 
 @pytest.mark.usefixtures("one_pass_only")
 def test_clean_files_read_without_warnings(tmp_path):
-    """Clean files take the one-pass reader and ``np.fromstring`` reads them
-    to the end. On a partial read, older numpy only warns and returns the
+    """Clean files parse no field one at a time and ``np.fromstring`` reads
+    them to the end. On a partial read, older numpy only warns and returns the
     numbers read so far."""
     files = {
         "p.tsv": ["# kind=points", "5", "-3", "007", "999999999999999999"],

@@ -34,20 +34,22 @@ from genome import MIN_POINTS, MIN_SEGMENTS, make_genome, write_genome  # noqa: 
 SEEDS = (1, 2)
 MODELS = ("uniform-points", "preserve-interpoint", "uniform-segments",
           "preserve-intersegment", "block:100")
-# Copies of the points file that take the reader's two other paths: CRLF
-# line ends behind a '#' line (the comment and blank-line substitution), and
-# one field padded with a space (the per-line parser).
-VARIANTS = ("points_crlf.tsv", "points_padded.tsv")
+# Copies of the inputs that exercise the reader: CRLF line ends behind a
+# '#' line, and one field padded with a space in the points and in the
+# segments file, a row its vectorized check refuses and parses on its own.
+VARIANTS = ("points_crlf.tsv", "points_padded.tsv", "segments_padded.tsv")
 COMMANDS = (("test",), ("batch",), ("qvalue",), ("ripley",), ("simulate",),
             ("simulate", "points"), ("simulate", "segments"), ("study",), ("ordering",))
 INPUTS = ("bins.tsv", "points.tsv", "segments.tsv", *VARIANTS)
 
 
 def write_variants(rundir: Path) -> None:
-    lines = (rundir / "points.tsv").read_text().splitlines()
-    crlf, padded = ["# points, CRLF line ends", *lines], list(lines)
-    padded[len(padded) // 2] += " "
-    for name, rows, end in zip(VARIANTS, (crlf, padded), ("\r\n", "\n")):
+    points, segments = ((rundir / f"{role}.tsv").read_text().splitlines()
+                        for role in ("points", "segments"))
+    crlf = ["# points, CRLF line ends", *points]
+    for rows in (points, segments):
+        rows[len(rows) // 2] += " "
+    for name, rows, end in zip(VARIANTS, (crlf, points, segments), ("\r\n", "\n", "\n")):
         (rundir / name).write_bytes("".join(row + end for row in rows).encode())
 
 
@@ -123,9 +125,12 @@ def calls(seed: int, genome_length: int) -> list[list[str]]:
     out += [[*command, "--help"] for command in COMMANDS]
     for name in VARIANTS:
         stem = name.removesuffix(".tsv")
-        out.append(["ripley", "--points", name, *whole[2:], "--out", f"ripley_{stem}.tsv"])
-        out.append(["batch", "--bins", "bins.tsv", "--points", name,
-                    "--segments", "segments.tsv", "--null-model", "uniform-points",
+        is_points = name.startswith("points")
+        points, segments = (name, "segments.tsv") if is_points else ("points.tsv", name)
+        if is_points:
+            out.append(["ripley", "--points", name, *whole[2:], "--out", f"ripley_{stem}.tsv"])
+        out.append(["batch", "--bins", "bins.tsv", "--points", points,
+                    "--segments", segments, "--null-model", "uniform-points",
                     "--min-points", str(MIN_POINTS), "--min-segments", str(MIN_SEGMENTS),
                     "--samples", "100", "--seed", s, "--out", f"batch_{stem}.tsv"])
     return out
