@@ -44,7 +44,6 @@ from .study import (
     ORDERING_MODELS,
     StudyConfig,
     decile_table,
-    filter_bins,
     rejection_counts,
     run_clustering_survey,
     run_false_rejection_study,

@@ -28,7 +28,6 @@ from .ripley import DEFAULT_SCALES
 from .simulate import PointGenConfig, SegmentGenConfig, generate_points, generate_segments
 from .study import (
     StudyConfig,
-    filter_bins,
     rejection_counts,
     run_clustering_survey,
     run_false_rejection_study,
@@ -40,13 +39,12 @@ from .study import (
 )
 from .tracks import (
     Bin,
-    TrackFormatError,
-    _data_rows,
     load_bins,
     load_point_track,
     load_segment_track,
     partition,
     read_points,
+    read_pvalues,
     read_segments,
     save_point_track,
     save_segment_track,
@@ -131,20 +129,17 @@ def _cmd_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    bins = load_bins(args.bins)
-    points_by_bin, segments_by_bin = partition(
-        bins, read_points(args.points), read_segments(args.segments)
-    )
-    kept = filter_bins(bins, points_by_bin, segments_by_bin, args.min_points, args.min_segments)
+    tracks = partition(load_bins(args.bins), read_points(args.points), read_segments(args.segments))
+    tests = [(points, segments) for points, segments in tracks
+             if len(points) >= args.min_points and len(segments) >= args.min_segments]
     spec = NullModelSpec.from_string(args.null_model)
     cfg = _mc_config(args)
-    tests = [(points_by_bin[b.id], segments_by_bin[b.id]) for b in kept]
     if not tests:
         raise ConfigError("no bins left after filtering")
     results, errors = run_mc_batch(tests, spec, cfg, workers=args.workers)
     echo = {
         **_mc_echo("batch", spec, cfg),
-        "bins_tested": len(kept),
+        "bins_tested": len(tests),
         "min_points": args.min_points,
         "min_segments": args.min_segments,
     }
@@ -155,28 +150,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_qvalue(args: argparse.Namespace) -> int:
-    rows = list(_data_rows(args.input))
-    header = rows.pop(0)[1] if rows else []
-    if args.column not in header:
-        raise ConfigError(f"column {args.column!r} not found in {args.input}")
-    col = header.index(args.column)
-    ps = []
-    for lineno, fields in rows:
-        if len(fields) != len(header):
-            raise TrackFormatError(
-                f"{args.input}: line {lineno}: expected {len(header)} columns, got {len(fields)}"
-            )
-        try:
-            ps.append(float(fields[col]))
-        except ValueError:
-            raise TrackFormatError(
-                f"{args.input}: line {lineno}: expected a p-value, got {fields[col]!r}"
-            ) from None
+    header, table, ps = read_pvalues(args.input, args.column)
     pi0 = args.pi0 if args.pi0 is not None else estimate_pi0(ps)
     q = qvalues(ps, pi0)
     echo = {"command": "qvalue", "pi0": pi0}
     header.append("q_value")
-    table = [fields + [q_i] for (_, fields), q_i in zip(rows, q)]
+    table = [cells + [q_i] for cells, q_i in zip(table, q)]
     if args.fdr is not None:
         echo["fdr"] = args.fdr
         header.append("rejected")

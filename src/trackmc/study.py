@@ -46,7 +46,6 @@ from .tracks import (
     Bin,
     PathLike,
     PointTrack,
-    SegmentTrack,
     coverage_fraction,
     table_lines,
     to_binary_sequence,
@@ -102,22 +101,6 @@ class StudyConfig:
             raise ValueError(f"fdr_threshold must lie in (0, 1), got {self.fdr_threshold}")
         if self.bin_length < 1:
             raise ValueError("bin_length must be positive")
-
-
-def filter_bins(
-    bins: Sequence[Bin],
-    points_by_bin: Mapping[str, PointTrack],
-    segments_by_bin: Mapping[str, SegmentTrack],
-    min_points: int,
-    min_segments: int,
-) -> list[Bin]:
-    """Bins with enough data on both tracks, input order preserved."""
-    return [
-        b
-        for b in bins
-        if len(points_by_bin[b.id]) >= min_points
-        and len(segments_by_bin[b.id]) >= min_segments
-    ]
 
 
 def _replicate(args: tuple) -> dict[str, float]:

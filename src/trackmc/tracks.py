@@ -4,13 +4,16 @@ Coordinates are 0-based, half-open (BED convention), so a bin or segment
 of length L satisfies ``end - start == L``. All types are immutable after
 construction and safe to share across workers.
 
-``read_points`` and ``read_segments`` read a file in one pass. The first
-data row fixes the width; a vectorized check finds the plain lines (ASCII
-integers of at most 18 digits between single tabs), whose numbers are
-converted in one C-level parse per block; only the other lines are split and
-parsed one at a time, by the rule that ``_data_rows`` applies to the other
-tables. The value checks are vectorized too; only when one fails are the
-rows walked in line order, to name the first bad line.
+Every input file is read as text by ``_text``, which names the file and line
+of a byte that is not UTF-8 and reads '\r\n' and '\r' as '\n'. One rule,
+``_fields``, skips blank and '#' lines and splits the others: line by line in
+``_data_rows`` (bins, p-value tables), and in ``read_points`` and
+``read_segments`` for the lines a vectorized check does not find plain
+(ASCII integers of at most 18 digits between single tabs); plain lines are
+converted in one C-level parse per block. The value checks are vectorized
+too; only when one fails are the rows walked in line order, to name the
+first bad line. ``partition`` cuts whole-file tracks into each bin's (point
+track, segment track) pair, in bin order.
 
 Every table trackmc writes is formatted here: ``table_lines`` and the echo of
 ``write_tsv`` write a float (numpy's too) with ``fmt``, any other value with ``str``.
@@ -18,8 +21,6 @@ Every table trackmc writes is formatted here: ``table_lines`` and the echo of
 
 from __future__ import annotations
 
-import itertools
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO, Union
@@ -173,6 +174,24 @@ class BinarySequence:
 PathLike = Union[str, Path]
 
 
+def _text(path: PathLike) -> str:
+    """The text of a UTF-8 input file, each '\\r\\n' and '\\r' read as '\\n', as
+    ``open`` reads it; a byte that is not UTF-8 is an error naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise TrackFormatError(
+            f"{path}: line {lineno}: not UTF-8: byte 0x{data[exc.start]:02x} "
+            f"at offset {exc.start}: {exc.reason}"
+        ) from None
+    # A two-character replace scans slowly even where it finds nothing.
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def _fields(line: str) -> list[str] | None:
     """A line's stripped tab-separated fields; None for a blank or comment line."""
     if not line.strip() or line.lstrip().startswith("#"):
@@ -180,13 +199,15 @@ def _fields(line: str) -> list[str] | None:
     return [f.strip() for f in line.split("\t")]
 
 
-def _data_rows(path: PathLike) -> Iterable[tuple[int, list[str]]]:
-    """Yield (1-based line number, fields) for non-comment, non-blank lines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = _fields(line.rstrip("\n").rstrip("\r"))
-            if fields is not None:
-                yield lineno, fields
+def _data_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number from 1, fields) of each line of ``text`` that ``_fields`` keeps."""
+    start, lineno = 0, 1
+    while start < len(text):
+        stop = text.find("\n", start) + 1 or len(text)
+        fields = _fields(text[start:stop])
+        if fields is not None:
+            yield lineno, fields
+        start, lineno = stop, lineno + 1
 
 
 def _parse_int(field: str, path: PathLike, lineno: int) -> int:
@@ -203,9 +224,6 @@ def _parse_int(field: str, path: PathLike, lineno: int) -> int:
     return value
 
 
-# The first line that ``_fields`` does not skip. ``[^\S\n]`` and ``\s`` agree
-# with ``str.strip`` on what is blank.
-_FIRST_ROW = re.compile(r"^[^\S\n]*[^\s#].*$", re.MULTILINE)
 # Characters per block of ``_rows``'s check, so that its memory does not
 # grow with the file.
 _CHECK_BLOCK = 1 << 20
@@ -238,29 +256,27 @@ def _plain_lines(block: bytes, ncols: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rows(path: PathLike, widths: tuple[int, ...]) -> tuple[
-        np.ndarray, Iterator[tuple[int, list[int]]], TrackFormatError | None]:
+        np.ndarray, np.ndarray, TrackFormatError | None]:
     """The data rows of a track file as an int64 (rows, columns) array in
-    line order, read in one pass; a lazy (line number, row) of each; and the
+    line order, read in one pass; the line number of each row; and the
     first format error, after which nothing is read, so that a caller can
     name an invalid value of an earlier row first.
 
-    The first data row fixes the width, which must be in ``widths``. The
-    text is checked in line-aligned blocks of about ``_CHECK_BLOCK``
-    characters (or one longer row). Plain lines (``_plain_lines``) are
-    converted in one C-level parse per block, and empty and '#' lines
-    skipped; only the others are split by ``_fields`` and parsed by
-    ``_parse_int``.
+    The first line that ``_fields`` keeps fixes the width, which must be in
+    ``widths``. The text is checked in line-aligned blocks of about
+    ``_CHECK_BLOCK`` characters (or one longer row). Plain lines
+    (``_plain_lines``) are converted in one C-level parse per block, and
+    empty and '#' lines skipped; only the others are split by ``_fields``
+    and parsed by ``_parse_int``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    first_row = _FIRST_ROW.search(text)
-    start = first_row.start() if first_row else len(text)
-    first = lineno = text.count("\n", 0, start) + 1
-    ncols = len(_fields(first_row.group())) if first_row else widths[-1]
+    text = _text(path)
+    first = next(_data_rows(text), None)
+    ncols = len(first[1]) if first else widths[-1]
     if ncols not in widths:
-        raise TrackFormatError(f"{path}: line {lineno}: expected "
+        raise TrackFormatError(f"{path}: line {first[0]}: expected "
                                f"{' or '.join(map(str, widths))} columns, got {ncols}")
-    values, skipped, error = [np.empty((0, ncols), dtype=np.int64)], set(), None
+    values, lines = [np.empty((0, ncols), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    start, lineno, error = 0, 1, None
     while start < len(text) and error is None:
         stop = min(start + _CHECK_BLOCK, len(text))
         if stop < len(text):
@@ -274,12 +290,10 @@ def _rows(path: PathLike, widths: tuple[int, ...]) -> tuple[
             b, starts = np.frombuffer(block, dtype=np.uint8), np.r_[0, ends + 1]
             heads = b[starts[:-1]]
             # Empty lines and lines that start with '#' are skipped unparsed.
-            skip = ~plain & ((heads == ord("#")) | (heads == ord("\n")))
-            skipped.update((lineno + np.flatnonzero(skip)).tolist())
-            for i in np.flatnonzero(~plain & ~skip).tolist():
+            others = ~plain & (heads != ord("#")) & (heads != ord("\n"))
+            for i in np.flatnonzero(others).tolist():
                 fields = _fields(block[starts[i]:starts[i + 1]].decode())
                 if fields is None:
-                    skipped.add(lineno + i)
                     continue
                 try:
                     if len(fields) != ncols:
@@ -297,11 +311,11 @@ def _rows(path: PathLike, widths: tuple[int, ...]) -> tuple[
         rows = np.fromstring(block, dtype=np.int64, sep=" ").reshape(-1, ncols)
         if parsed:
             rows = np.insert(rows, np.cumsum(plain)[parsed_at], parsed, axis=0)
+            plain[parsed_at] = True  # now: the lines that hold a row
         values.append(rows)
+        lines.append(lineno + np.flatnonzero(plain))
         start, lineno = stop, lineno + ends.size
-    rows = np.concatenate(values)
-    lines = (n for n in itertools.count(first) if n not in skipped)
-    return rows, zip(lines, map(np.ndarray.tolist, rows)), error
+    return np.concatenate(values), np.concatenate(lines), error
 
 
 def read_points(path: PathLike) -> np.ndarray:
@@ -312,7 +326,7 @@ def read_points(path: PathLike) -> np.ndarray:
     midpoints, ``floor((start + end) / 2)``. Lines starting with '#' are
     skipped. A repeated coordinate is rejected with its line.
     """
-    rows, numbered, error = _rows(path, (1, 2))
+    rows, lines, error = _rows(path, (1, 2))
     s, e = rows[:, 0], rows[:, -1]
     inverted = rows.shape[1] == 2 and np.any(e <= s)
     # floor((s + e) / 2) without the sum, which may overflow; s on 1 column.
@@ -321,7 +335,7 @@ def read_points(path: PathLike) -> np.ndarray:
         return pos
     # Name the first bad line.
     first_line: dict[int, int] = {}
-    for lineno, row in numbered:
+    for lineno, row in zip(lines.tolist(), rows.tolist()):
         if len(row) == 2 and row[1] <= row[0]:
             raise TrackValidationError(f"{path}: line {lineno}: interval end must exceed start")
         point = (row[0] + row[-1]) // 2
@@ -340,11 +354,11 @@ def read_segments(path: PathLike) -> np.ndarray:
     Overlapping input intervals are merged into maximal disjoint intervals;
     intervals that merely touch are kept separate.
     """
-    rows, numbered, error = _rows(path, (2,))
+    rows, lines, error = _rows(path, (2,))
     if error is None and np.all(rows[:, 1] > rows[:, 0]):
         return merge_overlapping(rows)
     # Name the first bad line.
-    for lineno, (start, end) in numbered:
+    for lineno, (start, end) in zip(lines.tolist(), rows.tolist()):
         if end <= start:
             raise TrackValidationError(f"{path}: line {lineno}: segment end must exceed start")
     raise error
@@ -361,11 +375,14 @@ def load_segment_track(path: PathLike, bin: Bin) -> SegmentTrack:
 
 
 def merge_overlapping(intervals: np.ndarray | Sequence[tuple[int, int]]) -> np.ndarray:
-    """Merge strictly overlapping intervals; touching intervals stay apart."""
+    """Merge strictly overlapping intervals (end > start); touching ones stay apart."""
     seg = np.asarray(intervals, dtype=np.int64).reshape(-1, 2)
     if not seg.size:
         return seg
-    starts, ends = seg[np.lexsort((seg[:, 1], seg[:, 0]))].T
+    starts, ends = seg.T
+    if np.any(starts[1:] < starts[:-1]):
+        # The order of equal starts changes no group: every end exceeds its start.
+        starts, ends = seg[np.argsort(starts)].T
     # A group starts where a start is at or past every earlier end.
     first = np.flatnonzero(np.r_[True, starts[1:] >= np.maximum.accumulate(ends)[:-1]])
     return np.column_stack((starts[first], np.maximum.reduceat(ends, first)))
@@ -378,7 +395,7 @@ def load_bins(path: PathLike) -> list[Bin]:
     """
     bins: list[Bin] = []
     first_line: dict[str, int] = {}
-    for lineno, fields in _data_rows(path):
+    for lineno, fields in _data_rows(_text(path)):
         if len(fields) != 3:
             raise TrackFormatError(
                 f"{path}: line {lineno}: expected 3 columns (id, start, end), got {len(fields)}"
@@ -395,20 +412,41 @@ def load_bins(path: PathLike) -> list[Bin]:
     return bins
 
 
+def read_pvalues(path: PathLike, column: str) -> tuple[list[str], list[list[str]], list[float]]:
+    """The header and rows of a p-value table, and its ``column`` as floats. The
+    first data row is the header; every later row must have as many columns."""
+    rows = _data_rows(_text(path))
+    header = next(rows, (0, []))[1]
+    if column not in header:
+        raise TrackFormatError(f"column {column!r} not found in {path}")
+    col, table, ps = header.index(column), [], []
+    for lineno, fields in rows:
+        if len(fields) != len(header):
+            raise TrackFormatError(
+                f"{path}: line {lineno}: expected {len(header)} columns, got {len(fields)}"
+            )
+        try:
+            ps.append(float(fields[col]))
+        except ValueError:
+            raise TrackFormatError(
+                f"{path}: line {lineno}: expected a p-value, got {fields[col]!r}"
+            ) from None
+        table.append(fields)
+    return header, table, ps
+
+
 def partition(
     bins: Iterable[Bin], positions: np.ndarray, segments: np.ndarray
-) -> tuple[dict[str, PointTrack], dict[str, SegmentTrack]]:
-    """Per-bin tracks, keyed by bin id, from whole-file tracks.
+) -> list[tuple[PointTrack, SegmentTrack]]:
+    """Each bin's (point track, segment track), in bin order, from whole-file tracks.
 
     ``positions`` must be sorted and ``segments`` sorted and disjoint, as
     ``read_points`` and ``read_segments`` return them. Points outside a bin
     are left out of it; segments crossing a bin edge are clipped to it.
     """
-    points_by_bin: dict[str, PointTrack] = {}
-    segments_by_bin: dict[str, SegmentTrack] = {}
+    tracks = []
     for b in bins:
         lo, hi = np.searchsorted(positions, (b.start, b.end))
-        points_by_bin[b.id] = PointTrack(b, positions[lo:hi])
         # Disjoint sorted segments have sorted ends, so both searches are valid.
         first = np.searchsorted(segments[:, 1], b.start, side="right")
         last = np.searchsorted(segments[:, 0], b.end)
@@ -418,8 +456,8 @@ def partition(
         if clipped.size:
             clipped[0, 0] = max(clipped[0, 0], b.start)
             clipped[-1, 1] = min(clipped[-1, 1], b.end)
-        segments_by_bin[b.id] = SegmentTrack(b, clipped)
-    return points_by_bin, segments_by_bin
+        tracks.append((PointTrack(b, positions[lo:hi]), SegmentTrack(b, clipped)))
+    return tracks
 
 
 def fmt(x: float) -> str:

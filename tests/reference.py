@@ -20,8 +20,10 @@ under a stationary correlation (criterion 8).
 ``read_points_per_line`` and ``read_segments_per_line`` read a track file
 one line at a time and raise at its first bad line; ``tracks.read_points``
 and ``read_segments`` must return the same arrays and raise the same
-errors. ``CLEAN_ROWS`` are the patterns of the plain lines that those
-readers convert without parsing them one at a time.
+errors. ``merge_per_interval`` merges overlapping intervals in a plain loop,
+the oracle of ``tracks.merge_overlapping``. ``CLEAN_ROWS`` are the patterns
+of the plain lines that those readers convert without parsing them one at
+a time.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from trackmc.tracks import (
     TrackValidationError,
     _data_rows,
     _parse_int,
-    merge_overlapping,
+    _text,
 )
 
 
@@ -410,7 +412,7 @@ def read_points_per_line(path: PathLike) -> np.ndarray:
     """``read_points`` one line at a time; it names the first bad line."""
     first_line: dict[int, int] = {}
     ncols: int | None = None
-    for lineno, fields in _data_rows(path):
+    for lineno, fields in _data_rows(_text(path)):
         if ncols is None:
             ncols = len(fields)
             if ncols not in (1, 2):
@@ -443,7 +445,7 @@ def read_points_per_line(path: PathLike) -> np.ndarray:
 def read_segments_per_line(path: PathLike) -> np.ndarray:
     """``read_segments`` one line at a time; it names the first bad line."""
     raw: list[tuple[int, int]] = []
-    for lineno, fields in _data_rows(path):
+    for lineno, fields in _data_rows(_text(path)):
         if len(fields) != 2:
             raise TrackFormatError(
                 f"{path}: line {lineno}: expected 2 columns, got {len(fields)}"
@@ -455,7 +457,18 @@ def read_segments_per_line(path: PathLike) -> np.ndarray:
                 f"{path}: line {lineno}: segment end must exceed start"
             )
         raw.append((start, end))
-    return merge_overlapping(raw)
+    return np.array(merge_per_interval(raw), dtype=np.int64).reshape(-1, 2)
+
+
+def merge_per_interval(intervals) -> list[list[int]]:
+    """``tracks.merge_overlapping`` one interval at a time, in (start, end) order."""
+    merged: list[list[int]] = []
+    for start, end in sorted(intervals):
+        if merged and start < merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    return merged
 
 
 # A plain track line, as regular expressions: ``ncols`` fields of at most a

@@ -151,6 +151,44 @@ class TestBatchCommand:
         assert err.startswith("error:") and "line 2: duplicate bin id 'a'" in err
 
 
+class TestBatchFilter:
+    """`batch` tests the bins with at least --min-points points and
+    --min-segments segments, in input order, and counts them in the header."""
+
+    @staticmethod
+    def kept_ids(tmp_path, counts, min_points, min_segments, no_segment=()):
+        """The bins_tested count and result ids of a batch over one 1 kb bin
+        per count, holding that many points and one segment unless listed in
+        ``no_segment``."""
+        bins = [f"bin{i:03d}\t{1000 * i}\t{1000 * (i + 1)}" for i in range(len(counts))]
+        points = [str(1000 * i + 3 * k) for i, n in enumerate(counts) for k in range(n)]
+        segments = [f"{1000 * i}\t{1000 * i + 100}"
+                    for i in range(len(counts)) if i not in no_segment]
+        out = tmp_path / "out.tsv"
+        assert run_cli("batch", "--bins", write_lines(tmp_path / "bins.tsv", bins),
+                       "--points", write_lines(tmp_path / "p.tsv", points),
+                       "--segments", write_lines(tmp_path / "s.tsv", segments),
+                       "--samples", "10", "--min-points", str(min_points),
+                       "--min-segments", str(min_segments), "--out", str(out)) == 0
+        lines = out.read_text().splitlines()
+        tested = next(int(l.split("=")[1]) for l in lines if l.startswith("# bins_tested="))
+        return tested, [l.split("\t")[0] for l in lines if not l.startswith("#")][1:]
+
+    def test_threshold_excludes_sparse_bin(self, tmp_path):
+        assert self.kept_ids(tmp_path, [4, 5, 7], 5, 1) == (2, ["bin001", "bin002"])
+
+    def test_zero_thresholds_identity(self, tmp_path):
+        assert self.kept_ids(tmp_path, [0, 2], 0, 0) == (2, ["bin000", "bin001"])
+
+    def test_73_of_100_fixture(self, tmp_path):
+        # 73 bins meet the (>=5 points, >=1 segment) bar by construction.
+        counts = [5 + (i % 7) if i < 73 else 4 for i in range(100)]
+        assert self.kept_ids(tmp_path, counts, 5, 1) == (73, [f"bin{i:03d}" for i in range(73)])
+
+    def test_segment_threshold(self, tmp_path):
+        assert self.kept_ids(tmp_path, [10, 10], 1, 1, no_segment=(0,)) == (1, ["bin001"])
+
+
 class TestSharedPointRules:
     """`batch` and `test` read points files through one parser."""
 
@@ -176,9 +214,29 @@ class TestSharedPointRules:
         code = run_cli("test", "--points", str(points), "--segments", segments,
                        "--bin-end", "100", "--samples", "10")
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "can't decode byte 0xff in position 3" in err
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == (
+            f"error: {points}: line 2: not UTF-8: byte 0xff at offset 3: invalid start byte\n")
+
+
+@pytest.mark.parametrize("command,bad", [("batch", "segments"), ("batch", "bins"),
+                                         ("qvalue", "input")])
+def test_non_utf8_input_names_its_file(tmp_path, capsys, command, bad):
+    """Of several input files, the error names the one that is not UTF-8."""
+    files = {
+        "bins": write_lines(tmp_path / "bins.tsv", ["a\t0\t100"]),
+        "points": write_lines(tmp_path / "p.tsv", ["10", "60"]),
+        "segments": write_lines(tmp_path / "s.tsv", ["0\t50"]),
+        "input": write_lines(tmp_path / "t.tsv", ["bin_id\tp_value", "a\t0.5"]),
+    }
+    text = Path(files[bad]).read_bytes()
+    Path(files[bad]).write_bytes(text + b"# \xc3(\n")
+    flags = ("input",) if command == "qvalue" else ("bins", "points", "segments")
+    argv = [arg for flag in flags for arg in (f"--{flag}", files[flag])]
+    assert run_cli(command, *argv) == 1
+    line = text.count(b"\n") + 1
+    assert capsys.readouterr().err == (
+        f"error: {files[bad]}: line {line}: not UTF-8: "
+        f"byte 0xc3 at offset {len(text) + 2}: invalid continuation byte\n")
 
 
 class TestOutOfRangeCoordinate:

@@ -11,12 +11,10 @@ from trackmc import (
     PRESERVE_INTERPOINT,
     PointGenConfig,
     PointTrack,
-    SegmentTrack,
     StudyConfig,
     UNIFORM_POINTS,
     decile_table,
     derive_seed,
-    filter_bins,
     generate_points,
     rejection_counts,
     run_clustering_survey,
@@ -31,44 +29,6 @@ from trackmc.study import (
     write_survey_tsv,
 )
 from dataclasses import replace
-
-
-def per_bin_fixture(counts):
-    """bins plus per-bin tracks holding the requested point counts."""
-    bins, points, segments = [], {}, {}
-    for i, n in enumerate(counts):
-        b = Bin(f"bin{i:03d}", 0, 1000)
-        bins.append(b)
-        points[b.id] = PointTrack(b, np.arange(n) * 3)
-        segments[b.id] = SegmentTrack(b, [(0, 100)])
-    return bins, points, segments
-
-
-class TestFilterBins:
-    def test_threshold_excludes_sparse_bin(self):
-        bins, points, segments = per_bin_fixture([4, 5, 7])
-        kept = filter_bins(bins, points, segments, min_points=5, min_segments=1)
-        assert [b.id for b in kept] == ["bin001", "bin002"]
-
-    def test_zero_thresholds_identity(self):
-        bins, points, segments = per_bin_fixture([0, 2])
-        kept = filter_bins(bins, points, segments, min_points=0, min_segments=0)
-        assert kept == bins
-
-    def test_73_of_100_fixture(self):
-        # 73 bins meet the (>=5 points, >=1 segment) bar by construction.
-        counts = [5 + (i % 7) if i < 73 else 4 for i in range(100)]
-        bins, points, segments = per_bin_fixture(counts)
-        kept = filter_bins(bins, points, segments, min_points=5, min_segments=1)
-        assert len(kept) == 73
-        assert kept == bins[:73]
-
-    def test_segment_threshold(self):
-        bins, points, segments = per_bin_fixture([10, 10])
-        empty_bin = bins[0]
-        segments[empty_bin.id] = SegmentTrack(empty_bin, [])
-        kept = filter_bins(bins, points, segments, min_points=1, min_segments=1)
-        assert [b.id for b in kept] == ["bin001"]
 
 
 SMALL_STUDY = StudyConfig(

@@ -25,7 +25,7 @@ from trackmc import (
     save_segment_track,
     to_binary_sequence,
 )
-from reference import CLEAN_ROWS, read_points_per_line, read_segments_per_line
+from reference import CLEAN_ROWS, merge_per_interval, read_points_per_line, read_segments_per_line
 from testkit import write_lines
 
 
@@ -188,6 +188,22 @@ def test_merge_overlapping_chain():
     assert merged.tolist() == [[0, 9], [10, 12]]
 
 
+@settings(max_examples=500, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(-20, 60), st.integers(1, 30))
+                     .map(lambda t: (t[0], t[0] + t[1])), max_size=15),
+       presort=st.booleans())
+@example(rows=[(0, 5), (5, 8), (2, 3), (0, 9), (8, 9)], presort=False)  # touch and nest
+@example(rows=[(3, 9), (3, 4), (3, 12), (12, 13)], presort=True)  # equal starts
+def test_merge_overlapping_matches_plain_loop(rows, presort):
+    """Both sides of the sort (rows whose starts are already in order, as a
+    read file usually has them, and rows in any order) merge as a plain loop."""
+    if presort:
+        rows = sorted(rows, key=lambda row: row[0])
+    merged = merge_overlapping(rows)
+    assert merged.dtype == np.int64 and merged.shape == (len(merged), 2)
+    assert merged.tolist() == merge_per_interval(rows)
+
+
 class TestToBinarySequence:
     def test_direct_indicator(self):
         seq = to_binary_sequence(PointTrack(Bin("b", 0, 4), [0, 2]))
@@ -295,16 +311,8 @@ def test_load_bins_rejects_duplicate_id(tmp_path):
 def _reference_partition(b, positions, rows):
     """Per-bin filter, clip and merge, one bin at a time."""
     points = sorted(p for p in positions if b.start <= p < b.end)
-    clipped = sorted(
-        (max(s, b.start), min(e, b.end)) for s, e in rows if s < b.end and e > b.start
-    )
-    merged = []
-    for s, e in clipped:
-        if merged and s < merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], e)
-        else:
-            merged.append([s, e])
-    return points, merged
+    clipped = [(max(s, b.start), min(e, b.end)) for s, e in rows if s < b.end and e > b.start]
+    return points, merge_per_interval(clipped)
 
 
 _coord = st.integers(0, 80)
@@ -319,24 +327,25 @@ _interval = st.tuples(_coord, st.integers(1, 25)).map(lambda t: (t[0], t[0] + t[
 )
 def test_partition_matches_per_bin_reference(positions, rows, bin_spans):
     bins = [Bin(f"b{i}", s, e) for i, (s, e) in enumerate(bin_spans)]
-    points_by_bin, segments_by_bin = partition(
+    pairs = partition(
         bins, np.sort(np.array(list(positions), dtype=np.int64)), merge_overlapping(rows)
     )
-    for b in bins:
-        points, segments = _reference_partition(b, positions, rows)
-        assert points_by_bin[b.id].positions.tolist() == points
-        assert segments_by_bin[b.id].segments.tolist() == segments
+    assert [(points.bin, segments.bin) for points, segments in pairs] == [(b, b) for b in bins]
+    for b, (points, segments) in zip(bins, pairs):
+        assert (points.positions.tolist(), segments.segments.tolist()) == \
+            _reference_partition(b, positions, rows)
 
 
 def test_partition_of_read_tracks(tmp_path):
     points = write_lines(tmp_path / "p.tsv", ["5", "150", "99", "250"])
     segments = write_lines(tmp_path / "s.tsv", ["90\t110", "95\t120", "180\t200", "200\t210"])
-    bins = [Bin("a", 0, 100), Bin("b", 100, 200), Bin("c", 190, 300)]
-    points_by_bin, segments_by_bin = partition(bins, read_points(points), read_segments(segments))
-    assert {k: v.positions.tolist() for k, v in points_by_bin.items()} == {
-        "a": [5, 99], "b": [150], "c": [250]}
-    assert {k: v.segments.tolist() for k, v in segments_by_bin.items()} == {
-        "a": [[90, 100]], "b": [[100, 120], [180, 200]], "c": [[190, 200], [200, 210]]}
+    bins = [Bin("c", 190, 300), Bin("a", 0, 100), Bin("b", 100, 200)]
+    pairs = partition(bins, read_points(points), read_segments(segments))
+    assert [(p.bin.id, p.positions.tolist(), s.segments.tolist()) for p, s in pairs] == [
+        ("c", [250], [[190, 200], [200, 210]]),
+        ("a", [5, 99], [[90, 100]]),
+        ("b", [150], [[100, 120], [180, 200]]),
+    ]
 
 
 _INT64_MAX = 2**63 - 1
@@ -577,18 +586,58 @@ def test_one_refused_row_costs_only_its_own_parse(tmp_path, parse_calls, read, o
     assert parse_calls == [(1501, field.strip()) for field in rows[1500].split("\t")]
 
 
-@pytest.mark.parametrize("read", [read_points, read_segments])
-@pytest.mark.parametrize("text", [
-    b"1\t5\n2\t\xff\n",
+# More than one 64-character block of lines that every reader skips: '#'
+# and empty lines, and whitespace-only and indented comment lines.
+_SKIPPED_LINES = ["# kind=points", "", "   ", "\t", "  # indented", "\u3000", "#", " \t# x"] * 3
+
+
+@pytest.mark.parametrize("rows,outcome", [
+    ([*_SKIPPED_LINES, "10\t20", "30\t40"], [[10, 20], [30, 40]]),
+    (_SKIPPED_LINES, np.empty((0, 2), dtype=np.int64)),
+    ([*_SKIPPED_LINES, "10\t20\t30", "40"], "line 25: expected 1 or 2 columns, got 3"),
+], ids=["first-row", "no-row", "wrong-width"])
+def test_first_row_follows_skipped_lines(tmp_path, monkeypatch, rows, outcome):
+    """The first line that ``_fields`` keeps fixes the width, however many
+    blocks of skipped lines come before it."""
+    monkeypatch.setattr(tracks, "_CHECK_BLOCK", 64)
+    path = write_lines(tmp_path / "f.tsv", rows)
+    assert len("".join(f"{row}\n" for row in _SKIPPED_LINES)) > 64
+    for read, oracle in ((read_points, read_points_per_line),
+                         (read_segments, read_segments_per_line)):
+        assert _outcome(read, path) == _outcome(oracle, path)
+    if isinstance(outcome, str):
+        with pytest.raises(TrackFormatError) as info:
+            read_points(path)
+        assert str(info.value) == f"{path}: {outcome}"
+    else:
+        got, lines, error = tracks._rows(path, (1, 2))
+        assert error is None and got.dtype == np.int64
+        assert got.tolist() == np.asarray(outcome).tolist() and got.shape[1] == 2
+        assert lines.tolist() == [25, 26][:len(got)]
+
+
+def read_pvalue_table(path):
+    return tracks.read_pvalues(path, "p_value")
+
+
+@pytest.mark.parametrize("read", [read_points, read_segments, load_bins, read_pvalue_table])
+@pytest.mark.parametrize("text,error", [
+    (b"1\t5\n2\t\xff\n", "line 2: not UTF-8: byte 0xff at offset 6: invalid start byte"),
     # A bad first row does not come first: the file is decoded whole.
-    b"x\t1\n" + b"1\t5\n" * 3000 + b"\xff\n",
-], ids=["short", "late"])
-def test_non_utf8_file_raises_decode_error(tmp_path, read, text):
+    (b"x\t1\n" + b"1\t5\n" * 3000 + b"\xff\n",
+     "line 3002: not UTF-8: byte 0xff at offset 12004: invalid start byte"),
+    # Lines end as the readers end them.
+    (b"# a\r\n1\t5\r2\t6\n\xe2\x82",
+     "line 4: not UTF-8: byte 0xe2 at offset 13: unexpected end of data"),
+], ids=["short", "late", "crlf"])
+def test_non_utf8_file_raises_decode_error(tmp_path, read, text, error):
+    """A byte that is not UTF-8 is a format error naming the file, the line
+    and the byte's offset in the file."""
     path = tmp_path / "f.tsv"
     path.write_bytes(text)
-    with pytest.raises(UnicodeDecodeError) as info:
+    with pytest.raises(TrackFormatError) as info:
         read(path)
-    assert info.value.start == text.index(b"\xff")
+    assert str(info.value) == f"{path}: {error}"
 
 
 @pytest.mark.usefixtures("one_pass_only")

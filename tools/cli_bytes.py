@@ -34,22 +34,32 @@ from genome import MIN_POINTS, MIN_SEGMENTS, make_genome, write_genome  # noqa: 
 SEEDS = (1, 2)
 MODELS = ("uniform-points", "preserve-interpoint", "uniform-segments",
           "preserve-intersegment", "block:100")
-# Copies of the inputs that exercise the reader: CRLF line ends behind a
-# '#' line, and one field padded with a space in the points and in the
-# segments file, a row its vectorized check refuses and parses on its own.
-VARIANTS = ("points_crlf.tsv", "points_padded.tsv", "segments_padded.tsv")
+# Copies that exercise the readers, each made from its source file as soon
+# as that exists (the p-value table is an output): CRLF line ends behind a
+# '#' line, or one field padded with a space in the middle row, a row the
+# track readers' vectorized check refuses and parses on its own.
+VARIANTS = {
+    "points_crlf.tsv": ("points.tsv", "\r\n"),
+    "bins_crlf.tsv": ("bins.tsv", "\r\n"),
+    "batch0_crlf.tsv": ("batch0.tsv", "\r\n"),
+    "points_padded.tsv": ("points.tsv", "\n"),
+    "segments_padded.tsv": ("segments.tsv", "\n"),
+}
 COMMANDS = (("test",), ("batch",), ("qvalue",), ("ripley",), ("simulate",),
             ("simulate", "points"), ("simulate", "segments"), ("study",), ("ordering",))
 INPUTS = ("bins.tsv", "points.tsv", "segments.tsv", *VARIANTS)
 
 
 def write_variants(rundir: Path) -> None:
-    points, segments = ((rundir / f"{role}.tsv").read_text().splitlines()
-                        for role in ("points", "segments"))
-    crlf = ["# points, CRLF line ends", *points]
-    for rows in (points, segments):
-        rows[len(rows) // 2] += " "
-    for name, rows, end in zip(VARIANTS, (crlf, points, segments), ("\r\n", "\n", "\n")):
+    """Write each copy of ``VARIANTS`` whose source is in ``rundir`` and it is not."""
+    for name, (source, end) in VARIANTS.items():
+        if (rundir / name).exists() or not (rundir / source).exists():
+            continue
+        rows = (rundir / source).read_text().splitlines()
+        if end == "\r\n":
+            rows.insert(0, f"# {source.removesuffix('.tsv')}, CRLF line ends")
+        else:
+            rows[len(rows) // 2] += " "
         (rundir / name).write_bytes("".join(row + end for row in rows).encode())
 
 
@@ -123,7 +133,7 @@ def calls(seed: int, genome_length: int) -> list[list[str]]:
     # Help text: each call exits 0 and writes it to stdout.
     out.append(["--help"])
     out += [[*command, "--help"] for command in COMMANDS]
-    for name in VARIANTS:
+    for name in ("points_crlf.tsv", "points_padded.tsv", "segments_padded.tsv"):
         stem = name.removesuffix(".tsv")
         is_points = name.startswith("points")
         points, segments = (name, "segments.tsv") if is_points else ("points.tsv", name)
@@ -133,6 +143,13 @@ def calls(seed: int, genome_length: int) -> list[list[str]]:
                     "--segments", segments, "--null-model", "uniform-points",
                     "--min-points", str(MIN_POINTS), "--min-segments", str(MIN_SEGMENTS),
                     "--samples", "100", "--seed", s, "--out", f"batch_{stem}.tsv"])
+    out += [
+        ["batch", "--bins", "bins_crlf.tsv", "--points", "points.tsv",
+         "--segments", "segments.tsv", "--null-model", "uniform-points",
+         "--min-points", str(MIN_POINTS), "--min-segments", str(MIN_SEGMENTS),
+         "--samples", "100", "--seed", s, "--out", "batch_bins_crlf.tsv"],
+        ["qvalue", "--input", "batch0_crlf.tsv", "--fdr", "0.1", "--out", "qvalue_crlf.tsv"],
+    ]
     return out
 
 
@@ -150,6 +167,7 @@ def run_all(src: Path, rundir: Path, argvs: list[list[str]]) -> list[tuple]:
     env = dict(os.environ, PYTHONPATH=str(src))
     results = []
     for argv in argvs:
+        write_variants(rundir)
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from trackmc.cli import main; "
              "sys.exit(main(sys.argv[1:]))", *argv],
@@ -190,7 +208,6 @@ def main(argv: list[str]) -> int:
                 rundir = tmp / f"{seed}-{len(runs)}"
                 rundir.mkdir()
                 write_genome(genome, rundir)
-                write_variants(rundir)
                 runs[name] = (run_all(src, rundir, argvs), outputs(rundir))
             (old, old_files), (new, new_files) = runs.values()
             n_calls += len(argvs)
