@@ -136,7 +136,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     cfg = _mc_config(args)
     if not tests:
         raise ConfigError("no bins left after filtering")
-    results, errors = run_mc_batch(tests, spec, cfg, workers=args.workers)
+    results, errors = run_mc_batch(tests, [spec], cfg, workers=args.workers)
     echo = {
         **_mc_echo("batch", spec, cfg),
         "bins_tested": len(tests),

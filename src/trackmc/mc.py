@@ -21,6 +21,10 @@ between table lookup and binary search, building the coverage mask or
 prefix count if it takes the table. Every chunk draws into those arrays
 and counts the same way; the short last chunk uses their leading rows.
 Nothing is kept from one test to the next.
+
+``run_mc_batch`` drives the tests of ``batch``, ``study`` and ``ordering``:
+a job is one (points, segments) pair with its null models, and only
+``batch_work`` against ``_POOL_MIN_WORK`` decides whether a pool runs them.
 """
 
 from __future__ import annotations
@@ -162,9 +166,9 @@ _POOL_MIN_WORK = 2**21
 def map_jobs(fn: Callable, jobs: Sequence, workers: int) -> list:
     """``[fn(job) for job in jobs]``, on a pool of ``min(workers, len(jobs))`` processes if over 1.
 
-    The caller decides whether a pool pays for itself (``run_mc_batch``
-    passes 1 for a small batch). The pool hands out jobs in runs of
-    ``len(jobs) // (4 * workers)``, at least 1, so many short jobs do not
+    Its one caller, ``run_mc_batch``, decides whether a pool pays for
+    itself, and passes 1 for a small batch. The pool hands out jobs in runs
+    of ``len(jobs) // (4 * workers)``, at least 1, so many short jobs do not
     each pay a round trip while the last runs still balance the load.
     Results come back in job order either way.
     """
@@ -180,33 +184,35 @@ def map_jobs(fn: Callable, jobs: Sequence, workers: int) -> list:
     return [fn(job) for job in jobs]
 
 
-def _run_one(args: tuple) -> tuple[TestResult | None, str | None]:
-    points, segments, spec, cfg = args
+def _run_one(args: tuple) -> list[TestResult] | str:
+    """One pair's results in spec order, or ``"<bin_id>: <message>"``."""
+    points, segments, specs, cfg = args
     try:
-        return run_mc_test(points, segments, spec, cfg), None
+        return [run_mc_test(points, segments, spec, cfg) for spec in specs]
     except Exception as exc:  # collected by the batch driver
-        return None, f"{points.bin.id}: {exc}"
+        return f"{points.bin.id}: {exc}"
 
 
-def batch_work(
-    tests: Sequence[tuple[PointTrack, SegmentTrack]], spec: NullModelSpec, cfg: MCConfig
-) -> int:
-    """The estimated cost of a batch: the sum over its tests of
+def batch_work(tests: Sequence[tuple[PointTrack, SegmentTrack]],
+               specs: Sequence[NullModelSpec], cfg: MCConfig) -> int:
+    """The estimated cost of a batch: the sum over its tests and specs of
     ``cfg.n_samples * (sample_size + _SAMPLE_OVERHEAD)``, known before any
     test runs."""
     return sum(
         cfg.n_samples * (sample_size(points, segments, spec) + _SAMPLE_OVERHEAD)
         for points, segments in tests
+        for spec in specs
     )
 
 
 def run_mc_batch(
     tests: Sequence[tuple[PointTrack, SegmentTrack]],
-    spec: NullModelSpec,
+    specs: Sequence[NullModelSpec],
     cfg: MCConfig,
     workers: int = 1,
 ) -> tuple[list[TestResult], list[str]]:
-    """One test per (points, segments) pair; failures are collected, not fatal.
+    """Every spec on every (points, segments) pair, in pair and then spec
+    order. A pair whose test fails gives no results but one error, collected.
 
     ``workers`` is an upper bound: a batch whose ``batch_work`` is below
     ``_POOL_MIN_WORK`` runs in this process, because starting a pool would
@@ -216,11 +222,11 @@ def run_mc_batch(
     """
     if not tests:
         raise ValueError("empty batch")
-    if batch_work(tests, spec, cfg) < _POOL_MIN_WORK:
+    if batch_work(tests, specs, cfg) < _POOL_MIN_WORK:
         workers = 1
-    outcomes = map_jobs(_run_one, [(pts, segs, spec, cfg) for pts, segs in tests], workers)
-    results = [r for r, _ in outcomes if r is not None]
-    errors = [e for _, e in outcomes if e is not None]
+    outcomes = map_jobs(_run_one, [(pts, segs, specs, cfg) for pts, segs in tests], workers)
+    results = [r for out in outcomes if not isinstance(out, str) for r in out]
+    errors = [out for out in outcomes if isinstance(out, str)]
     return results, errors
 
 

@@ -1,7 +1,8 @@
 """End-to-end experiment drivers.
 
 Both experiments score independently generated track pairs under several
-null models, one pair per replicate, through ``_replicate``.
+null models, one pair per replicate (``_pair``), and run every Monte Carlo
+test through one ``mc.run_mc_batch``, under the pool rule of ``batch``.
 
 ``run_false_rejection_study`` crosses data-generation procedures (uniform,
 clustered points, clustered segments) with testing assumptions (analytic
@@ -29,7 +30,8 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .mc import Direction, MCConfig, map_jobs, run_mc_test
+# run_mc_test is not called here, but perfbench/tracer.py binds trackmc.study.run_mc_test.
+from .mc import Direction, MCConfig, run_mc_batch, run_mc_test  # noqa: F401
 from .null_models import (
     NullModelSpec,
     PRESERVE_INTERPOINT,
@@ -46,6 +48,7 @@ from .tracks import (
     Bin,
     PathLike,
     PointTrack,
+    SegmentTrack,
     coverage_fraction,
     table_lines,
     to_binary_sequence,
@@ -103,32 +106,26 @@ class StudyConfig:
             raise ValueError("bin_length must be positive")
 
 
-def _replicate(args: tuple) -> dict[str, float]:
-    """{label: p} for one independently generated pair, one entry per row.
-
-    ``args`` is (cfg, key, bin_id, cluster_points, cluster_segments, rows,
-    direction). The points and then the segments are generated from seeds
-    derived from ``key``; chunk seeds come from ``bin_id``.
-    """
-    cfg, key, bin_id, cluster_points, cluster_segments, rows, direction = args
+def _pair(cfg: StudyConfig, key: tuple, bin_id: str, cluster_points: bool,
+          cluster_segments: bool) -> tuple[PointTrack, SegmentTrack]:
+    """An independent pair in bin ``bin_id`` (which keys its tests' chunk seeds):
+    the points and then the segments, generated from seeds derived from ``key``."""
     bin = Bin(bin_id, 0, cfg.bin_length)
-    points = generate_points(
-        bin, PointGenConfig(clustered=cluster_points), derive_seed(cfg.master_seed, *key, "points")
-    )
-    segments = generate_segments(
-        bin,
-        SegmentGenConfig(clustered=cluster_segments),
-        derive_seed(cfg.master_seed, *key, "segments"),
-    )
+    point_cfg = PointGenConfig(clustered=cluster_points)
+    segment_cfg = SegmentGenConfig(clustered=cluster_segments)
+    return (generate_points(bin, point_cfg, derive_seed(cfg.master_seed, *key, "points")),
+            generate_segments(bin, segment_cfg, derive_seed(cfg.master_seed, *key, "segments")))
+
+
+def _mc_pvalues(cfg: StudyConfig, pairs: list, models: Sequence[NullModelSpec],
+                direction: Direction, workers: int) -> np.ndarray:
+    """p per pair (rows) under each of ``models`` (columns), from one
+    ``run_mc_batch``; a failed test raises the batch's first error."""
     mc_cfg = MCConfig(n_samples=cfg.mc_samples, master_seed=cfg.master_seed, direction=direction)
-    out: dict[str, float] = {}
-    for label, null_model in rows:
-        if null_model is None:
-            t = count_points_in_segments(points, segments)
-            out[label] = binomial_upper_pvalue(t, len(points), coverage_fraction(segments))
-        else:
-            out[label] = run_mc_test(points, segments, null_model, mc_cfg).p_value
-    return out
+    results, errors = run_mc_batch(pairs, models, mc_cfg, workers)
+    if errors:
+        raise ValueError(errors[0])
+    return np.array([r.p_value for r in results]).reshape(len(pairs), len(models))
 
 
 def run_false_rejection_study(
@@ -140,18 +137,15 @@ def run_false_rejection_study(
     ``rejection_counts`` finds in a cell is a false one.
     """
     n = cfg.n_replicates
-    jobs = [
-        (cfg, ("study", column, rep), f"{column}-{rep:04d}", *_COLUMN_GENERATION[column],
-         ASSUMPTIONS, Direction.GREATER)
-        for column in GENERATION_COLUMNS
-        for rep in range(n)
-    ]
-    outcomes = map_jobs(_replicate, jobs, workers)
-    return {
-        (label, column): np.array([row[label] for row in outcomes[i * n:(i + 1) * n]])
-        for label, _ in ASSUMPTIONS
-        for i, column in enumerate(GENERATION_COLUMNS)
-    }
+    pairs = [_pair(cfg, ("study", column, rep), f"{column}-{rep:04d}", *_COLUMN_GENERATION[column])
+             for column in GENERATION_COLUMNS for rep in range(n)]
+    models = [m for _, m in ASSUMPTIONS if m is not None]
+    mc = iter(_mc_pvalues(cfg, pairs, models, Direction.GREATER, workers).T)
+    analytic = np.array([binomial_upper_pvalue(count_points_in_segments(p, s), len(p),
+                                               coverage_fraction(s)) for p, s in pairs])
+    pvalues = {label: analytic if m is None else next(mc) for label, m in ASSUMPTIONS}
+    return {(label, column): pvalues[label][i * n:(i + 1) * n]
+            for label, _ in ASSUMPTIONS for i, column in enumerate(GENERATION_COLUMNS)}
 
 
 def rejection_counts(
@@ -183,14 +177,10 @@ def run_ordering_experiment(cfg: StudyConfig, workers: int = 1) -> dict[str, np.
     (the nested pair of each side), and on clustered data each uniform
     model against the other side's preserve model.
     """
-    rows = tuple((m.to_string(), m) for m in ORDERING_MODELS)
-    jobs = [
-        (cfg, ("ordering", rep), f"ordering-{rep:04d}", True, cfg.cluster_segments, rows,
-         Direction.TWO_SIDED)
-        for rep in range(cfg.n_replicates)
-    ]
-    outcomes = map_jobs(_replicate, jobs, workers)
-    return {label: np.array([row[label] for row in outcomes]) for label, _ in rows}
+    pairs = [_pair(cfg, ("ordering", rep), f"ordering-{rep:04d}", True, cfg.cluster_segments)
+             for rep in range(cfg.n_replicates)]
+    pvalues = _mc_pvalues(cfg, pairs, ORDERING_MODELS, Direction.TWO_SIDED, workers)
+    return {m.to_string(): pvalues[:, j] for j, m in enumerate(ORDERING_MODELS)}
 
 
 def decile_table(pvalues: Mapping[str, np.ndarray]) -> list[tuple[float, dict[str, float]]]:

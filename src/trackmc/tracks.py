@@ -413,8 +413,8 @@ def load_bins(path: PathLike) -> list[Bin]:
 
 
 def read_pvalues(path: PathLike, column: str) -> tuple[list[str], list[list[str]], list[float]]:
-    """The header and rows of a p-value table, and its ``column`` as floats. The
-    first data row is the header; every later row must have as many columns."""
+    """The header and rows of a p-value table, and its ``column`` as p-values in
+    [0, 1]. The first data row is the header; later rows have as many columns."""
     rows = _data_rows(_text(path))
     header = next(rows, (0, []))[1]
     if column not in header:
@@ -426,11 +426,15 @@ def read_pvalues(path: PathLike, column: str) -> tuple[list[str], list[list[str]
                 f"{path}: line {lineno}: expected {len(header)} columns, got {len(fields)}"
             )
         try:
-            ps.append(float(fields[col]))
+            p = float(fields[col])
         except ValueError:
             raise TrackFormatError(
                 f"{path}: line {lineno}: expected a p-value, got {fields[col]!r}"
             ) from None
+        if not 0.0 <= p <= 1.0:  # NaN fails this too
+            raise TrackFormatError(
+                f"{path}: line {lineno}: expected a p-value in [0, 1], got {fields[col]!r}")
+        ps.append(p)
         table.append(fields)
     return header, table, ps
 

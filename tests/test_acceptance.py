@@ -14,7 +14,6 @@ import pytest
 from trackmc import (
     ASSUMPTIONS,
     Bin,
-    Direction,
     EstimatorMode,
     MCConfig,
     PRESERVE_INTERPOINT,
@@ -25,6 +24,7 @@ from trackmc import (
     StudyConfig,
     UNIFORM_POINTS,
     binomial_upper_pvalue,
+    count_points_in_segments,
     coverage_fraction,
     decile_table,
     derive_seed,
@@ -39,7 +39,7 @@ from trackmc import (
     to_binary_sequence,
 )
 from trackmc.cli import main as cli_main
-from trackmc.study import _replicate
+from trackmc.study import _pair
 from reference import enumerate_states, state_space_size, statistic_moments_under_stationarity
 
 SEED = 0
@@ -367,12 +367,17 @@ def test_criterion_9_worker_determinism(tmp_path, full_study):
     # the full-scale study ran with workers=2; recompute sampled replicates
     # serially and compare exactly
     cfg, pvalues, _ = full_study
+    mc_cfg = MCConfig(n_samples=cfg.mc_samples, master_seed=cfg.master_seed)
     for column, r, flags in (("uniform", 3, (False, False)),
                              ("clustered-points", 57, (True, False)),
                              ("clustered-segments", 99, (False, True))):
-        row_p = _replicate((cfg, ("study", column, r), f"{column}-{r:04d}", *flags,
-                            ASSUMPTIONS, Direction.GREATER))
-        for label, p in row_p.items():
+        points, segments = _pair(cfg, ("study", column, r), f"{column}-{r:04d}", *flags)
+        for label, model in ASSUMPTIONS:
+            if model is None:
+                p = binomial_upper_pvalue(count_points_in_segments(points, segments),
+                                          len(points), coverage_fraction(segments))
+            else:
+                p = run_mc_test(points, segments, model, mc_cfg).p_value
             if pvalues[(label, column)][r] != p:
                 failures.append(f"serial recomputation differs at ({label}, {column}, {r})")
 

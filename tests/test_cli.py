@@ -313,7 +313,18 @@ class TestQvalueCommand:
         table = write_lines(tmp_path / "p.tsv", ["bin_id\tp_value", "a\t0.1", "b\tnan"])
         out = tmp_path / "q.tsv"
         assert run_cli("qvalue", "--input", table, *pi0, "--out", str(out)) == 1
-        assert capsys.readouterr().err == "error: p-values must lie in [0, 1]\n"
+        assert capsys.readouterr().err == (
+            f"error: {table}: line 3: expected a p-value in [0, 1], got 'nan'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.01", "inf"])
+    def test_out_of_range_pvalue_names_its_line(self, tmp_path, capsys, value):
+        table = write_lines(tmp_path / "p.tsv", ["bin_id\tp_value", "a\t0.1", f"b\t{value}",
+                                                 "c\t0.2"])
+        out = tmp_path / "q.tsv"
+        assert run_cli("qvalue", "--input", table, "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {table}: line 3: expected a p-value in [0, 1], got '{value}'\n")
         assert not out.exists()
 
     def test_all_zero_pvalues(self, tmp_path):
@@ -506,6 +517,54 @@ class TestStudyAndOrderingCommands:
 
 
 SMALL_STUDY_ARGS = ("--replicates", "1", "--bin-length", "5000", "--samples", "20")
+
+
+class TestFailedTestText:
+    """What each command prints when a null model cannot resample its tracks."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command, message", [
+        ("study", "clustered-segments-0001: distance-preserving resample needs at least one "
+                  "point"),
+        ("ordering", "ordering-0002: distance-preserving resample needs at least one segment"),
+    ])
+    def test_experiment_error_names_the_replicate(self, tmp_path, capsys, command, message,
+                                                  workers):
+        # 101 bp bins leave some replicates without points or segments.
+        out = tmp_path / "out.tsv"
+        assert run_cli(command, "--bin-length", "101", "--replicates", "3", "--samples", "5",
+                       "--workers", workers, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model, points, segments, side", [
+        ("preserve-interpoint", ["# no points"], ["0\t40"], "point"),
+        ("preserve-intersegment", ["10", "25"], ["# no segments"], "segment"),
+    ])
+    def test_single_test_error_is_unprefixed(self, tmp_path, capsys, model, points, segments,
+                                             side):
+        out = tmp_path / "out.tsv"
+        assert run_cli("test", "--points", write_lines(tmp_path / "p.tsv", points),
+                       "--segments", write_lines(tmp_path / "s.tsv", segments),
+                       "--bin-end", "200", "--null-model", model, "--samples", "10",
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: distance-preserving resample needs at least one {side}\n")
+        assert not out.exists()
+
+    def test_batch_warns_and_writes_the_other_bins(self, tmp_path, capsys):
+        bins = write_lines(tmp_path / "bins.tsv", ["a\t0\t100", "b\t100\t200", "c\t200\t300"])
+        points = write_lines(tmp_path / "p.tsv", ["5", "10", "215", "250"])  # none in b
+        segments = write_lines(tmp_path / "s.tsv", ["0\t50", "120\t180", "210\t260"])
+        out = tmp_path / "out.tsv"
+        assert run_cli("batch", "--bins", bins, "--points", points, "--segments", segments,
+                       "--null-model", "preserve-interpoint", "--samples", "10",
+                       "--min-points", "0", "--out", str(out)) == 0
+        assert capsys.readouterr().err == (
+            "warning: b: distance-preserving resample needs at least one point\n")
+        lines = out.read_text().splitlines()
+        assert "# bins_tested=3" in lines
+        assert [l.split("\t")[0] for l in lines if not l.startswith("#")] == ["bin_id", "a", "c"]
 
 
 @pytest.mark.parametrize("command", ["batch", "study", "ordering"])

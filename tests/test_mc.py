@@ -344,9 +344,36 @@ class TestRunMcBatch:
     def test_single_bin_batch_equals_run_mc_test(self):
         points, segments = small_case()
         cfg = MCConfig(n_samples=150, master_seed=61)
-        results, errors = run_mc_batch([(points, segments)], UNIFORM_POINTS, cfg)
+        results, errors = run_mc_batch([(points, segments)], [UNIFORM_POINTS], cfg)
         assert errors == []
         assert results[0] == run_mc_test(points, segments, UNIFORM_POINTS, cfg)
+
+    def test_specs_run_on_every_pair_in_order(self):
+        # Pair by pair, and within a pair spec by spec, each result is the
+        # one run_mc_test gives alone; the work sums over pairs and specs.
+        tests = self._bins(3)
+        specs = [PRESERVE_INTERPOINT, UNIFORM_SEGMENTS]
+        cfg = MCConfig(n_samples=130, master_seed=67)
+        results, errors = run_mc_batch(tests, specs, cfg)
+        assert errors == []
+        assert results == [run_mc_test(pts, segs, spec, cfg)
+                           for pts, segs in tests for spec in specs]
+        assert trackmc.mc.batch_work(tests, specs, cfg) == sum(
+            trackmc.mc.batch_work(tests, [spec], cfg) for spec in specs)
+
+    def test_failing_spec_drops_its_pair(self):
+        # uniform-points runs on a pair without points, preserve-interpoint
+        # cannot: the pair gives one error and none of its results.
+        b = Bin("empty", 0, 100)
+        bad = (PointTrack(b, []), SegmentTrack(b, [(0, 10)]))
+        good = self._bins(2)
+        cfg = MCConfig(n_samples=50, master_seed=91)
+        results, errors = run_mc_batch([good[0], bad, good[1]],
+                                       [UNIFORM_POINTS, PRESERVE_INTERPOINT], cfg)
+        assert [(r.bin_id, r.null_model) for r in results] == [
+            (bin_id, spec) for bin_id in ("bin00", "bin01")
+            for spec in (UNIFORM_POINTS, PRESERVE_INTERPOINT)]
+        assert errors == ["empty: distance-preserving resample needs at least one point"]
 
     @staticmethod
     def _bins(n):
@@ -362,8 +389,8 @@ class TestRunMcBatch:
     def test_input_order_does_not_change_pvalues(self):
         tests = self._bins(5)
         cfg = MCConfig(n_samples=120, master_seed=71)
-        fwd, _ = run_mc_batch(tests, UNIFORM_POINTS, cfg)
-        rev, _ = run_mc_batch(tests[::-1], UNIFORM_POINTS, cfg)
+        fwd, _ = run_mc_batch(tests, [UNIFORM_POINTS], cfg)
+        rev, _ = run_mc_batch(tests[::-1], [UNIFORM_POINTS], cfg)
         by_id_fwd = {r.bin_id: r for r in fwd}
         by_id_rev = {r.bin_id: r for r in rev}
         assert by_id_fwd == by_id_rev
@@ -371,8 +398,8 @@ class TestRunMcBatch:
     def test_worker_count_does_not_change_results(self):
         tests = self._bins(6)
         cfg = MCConfig(n_samples=120, master_seed=81)
-        serial, _ = run_mc_batch(tests, UNIFORM_POINTS, cfg, workers=1)
-        parallel, _ = run_mc_batch(tests, UNIFORM_POINTS, cfg, workers=2)
+        serial, _ = run_mc_batch(tests, [UNIFORM_POINTS], cfg, workers=1)
+        parallel, _ = run_mc_batch(tests, [UNIFORM_POINTS], cfg, workers=2)
         assert serial == parallel
 
     # 6 bins x 5,400 samples x (1 + 64): just above the pool's threshold.
@@ -380,9 +407,9 @@ class TestRunMcBatch:
 
     def test_pooled_batch_matches_serial(self):
         tests = self._bins(6)
-        assert trackmc.mc.batch_work(tests, UNIFORM_POINTS, self.POOLED) >= trackmc.mc._POOL_MIN_WORK
-        serial, _ = run_mc_batch(tests, UNIFORM_POINTS, self.POOLED, workers=1)
-        parallel, _ = run_mc_batch(tests, UNIFORM_POINTS, self.POOLED, workers=2)
+        assert trackmc.mc.batch_work(tests, [UNIFORM_POINTS], self.POOLED) >= trackmc.mc._POOL_MIN_WORK
+        serial, _ = run_mc_batch(tests, [UNIFORM_POINTS], self.POOLED, workers=1)
+        parallel, _ = run_mc_batch(tests, [UNIFORM_POINTS], self.POOLED, workers=2)
         assert serial == parallel
 
     def test_pool_only_for_batches_that_pay_for_it(self, monkeypatch):
@@ -396,11 +423,11 @@ class TestRunMcBatch:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         tests = self._bins(6)
         small = MCConfig(n_samples=120, master_seed=81)
-        assert trackmc.mc.batch_work(tests, UNIFORM_POINTS, small) < trackmc.mc._POOL_MIN_WORK
-        results, errors = run_mc_batch(tests, UNIFORM_POINTS, small, workers=2)
+        assert trackmc.mc.batch_work(tests, [UNIFORM_POINTS], small) < trackmc.mc._POOL_MIN_WORK
+        results, errors = run_mc_batch(tests, [UNIFORM_POINTS], small, workers=2)
         assert len(results) == 6 and errors == []
         with pytest.raises(NoPool):
-            run_mc_batch(tests, UNIFORM_POINTS, self.POOLED, workers=2)
+            run_mc_batch(tests, [UNIFORM_POINTS], self.POOLED, workers=2)
 
     def test_pool_no_larger_than_its_jobs(self, monkeypatch):
         started = []
@@ -434,13 +461,13 @@ class TestRunMcBatch:
         bad = (PointTrack(b, []), SegmentTrack(b, [(0, 10)]))
         good = self._bins(2)
         cfg = MCConfig(n_samples=50, master_seed=91)
-        results, errors = run_mc_batch(good + [bad], PRESERVE_INTERPOINT, cfg)
+        results, errors = run_mc_batch(good + [bad], [PRESERVE_INTERPOINT], cfg)
         assert len(results) == 2
         assert len(errors) == 1 and "empty" in errors[0]
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            run_mc_batch([], UNIFORM_POINTS, MCConfig(n_samples=5))
+            run_mc_batch([], [UNIFORM_POINTS], MCConfig(n_samples=5))
 
 
 class TestWriters:

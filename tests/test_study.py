@@ -8,6 +8,7 @@ from trackmc import (
     Bin,
     Direction,
     GENERATION_COLUMNS,
+    ORDERING_MODELS,
     PRESERVE_INTERPOINT,
     PointGenConfig,
     PointTrack,
@@ -21,9 +22,11 @@ from trackmc import (
     run_false_rejection_study,
     run_ordering_experiment,
 )
-from trackmc.mc import map_jobs
+import trackmc.mc
+from trackmc.mc import MCConfig, run_mc_batch
 from trackmc.study import (
-    _replicate,
+    _COLUMN_GENERATION,
+    _pair,
     write_ordering_tsv,
     write_study_tsv,
     write_survey_tsv,
@@ -34,6 +37,10 @@ from dataclasses import replace
 SMALL_STUDY = StudyConfig(
     n_replicates=8, bin_length=20_000, mc_samples=150, master_seed=404
 )
+
+
+def _batch_work(pairs, models, cfg):
+    return trackmc.mc.batch_work(pairs, models, MCConfig(n_samples=cfg.mc_samples))
 
 
 class TestFalseRejectionStudy:
@@ -49,6 +56,12 @@ class TestFalseRejectionStudy:
             assert 0 <= count <= SMALL_STUDY.n_replicates
 
     def test_worker_count_does_not_change_report(self):
+        # The study's batch reaches the pool's threshold, so workers=2 pools.
+        pairs = [_pair(SMALL_STUDY, ("study", column, rep), f"{column}-{rep:04d}",
+                       *_COLUMN_GENERATION[column])
+                 for column in GENERATION_COLUMNS for rep in range(SMALL_STUDY.n_replicates)]
+        models = [m for _, m in ASSUMPTIONS if m is not None]
+        assert _batch_work(pairs, models, SMALL_STUDY) >= trackmc.mc._POOL_MIN_WORK
         serial = run_false_rejection_study(SMALL_STUDY, workers=1)
         parallel = run_false_rejection_study(SMALL_STUDY, workers=2)
         assert serial.keys() == parallel.keys()
@@ -85,6 +98,11 @@ SMALL_ORDERING = replace(SMALL_STUDY, cluster_segments=True, n_replicates=10)
 
 class TestOrderingExperiment:
     def test_shape_and_determinism_across_workers(self):
+        # The ordering batch reaches the pool's threshold, so workers=2 pools.
+        pairs = [_pair(SMALL_ORDERING, ("ordering", rep), f"ordering-{rep:04d}", True,
+                       SMALL_ORDERING.cluster_segments)
+                 for rep in range(SMALL_ORDERING.n_replicates)]
+        assert _batch_work(pairs, ORDERING_MODELS, SMALL_ORDERING) >= trackmc.mc._POOL_MIN_WORK
         serial = run_ordering_experiment(SMALL_ORDERING, workers=1)
         parallel = run_ordering_experiment(SMALL_ORDERING, workers=2)
         assert list(serial) == [
@@ -103,15 +121,14 @@ class TestOrderingExperiment:
         # clusters its points, so its replicates are scored here with
         # independent points under its own seed keys.
         cfg = StudyConfig(n_replicates=60, bin_length=20_000, mc_samples=300, master_seed=11)
-        rows = (("uniform-points", UNIFORM_POINTS), ("preserve-interpoint", PRESERVE_INTERPOINT))
-        jobs = [
-            (cfg, ("ordering", rep), f"ordering-{rep:04d}", False, False, rows,
-             Direction.TWO_SIDED)
-            for rep in range(cfg.n_replicates)
-        ]
-        result = map_jobs(_replicate, jobs, 2)
-        med_u = float(np.median([row["uniform-points"] for row in result]))
-        med_p = float(np.median([row["preserve-interpoint"] for row in result]))
+        pairs = [_pair(cfg, ("ordering", rep), f"ordering-{rep:04d}", False, False)
+                 for rep in range(cfg.n_replicates)]
+        mc_cfg = MCConfig(n_samples=cfg.mc_samples, master_seed=cfg.master_seed,
+                          direction=Direction.TWO_SIDED)
+        results, errors = run_mc_batch(pairs, [UNIFORM_POINTS, PRESERVE_INTERPOINT], mc_cfg, 2)
+        assert errors == []
+        med_u = float(np.median([r.p_value for r in results[0::2]]))
+        med_p = float(np.median([r.p_value for r in results[1::2]]))
         assert abs(med_u - med_p) <= 0.1
 
     def test_decile_table_shape(self):

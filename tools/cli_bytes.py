@@ -98,17 +98,24 @@ def calls(seed: int, genome_length: int) -> list[list[str]]:
         ["ordering", "--cluster-segments", "--replicates", "3", "--bin-length", "20000",
          "--samples", "100", "--seed", s, "--out", "ordering.tsv",
          "--deciles-out", "deciles.tsv"],
-        # Both generators of ordering's segments, and the study's replicates
-        # on a two-worker pool.
+        # Both generators of ordering's segments, and a study allowed two
+        # workers whose batch is too small for the pool, so it runs in-process.
         ["ordering", "--replicates", "3", "--bin-length", "20000", "--samples", "100",
          "--seed", s, "--out", "ordering_plain.tsv"],
         ["study", "--replicates", "2", "--bin-length", "20000", "--samples", "100",
          "--fdr", "0.3", "--seed", s, "--workers", "2", "--out", "study_w2.tsv"],
-        # The benchmark's scale: 100 kb bins and 16 chunks per test.
+        # The benchmark's scale: 100 kb bins and 16 chunks per test. Each is
+        # run in-process and with two workers, on the pool: their batches
+        # are about 12 (study) and 9 (ordering) million sampled elements,
+        # over the 2 million at which the pool starts.
         ["study", "--replicates", "1", "--samples", "1000", "--seed", s,
          "--out", "study_full.tsv"],
+        ["study", "--replicates", "1", "--samples", "1000", "--seed", s,
+         "--workers", "2", "--out", "study_full_w2.tsv"],
         ["ordering", "--cluster-segments", "--replicates", "1", "--samples", "1000",
          "--seed", s, "--out", "ordering_full.tsv"],
+        ["ordering", "--cluster-segments", "--replicates", "1", "--samples", "1000",
+         "--seed", s, "--workers", "2", "--out", "ordering_full_w2.tsv"],
         ["simulate", "points", "--bin-length", "20000", "--mode", "clustered",
          "--lambda-inter", "0.02", "--seed", s, "--out", "sim_points.tsv"],
         ["simulate", "segments", "--bin-length", "20000", "--clustered",
