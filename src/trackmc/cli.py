@@ -8,7 +8,8 @@ so outputs are byte-identical across worker counts).
 Each subcommand accepts only the flags it reads, so no flag is a silent
 no-op: ``simulate points`` and ``simulate segments`` take their own
 generator flags, --fdr belongs to study, --cluster-segments and
---deciles-out to ordering.
+--deciles-out to ordering. --lambda-intra and --new-cluster-prob act only on
+clustered generation; without it, a value but their default is an error.
 
 The parser is built per call for the invoked subcommand: every subcommand
 is registered with its help, so usage, help and error text are those of
@@ -25,7 +26,10 @@ from .mc import ConfigError, Direction, EstimatorMode, MCConfig, run_mc_batch, r
 from .null_models import SPELLINGS, NullModelSpec
 from .qvalues import estimate_pi0, qvalues, reject_at_fdr
 from .ripley import DEFAULT_SCALES
-from .simulate import PointGenConfig, SegmentGenConfig, generate_points, generate_segments
+from .simulate import (
+    LAMBDA_INTRA, NEW_CLUSTER_PROB, PointGenConfig, SegmentGenConfig, generate_points,
+    generate_segments,
+)
 from .study import (
     StudyConfig,
     rejection_counts,
@@ -178,25 +182,16 @@ def _cmd_ripley(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     bin = Bin("sim", 0, args.bin_length)
     echo = {"command": "simulate", "kind": args.kind, "bin_length": args.bin_length}
+    cluster = {"lambda_intra": args.lambda_intra, "new_cluster_prob": args.new_cluster_prob}
     if args.kind == "points":
-        cfg = PointGenConfig(
-            clustered=args.mode == "clustered",
-            lambda_inter=args.lambda_inter,
-            lambda_intra=args.lambda_intra,
-            new_cluster_prob=args.new_cluster_prob,
-        )
+        cfg = PointGenConfig(clustered=args.mode == "clustered", lambda_inter=args.lambda_inter,
+                             **cluster)
         echo["mode"] = args.mode
         track = generate_points(bin, cfg, args.seed)
         save = save_point_track
     else:
-        cfg = SegmentGenConfig(
-            gap_lambda=args.gap_lambda,
-            length_min=args.length_min,
-            length_max=args.length_max,
-            clustered=args.clustered,
-            lambda_intra=args.lambda_intra,
-            new_cluster_prob=args.new_cluster_prob,
-        )
+        cfg = SegmentGenConfig(gap_lambda=args.gap_lambda, length_min=args.length_min,
+                               length_max=args.length_max, clustered=args.clustered, **cluster)
         echo["clustered"] = int(args.clustered)
         track = generate_segments(bin, cfg, args.seed)
         save = save_segment_track
@@ -232,7 +227,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     cfg = _study_config(args, fdr_threshold=args.fdr)
     pvalues = run_false_rejection_study(cfg, workers=args.workers)
     echo = _study_echo("study", cfg, fdr=cfg.fdr_threshold)
-    write_study_tsv(rejection_counts(pvalues, cfg.fdr_threshold), cfg, _out(args.out), echo)
+    write_study_tsv(rejection_counts(pvalues, cfg.fdr_threshold), _out(args.out), echo)
     return 0
 
 
@@ -297,8 +292,8 @@ def _add_simulate_args(p: argparse.ArgumentParser) -> None:
     segments.add_argument("--clustered", action="store_true", help="cluster segment starts")
     for kind in (points, segments):
         kind.add_argument("--bin-length", type=int, required=True)
-        kind.add_argument("--lambda-intra", type=float, default=0.1)
-        kind.add_argument("--new-cluster-prob", type=float, default=0.3)
+        kind.add_argument("--lambda-intra", type=float, default=LAMBDA_INTRA)
+        kind.add_argument("--new-cluster-prob", type=float, default=NEW_CLUSTER_PROB)
         kind.add_argument("--seed", type=int, default=0)
         kind.add_argument("--out", default="-")
 

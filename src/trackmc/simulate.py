@@ -5,7 +5,8 @@ as Geometric(rate) on {1, 2, ...} (mean 1/rate), the lattice analog of a
 rate-per-base-pair point process. ``clustered=True`` mixes two gap rates: each
 new point starts a new cluster with some probability (wide gap at the
 inter-cluster rate), otherwise continues the current cluster (tight gap at
-the intra-cluster rate).
+the intra-cluster rate). Without clustering, a cluster setting off its
+default is an error.
 """
 
 from __future__ import annotations
@@ -18,25 +19,38 @@ from .seeding import rng_for
 from .tracks import Bin, PointTrack, SegmentTrack
 
 
+# The cluster settings' defaults, their only values without clustering.
+LAMBDA_INTRA = 0.1
+NEW_CLUSTER_PROB = 0.3
+
+
 def _check_rate(name: str, value: float) -> None:
     if not 0.0 < value < 1.0:
         raise ValueError(f"{name} must lie in (0, 1), got {value}")
+
+
+def _check_cluster(clustered: bool, lambda_intra: float, new_cluster_prob: float) -> None:
+    """The cluster settings' ranges; then, unless ``clustered``, their defaults."""
+    _check_rate("lambda_intra", lambda_intra)
+    if not 0.0 <= new_cluster_prob <= 1.0:
+        raise ValueError(f"new_cluster_prob must lie in [0, 1], got {new_cluster_prob}")
+    if not clustered and (lambda_intra, new_cluster_prob) != (LAMBDA_INTRA, NEW_CLUSTER_PROB):
+        raise ValueError(
+            f"lambda_intra={lambda_intra} and new_cluster_prob={new_cluster_prob} change no "
+            f"draw unless clustered: leave them at {LAMBDA_INTRA} and {NEW_CLUSTER_PROB}"
+        )
 
 
 @dataclass(frozen=True)
 class PointGenConfig:
     clustered: bool = False
     lambda_inter: float = 0.01
-    lambda_intra: float = 0.1
-    new_cluster_prob: float = 0.3
+    lambda_intra: float = LAMBDA_INTRA
+    new_cluster_prob: float = NEW_CLUSTER_PROB
 
     def __post_init__(self) -> None:
         _check_rate("lambda_inter", self.lambda_inter)
-        _check_rate("lambda_intra", self.lambda_intra)
-        if not 0.0 <= self.new_cluster_prob <= 1.0:
-            raise ValueError(
-                f"new_cluster_prob must lie in [0, 1], got {self.new_cluster_prob}"
-            )
+        _check_cluster(self.clustered, self.lambda_intra, self.new_cluster_prob)
 
 
 @dataclass(frozen=True)
@@ -51,20 +65,16 @@ class SegmentGenConfig:
     length_min: int = 10
     length_max: int = 100
     clustered: bool = False
-    lambda_intra: float = 0.1
-    new_cluster_prob: float = 0.3
+    lambda_intra: float = LAMBDA_INTRA
+    new_cluster_prob: float = NEW_CLUSTER_PROB
 
     def __post_init__(self) -> None:
         _check_rate("gap_lambda", self.gap_lambda)
-        _check_rate("lambda_intra", self.lambda_intra)
         if not 0 < self.length_min <= self.length_max:
             raise ValueError(
                 f"need 0 < length_min <= length_max, got [{self.length_min}, {self.length_max}]"
             )
-        if not 0.0 <= self.new_cluster_prob <= 1.0:
-            raise ValueError(
-                f"new_cluster_prob must lie in [0, 1], got {self.new_cluster_prob}"
-            )
+        _check_cluster(self.clustered, self.lambda_intra, self.new_cluster_prob)
 
 
 def _renewal_positions(

@@ -19,8 +19,9 @@ ordering writers take as they are.
 
 Replicates are pure functions of (master seed, experiment, replicate
 index); worker count never changes any output. ``run_clustering_survey``
-profiles the one point track of ``ripley``. The writers pass values, which
-``tracks.table_lines`` formats.
+profiles the one point track of ``ripley``, one (bin_id, tau, k_hat, l_hat)
+row per scale. Each writer writes the echo it is given and then its table,
+whose values ``tracks.table_lines`` formats.
 """
 
 from __future__ import annotations
@@ -193,27 +194,21 @@ def decile_table(pvalues: Mapping[str, np.ndarray]) -> list[tuple[float, dict[st
 
 def run_clustering_survey(
     track: PointTrack, scales: Sequence[int]
-) -> list[tuple[int, str, int, float, float]]:
-    """L of one track per scale: rows (0, bin_id, tau, k_hat, l_hat).
-
-    The leading 0 is the survey table's ``track`` column. Raises
-    ``ValueError`` for too few points or a scale outside the bin.
-    """
+) -> list[tuple[str, int, float, float]]:
+    """L of one track per scale: rows (bin_id, tau, k_hat, l_hat). Raises
+    ``ValueError`` for too few points or a scale outside the bin."""
     l_values = estimate_l_profile(to_binary_sequence(track), scales)
-    return [(0, track.bin.id, tau, l * 2.0 * tau, l) for tau, l in zip(map(int, scales), l_values)]
+    return [(track.bin.id, tau, l * 2.0 * tau, l) for tau, l in zip(map(int, scales), l_values)]
 
 
 def write_study_tsv(
     counts: Mapping[tuple[str, str], int],
-    cfg: StudyConfig,
     path_or_file: PathLike | TextIO,
     config_echo: dict | None = None,
 ) -> None:
     """One row per assumption, one column per generation procedure."""
-    echo = {**(config_echo or {}), "rejected_out_of": cfg.n_replicates,
-            "fdr_threshold": cfg.fdr_threshold}
     rows = ((row, *(counts[(row, col)] for col in GENERATION_COLUMNS)) for row, _ in ASSUMPTIONS)
-    write_tsv(path_or_file, echo, table_lines(("assumption", *GENERATION_COLUMNS), rows))
+    write_tsv(path_or_file, config_echo, table_lines(("assumption", *GENERATION_COLUMNS), rows))
 
 
 def write_ordering_tsv(
@@ -235,9 +230,8 @@ def write_deciles_tsv(
 
 
 def write_survey_tsv(
-    rows: Iterable[tuple[int, str, int, float, float]],
+    rows: Iterable[tuple[str, int, float, float]],
     path_or_file: PathLike | TextIO,
     config_echo: dict | None = None,
 ) -> None:
-    header = ("track", "bin_id", "tau", "k_hat", "l_hat")
-    write_tsv(path_or_file, config_echo, table_lines(header, rows))
+    write_tsv(path_or_file, config_echo, table_lines(("bin_id", "tau", "k_hat", "l_hat"), rows))

@@ -89,7 +89,7 @@ class PointTrack:
     def __post_init__(self) -> None:
         pos = np.asarray(self.positions, dtype=np.int64).reshape(-1)
         if pos.size:
-            if np.any(np.diff(pos) <= 0):
+            if (pos[1:] <= pos[:-1]).any():
                 raise TrackValidationError(
                     f"bin {self.bin.id!r}: positions must be strictly increasing "
                     "(sorted, no duplicates)"
@@ -119,11 +119,11 @@ class SegmentTrack:
     def __post_init__(self) -> None:
         seg = np.asarray(self.segments, dtype=np.int64).reshape(-1, 2)
         if seg.size:
-            if np.any(seg[:, 1] <= seg[:, 0]):
+            if (seg[:, 1] <= seg[:, 0]).any():
                 raise TrackValidationError(f"bin {self.bin.id!r}: empty or inverted segment")
-            if np.any(np.diff(seg[:, 0]) < 0):
+            if (seg[1:, 0] < seg[:-1, 0]).any():
                 raise TrackValidationError(f"bin {self.bin.id!r}: segments not sorted by start")
-            if np.any(seg[1:, 0] < seg[:-1, 1]):
+            if (seg[1:, 0] < seg[:-1, 1]).any():
                 raise TrackValidationError(f"bin {self.bin.id!r}: overlapping segments")
             if seg[0, 0] < self.bin.start or seg[-1, 1] > self.bin.end:
                 raise TrackValidationError(
@@ -448,20 +448,16 @@ def partition(
     ``read_points`` and ``read_segments`` return them. Points outside a bin
     are left out of it; segments crossing a bin edge are clipped to it.
     """
-    tracks = []
-    for b in bins:
-        lo, hi = np.searchsorted(positions, (b.start, b.end))
-        # Disjoint sorted segments have sorted ends, so both searches are valid.
-        first = np.searchsorted(segments[:, 1], b.start, side="right")
-        last = np.searchsorted(segments[:, 0], b.end)
-        # Of a sorted disjoint run, only the first start and the last end
-        # can fall outside the bin.
-        clipped = segments[first:last].copy()
-        if clipped.size:
-            clipped[0, 0] = max(clipped[0, 0], b.start)
-            clipped[-1, 1] = min(clipped[-1, 1], b.end)
-        tracks.append((PointTrack(b, positions[lo:hi]), SegmentTrack(b, clipped)))
-    return tracks
+    bins = list(bins)
+    starts, ends = np.array([(b.start, b.end) for b in bins], dtype=np.int64).reshape(-1, 2).T
+    lo, hi = np.searchsorted(positions, starts), np.searchsorted(positions, ends)
+    # Disjoint sorted segments have sorted ends, so both searches are valid.
+    first = np.searchsorted(segments[:, 1], starts, side="right")
+    last = np.searchsorted(segments[:, 0], ends)
+    # Of a sorted disjoint run, only the first start and the last end can
+    # fall outside the bin, so clipping every coordinate clips just those.
+    return [(PointTrack(b, positions[i:j]), SegmentTrack(b, segments[f:k].clip(b.start, b.end)))
+            for b, i, j, f, k in zip(bins, lo.tolist(), hi.tolist(), first.tolist(), last.tolist())]
 
 
 def fmt(x: float) -> str:

@@ -1,7 +1,8 @@
 """Reference implementations the tests check the package against.
 
-The resamplers build one randomized track per seed, the plainest reading
-of each null model; ``resample_track`` picks one by the model's name.
+The resamplers build one randomized track per seed, or per draw from a
+generator passed in its place (``_rng``), the plainest reading of each null
+model; ``resample_track`` picks one by the model's name.
 ``enumerate_states`` lists every state a model reaches from a small track,
 by the model's name: every n-subset of the bin (uniform-points), every
 order of the gaps at every feasible offset (preserve-interpoint), every
@@ -94,27 +95,36 @@ def _uniform_composition(rng: np.random.Generator, total: int, parts: int) -> np
 
 # --- reference resamplers: one randomized track per seed --------------------
 
-def resample_points_uniform(track: PointTrack, rng_seed: int) -> PointTrack:
+Seed = Union[int, np.random.Generator]
+
+
+def _rng(rng_seed: Seed) -> np.random.Generator:
+    """The generator a resampler draws from: ``rng_seed`` itself if it is one,
+    else ``rng_for(rng_seed)``."""
+    return rng_seed if isinstance(rng_seed, np.random.Generator) else rng_for(rng_seed)
+
+
+def resample_points_uniform(track: PointTrack, rng_seed: Seed) -> PointTrack:
     """n points drawn uniformly without replacement from the bin."""
-    rng = rng_for(rng_seed)
+    rng = _rng(rng_seed)
     positions = _uniform_subset(rng, track.bin.length, len(track)) + track.bin.start
     return PointTrack(track.bin, positions)
 
 
-def resample_points_preserve_distances(track: PointTrack, rng_seed: int) -> PointTrack:
+def resample_points_preserve_distances(track: PointTrack, rng_seed: Seed) -> PointTrack:
     """Permute the consecutive inter-point distances, uniform feasible offset.
 
     The multiset of n-1 gaps is preserved exactly; only their order and the
     block's start position are randomized.
     """
     gaps, n_offsets = _interpoint_gaps(track)
-    rng = rng_for(rng_seed)
+    rng = _rng(rng_seed)
     offset = int(rng.integers(0, n_offsets))
     steps = np.concatenate(([0], np.cumsum(rng.permutation(gaps))))
     return PointTrack(track.bin, track.bin.start + offset + steps)
 
 
-def resample_segments_uniform(track: SegmentTrack, rng_seed: int) -> SegmentTrack:
+def resample_segments_uniform(track: SegmentTrack, rng_seed: Seed) -> SegmentTrack:
     """Relocate segments uniformly, preserving the length multiset.
 
     Lengths are permuted and the slack is split into k+1 gaps by a uniform
@@ -125,7 +135,7 @@ def resample_segments_uniform(track: SegmentTrack, rng_seed: int) -> SegmentTrac
     if k == 0:
         return SegmentTrack(track.bin, np.empty((0, 2), dtype=np.int64))
     slack = track.bin.length - track.total_length
-    rng = rng_for(rng_seed)
+    rng = _rng(rng_seed)
     new_lengths = rng.permutation(track.lengths)
     gaps = _uniform_composition(rng, slack, k + 1)
     starts = track.bin.start + np.cumsum(gaps[:-1]) + np.concatenate(
@@ -134,13 +144,13 @@ def resample_segments_uniform(track: SegmentTrack, rng_seed: int) -> SegmentTrac
     return SegmentTrack(track.bin, np.column_stack((starts, starts + new_lengths)))
 
 
-def resample_segments_preserve_distances(track: SegmentTrack, rng_seed: int) -> SegmentTrack:
+def resample_segments_preserve_distances(track: SegmentTrack, rng_seed: Seed) -> SegmentTrack:
     """Permute inter-segment gaps and lengths independently; uniform offset.
 
     Both empirical multisets (gaps and lengths) are preserved exactly.
     """
     gaps, n_offsets = _intersegment_gaps(track)
-    rng = rng_for(rng_seed)
+    rng = _rng(rng_seed)
     offset = int(rng.integers(0, n_offsets))
     new_gaps = rng.permutation(gaps)
     new_lengths = rng.permutation(track.lengths)
@@ -150,7 +160,7 @@ def resample_segments_preserve_distances(track: SegmentTrack, rng_seed: int) -> 
     return SegmentTrack(track.bin, np.column_stack((starts, starts + new_lengths)))
 
 
-def block_permutation(seq: BinarySequence, block_size: int, rng_seed: int) -> BinarySequence:
+def block_permutation(seq: BinarySequence, block_size: int, rng_seed: Seed) -> BinarySequence:
     """Permute consecutive blocks of the sequence, preserving within-block order.
 
     Short-range correlation up to lag block_size-1 survives the shuffle.
@@ -160,7 +170,7 @@ def block_permutation(seq: BinarySequence, block_size: int, rng_seed: int) -> Bi
     n = len(seq)
     _check_block_size(block_size, n)
     m = n // block_size
-    rng = rng_for(rng_seed)
+    rng = _rng(rng_seed)
     order = rng.permutation(m)
     head = seq.values[: m * block_size].reshape(m, block_size)[order].reshape(-1)
     return BinarySequence(np.concatenate((head, seq.values[m * block_size :])))
@@ -169,7 +179,7 @@ def block_permutation(seq: BinarySequence, block_size: int, rng_seed: int) -> Bi
 def resample_track(
     track: Union[PointTrack, SegmentTrack],
     spec: NullModelSpec,
-    rng_seed: int,
+    rng_seed: Seed,
 ) -> Union[PointTrack, SegmentTrack]:
     """Draw one replicate under ``spec`` by the resampler its name selects.
     A model without a reference resampler raises ``KeyError``."""

@@ -351,10 +351,10 @@ class TestRipleyCommand:
                        "--scales", "5,10", "--out", str(out))
         assert code == 0
         rows = [l.split("\t") for l in out.read_text().splitlines() if not l.startswith("#")]
-        assert rows[0] == ["track", "bin_id", "tau", "k_hat", "l_hat"]
-        assert [r[2] for r in rows[1:]] == ["5", "10"]
+        assert rows[0] == ["bin_id", "tau", "k_hat", "l_hat"]
+        assert [r[1] for r in rows[1:]] == ["5", "10"]
         for r in rows[1:]:
-            assert float(r[3]) == pytest.approx(float(r[4]) * 2 * int(r[2]))
+            assert float(r[2]) == pytest.approx(float(r[3]) * 2 * int(r[1]))
 
     def test_too_few_points_fails(self, tmp_path, capsys):
         points = write_lines(tmp_path / "p.tsv", ["10"])
@@ -376,8 +376,8 @@ class TestRipleyCommand:
         lines = out.read_text().splitlines()
         assert f"# scales={echo}" in lines
         rows = [l for l in lines if not l.startswith("#")]
-        assert rows[0] == "track\tbin_id\ttau\tk_hat\tl_hat"
-        assert [r.split("\t")[2] for r in rows[1:]] == echo.split(",")
+        assert rows[0] == "bin_id\ttau\tk_hat\tl_hat"
+        assert [r.split("\t")[1] for r in rows[1:]] == echo.split(",")
 
     @pytest.mark.parametrize("scales,message", [
         ("", "need at least one integer, got ''"),
@@ -609,6 +609,27 @@ class TestEveryFlagIsRead:
             run_cli(*base, *flag, "--out", str(tmp_path / "out.tsv"))
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["points", "segments"])
+    @pytest.mark.parametrize("flag", [("--lambda-intra", "0.2"), ("--new-cluster-prob", "0.6")],
+                             ids=lambda flag: flag[0])
+    def test_cluster_flag_without_clustering_rejected(self, tmp_path, capsys, kind, flag):
+        out = tmp_path / "out.tsv"
+        assert run_cli("simulate", kind, "--bin-length", "5000", *flag, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "lambda_intra" in err and "new_cluster_prob" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["points", "segments"])
+    def test_default_cluster_flags_without_clustering_accepted(self, tmp_path, kind):
+        rows = []
+        for name, extra in (("default.tsv", ()),
+                            ("explicit.tsv", ("--lambda-intra", "0.1", "--new-cluster-prob", "0.3"))):
+            out = tmp_path / name
+            assert run_cli("simulate", kind, "--bin-length", "5000", *extra, "--out", str(out)) == 0
+            rows.append(out.read_bytes())
+        assert rows[0] == rows[1]
 
     @pytest.mark.parametrize("base, flag", [
         (("simulate", "points"), ("--mode", "clustered")),

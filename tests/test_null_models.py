@@ -391,11 +391,10 @@ def state_of(track):
 
 
 def reference_states(track, spec, draws, tag):
-    """The states of ``draws`` reference replicates, draw i seeded by
-    ``derive_seed(tag, i)``."""
-    return Counter(
-        state_of(reference.resample_track(track, spec, derive_seed(tag, i)))
-        for i in range(draws))
+    """The states of ``draws`` reference replicates, drawn one after another
+    from one generator, ``rng_for(tag, "reference")``."""
+    rng = rng_for(tag, "reference")
+    return Counter(state_of(reference.resample_track(track, spec, rng)) for _ in range(draws))
 
 
 def engine_states(track, spec, draws, tag):

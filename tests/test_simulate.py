@@ -10,6 +10,7 @@ from trackmc import (
     generate_points,
     generate_segments,
 )
+from trackmc.simulate import LAMBDA_INTRA, NEW_CLUSTER_PROB
 from testkit import assert_chisquare_fit
 
 
@@ -113,6 +114,35 @@ class TestSegmentGenConfig:
             SegmentGenConfig(length_min=0)
         with pytest.raises(ValueError):
             SegmentGenConfig(length_min=20, length_max=10)
+
+
+class TestClusterSettings:
+    """lambda_intra and new_cluster_prob draw nothing without clustering, so
+    there only their defaults are accepted; the range checks come first."""
+
+    @pytest.mark.parametrize("config", [PointGenConfig, SegmentGenConfig])
+    @pytest.mark.parametrize("field,value", [("lambda_intra", 0.2), ("new_cluster_prob", 0.6)])
+    def test_inert_value_rejected(self, config, field, value):
+        with pytest.raises(ValueError, match=r"lambda_intra=\S+ and new_cluster_prob=\S+ "
+                                             "change no draw unless clustered"):
+            config(**{field: value})
+        assert getattr(config(clustered=True, **{field: value}), field) == value
+
+    @pytest.mark.parametrize("config", [PointGenConfig, SegmentGenConfig])
+    def test_explicit_defaults_accepted(self, config):
+        assert config(lambda_intra=LAMBDA_INTRA, new_cluster_prob=NEW_CLUSTER_PROB) == config()
+
+    @pytest.mark.parametrize("config,fields,message", [
+        (PointGenConfig, {"lambda_intra": -0.2}, "lambda_intra must lie in"),
+        (PointGenConfig, {"new_cluster_prob": 1.5}, "new_cluster_prob must lie in"),
+        (SegmentGenConfig, {"lambda_intra": 1.0}, "lambda_intra must lie in"),
+        (SegmentGenConfig, {"new_cluster_prob": -0.1}, "new_cluster_prob must lie in"),
+        (SegmentGenConfig, {"length_min": 0, "new_cluster_prob": 0.6}, "length_min"),
+    ], ids=["points-lambda_intra", "points-new_cluster_prob", "segments-lambda_intra",
+            "segments-new_cluster_prob", "segments-length_min"])
+    def test_range_checks_first(self, config, fields, message):
+        with pytest.raises(ValueError, match=message):
+            config(**fields)
 
 
 class TestGenerateSegments:

@@ -84,13 +84,12 @@ class TestFalseRejectionStudy:
     def test_study_tsv(self, tmp_path):
         counts = rejection_counts(run_false_rejection_study(SMALL_STUDY), SMALL_STUDY.fdr_threshold)
         out = tmp_path / "study.tsv"
-        write_study_tsv(counts, SMALL_STUDY, out, {"seed": 404})
+        write_study_tsv(counts, out, {"seed": 404})
         lines = out.read_text().splitlines()
         assert lines[0] == "# seed=404"
-        assert lines[1:3] == ["# rejected_out_of=8", "# fdr_threshold=0.2"]
-        header = lines[3].split("\t")
+        header = lines[1].split("\t")
         assert header == ["assumption", *GENERATION_COLUMNS]
-        assert len(lines) == 4 + len(ASSUMPTIONS)
+        assert len(lines) == 2 + len(ASSUMPTIONS)
 
 
 SMALL_ORDERING = replace(SMALL_STUDY, cluster_segments=True, n_replicates=10)
@@ -181,17 +180,15 @@ class TestClusteringSurvey:
     def test_rows_of_one_track(self):
         (track,) = self._tracks(False, 1)
         rows = run_clustering_survey(track, [10, 25])
-        assert [(idx, bin_id, tau) for idx, bin_id, tau, *_ in rows] == [
-            (0, track.bin.id, 10), (0, track.bin.id, 25)
-        ]
-        assert all(k == pytest.approx(l * 2.0 * tau) for _, _, tau, k, l in rows)
+        assert [(bin_id, tau) for bin_id, tau, *_ in rows] == [(track.bin.id, 10), (track.bin.id, 25)]
+        assert all(k == pytest.approx(l * 2.0 * tau) for _, tau, k, l in rows)
 
     def test_survey_tsv(self):
         rows = self._survey(self._tracks(False, 2), [10, 25])
         buf = io.StringIO()
         write_survey_tsv(rows, buf, {"scales": "10,25"})
         lines = buf.getvalue().splitlines()
-        assert lines[1] == "track\tbin_id\ttau\tk_hat\tl_hat"
+        assert lines[1] == "bin_id\ttau\tk_hat\tl_hat"
         assert len(lines) == 2 + 4
 
 

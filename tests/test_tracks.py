@@ -336,6 +336,12 @@ def test_partition_matches_per_bin_reference(positions, rows, bin_spans):
             _reference_partition(b, positions, rows)
 
 
+def test_partition_of_no_bins():
+    positions, segments = np.array([3, 7], dtype=np.int64), np.array([[1, 4]], dtype=np.int64)
+    assert partition([], positions, segments) == []
+    assert partition(iter([]), positions, segments) == []
+
+
 def test_partition_of_read_tracks(tmp_path):
     points = write_lines(tmp_path / "p.tsv", ["5", "150", "99", "250"])
     segments = write_lines(tmp_path / "s.tsv", ["90\t110", "95\t120", "180\t200", "200\t210"])

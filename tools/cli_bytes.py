@@ -6,10 +6,11 @@ Extracts ``src/`` at REV with ``git archive`` into a temporary directory,
 then runs one fixed list of CLI calls under that tree and under this
 checkout's ``src/``, each call in a fresh interpreter, on the synthetic
 genome of ``perfbench/genome.py`` for seeds 1 and 2; the calls include
-``--help`` of trackmc and of every subcommand. Every output file, exit
-code, stdout and stderr is compared; each difference is printed with the
-first line that differs, under both trees, and the exit status is 1 if
-there is any, or if any call fails (every call on the list is valid),
+``--help`` of trackmc and of every subcommand, and clustered ``simulate``
+calls that set ``--lambda-intra`` and ``--new-cluster-prob``. Every output
+file, exit code, stdout and stderr is compared; each difference is printed
+with the first line that differs, under both trees, and the exit status is
+1 if there is any, or if any call fails (every call on the list is valid),
 else 0.
 
 A change that must alter outputs (a new seed contract, a new header line)
@@ -120,6 +121,11 @@ def calls(seed: int, genome_length: int) -> list[list[str]]:
          "--lambda-inter", "0.02", "--seed", s, "--out", "sim_points.tsv"],
         ["simulate", "segments", "--bin-length", "20000", "--clustered",
          "--gap-lambda", "0.02", "--seed", s, "--out", "sim_segments.tsv"],
+        # The two cluster settings, which only clustered generation accepts.
+        *(["simulate", kind, "--bin-length", "20000", *clustered, "--lambda-intra", "0.2",
+           "--new-cluster-prob", "0.6", "--seed", s, "--out", f"sim_{kind}_cluster.tsv"]
+          for kind, clustered in (("points", ("--mode", "clustered")),
+                                  ("segments", ("--clustered",)))),
         # A sparse 200 kb bin at 1,000 samples: about 1,000 points and 480
         # segments, so each test's 15 full 64-row chunks read the coverage
         # mask or prefix count and its last 40-row chunk binary-searches.
