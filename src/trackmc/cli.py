@@ -11,9 +11,11 @@ generator flags, --fdr belongs to study, --cluster-segments and
 --deciles-out to ordering. --lambda-intra and --new-cluster-prob act only on
 clustered generation; without it, a value but their default is an error.
 
-The parser is built per call for the invoked subcommand: every subcommand
-is registered with its help, so usage, help and error text are those of
-the full parser, but only the invoked one gets its arguments.
+``_COMMANDS`` gives each subcommand its help line, argument adder and
+runner. The parser is built per call with every subcommand registered under
+its help, so usage, help and error text are the full parser's, but only the
+invoked one gets its arguments. A flag for a library setting takes its
+default from that setting's config, or from ``study.STUDY_FDR``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .simulate import (
     generate_segments,
 )
 from .study import (
+    STUDY_FDR,
     StudyConfig,
     rejection_counts,
     run_clustering_survey,
@@ -94,9 +97,12 @@ def _add_mc_args(p: argparse.ArgumentParser, default_samples: int) -> None:
     p.add_argument("--null-model", default="uniform-points", help=" | ".join(SPELLINGS))
     p.add_argument("--samples", type=int, default=default_samples,
                    help=f"Monte Carlo samples (default: {default_samples})")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
-    p.add_argument("--direction", choices=sorted(d.value for d in Direction), default="greater")
-    p.add_argument("--estimator", choices=sorted(m.value for m in EstimatorMode), default="add-one")
+    p.add_argument("--seed", type=int, default=MCConfig.master_seed,
+                   help=f"master seed (default: {MCConfig.master_seed})")
+    p.add_argument("--direction", choices=sorted(d.value for d in Direction),
+                   default=MCConfig.direction.value)
+    p.add_argument("--estimator", choices=sorted(m.value for m in EstimatorMode),
+                   default=MCConfig.estimator_mode.value)
 
 
 def _mc_config(args: argparse.Namespace) -> MCConfig:
@@ -200,15 +206,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _study_config(args: argparse.Namespace, **fields) -> StudyConfig:
-    """The StudyConfig of study and ordering: their shared flags plus ``fields``."""
-    return StudyConfig(
-        n_replicates=args.replicates,
-        bin_length=args.bin_length,
-        mc_samples=args.samples,
-        master_seed=args.seed,
-        **fields,
-    )
+def _study_config(args: argparse.Namespace) -> StudyConfig:
+    """The StudyConfig of study and ordering, from the flags they share."""
+    return StudyConfig(n_replicates=args.replicates, bin_length=args.bin_length,
+                       mc_samples=args.samples, master_seed=args.seed)
 
 
 def _study_echo(command: str, cfg: StudyConfig, **extra) -> dict:
@@ -224,17 +225,19 @@ def _study_echo(command: str, cfg: StudyConfig, **extra) -> dict:
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
-    cfg = _study_config(args, fdr_threshold=args.fdr)
+    cfg = _study_config(args)
+    if not 0.0 < args.fdr < 1.0:  # checked before any pair is generated
+        raise ValueError(f"fdr_threshold must lie in (0, 1), got {args.fdr}")
     pvalues = run_false_rejection_study(cfg, workers=args.workers)
-    echo = _study_echo("study", cfg, fdr=cfg.fdr_threshold)
-    write_study_tsv(rejection_counts(pvalues, cfg.fdr_threshold), _out(args.out), echo)
+    echo = _study_echo("study", cfg, fdr=args.fdr)
+    write_study_tsv(rejection_counts(pvalues, args.fdr), _out(args.out), echo)
     return 0
 
 
 def _cmd_ordering(args: argparse.Namespace) -> int:
-    cfg = _study_config(args, cluster_segments=args.cluster_segments)
-    result = run_ordering_experiment(cfg, workers=args.workers)
-    echo = _study_echo("ordering", cfg, cluster_segments=int(cfg.cluster_segments))
+    cfg = _study_config(args)
+    result = run_ordering_experiment(cfg, args.cluster_segments, workers=args.workers)
+    echo = _study_echo("ordering", cfg, cluster_segments=int(args.cluster_segments))
     write_ordering_tsv(result, _out(args.out), echo)
     if args.deciles_out:
         write_deciles_tsv(result, _out(args.deciles_out), echo)
@@ -247,7 +250,6 @@ def _add_test_args(p: argparse.ArgumentParser) -> None:
     _add_bin_args(p)
     _add_mc_args(p, default_samples=10_000)
     p.add_argument("--out", default="-")
-    p.set_defaults(fn=_cmd_test)
 
 
 def _add_batch_args(p: argparse.ArgumentParser) -> None:
@@ -259,7 +261,6 @@ def _add_batch_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-segments", type=int, default=0)
     p.add_argument("--workers", type=_workers, default=1)
     p.add_argument("--out", default="-")
-    p.set_defaults(fn=_cmd_batch)
 
 
 def _add_qvalue_args(p: argparse.ArgumentParser) -> None:
@@ -268,7 +269,6 @@ def _add_qvalue_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fdr", type=float, default=None, help="also flag rejections")
     p.add_argument("--pi0", type=float, default=None, help="override the pi0 estimate")
     p.add_argument("--out", default="-")
-    p.set_defaults(fn=_cmd_qvalue)
 
 
 def _add_ripley_args(p: argparse.ArgumentParser) -> None:
@@ -276,19 +276,17 @@ def _add_ripley_args(p: argparse.ArgumentParser) -> None:
     _add_bin_args(p)
     p.add_argument("--scales", type=_scales, default=list(DEFAULT_SCALES))
     p.add_argument("--out", default="-")
-    p.set_defaults(fn=_cmd_ripley)
 
 
 def _add_simulate_args(p: argparse.ArgumentParser) -> None:
-    p.set_defaults(fn=_cmd_simulate)
     kinds = p.add_subparsers(dest="kind", required=True)
     points = kinds.add_parser("points", help="renewal point track")
     points.add_argument("--mode", choices=("independent", "clustered"), default="independent")
-    points.add_argument("--lambda-inter", type=float, default=0.01)
+    points.add_argument("--lambda-inter", type=float, default=PointGenConfig.lambda_inter)
     segments = kinds.add_parser("segments", help="segments at renewal start positions")
-    segments.add_argument("--gap-lambda", type=float, default=0.01)
-    segments.add_argument("--length-min", type=int, default=10)
-    segments.add_argument("--length-max", type=int, default=100)
+    segments.add_argument("--gap-lambda", type=float, default=SegmentGenConfig.gap_lambda)
+    segments.add_argument("--length-min", type=int, default=SegmentGenConfig.length_min)
+    segments.add_argument("--length-max", type=int, default=SegmentGenConfig.length_max)
     segments.add_argument("--clustered", action="store_true", help="cluster segment starts")
     for kind in (points, segments):
         kind.add_argument("--bin-length", type=int, required=True)
@@ -300,18 +298,17 @@ def _add_simulate_args(p: argparse.ArgumentParser) -> None:
 
 def _add_experiment_args(p: argparse.ArgumentParser) -> None:
     """The flags that study and ordering share."""
-    p.add_argument("--replicates", type=int, default=100)
-    p.add_argument("--bin-length", type=int, default=100_000)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--replicates", type=int, default=StudyConfig.n_replicates)
+    p.add_argument("--bin-length", type=int, default=StudyConfig.bin_length)
+    p.add_argument("--samples", type=int, default=StudyConfig.mc_samples)
+    p.add_argument("--seed", type=int, default=StudyConfig.master_seed)
     p.add_argument("--workers", type=_workers, default=1)
     p.add_argument("--out", default="-")
 
 
 def _add_study_args(p: argparse.ArgumentParser) -> None:
     _add_experiment_args(p)
-    p.add_argument("--fdr", type=float, default=0.20)
-    p.set_defaults(fn=_cmd_study)
+    p.add_argument("--fdr", type=float, default=STUDY_FDR)
 
 
 def _add_ordering_args(p: argparse.ArgumentParser) -> None:
@@ -319,18 +316,17 @@ def _add_ordering_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cluster-segments", action="store_true",
                    help="use the clustered segment generator")
     p.add_argument("--deciles-out", default=None)
-    p.set_defaults(fn=_cmd_ordering)
 
 
-# Each subcommand's help line and the function that adds its arguments.
+# Each subcommand's help line, argument adder and runner.
 _COMMANDS = {
-    "test": ("single-bin Monte Carlo test", _add_test_args),
-    "batch": ("one test per bin from a bins file", _add_batch_args),
-    "qvalue": ("append q-values to a p-value TSV", _add_qvalue_args),
-    "ripley": ("scaled Ripley L profile of a point track", _add_ripley_args),
-    "simulate": ("generate a synthetic track", _add_simulate_args),
-    "study": ("false-rejection study across null models", _add_study_args),
-    "ordering": ("p-value ordering across the four null models", _add_ordering_args),
+    "test": ("single-bin Monte Carlo test", _add_test_args, _cmd_test),
+    "batch": ("one test per bin from a bins file", _add_batch_args, _cmd_batch),
+    "qvalue": ("append q-values to a p-value TSV", _add_qvalue_args, _cmd_qvalue),
+    "ripley": ("scaled Ripley L profile of a point track", _add_ripley_args, _cmd_ripley),
+    "simulate": ("generate a synthetic track", _add_simulate_args, _cmd_simulate),
+    "study": ("false-rejection study across null models", _add_study_args, _cmd_study),
+    "ordering": ("p-value ordering across the four null models", _add_ordering_args, _cmd_ordering),
 }
 
 
@@ -347,7 +343,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"trackmc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_args) in _COMMANDS.items():
+    for name, (help_text, add_args, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if command is None or name == command:
             add_args(p)
@@ -361,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        return args.fn(args)
+        return _COMMANDS[args.command][2](args)
     except (ValueError, OSError, MemoryError) as exc:
         text = str(exc)
         if isinstance(exc, MemoryError):  # numpy's names the allocation it could not make

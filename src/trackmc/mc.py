@@ -185,11 +185,12 @@ def map_jobs(fn: Callable, jobs: Sequence, workers: int) -> list:
 
 
 def _run_one(args: tuple) -> list[TestResult] | str:
-    """One pair's results in spec order, or ``"<bin_id>: <message>"``."""
+    """One pair's results in spec order, or ``"<bin_id>: <message>"`` if a test
+    raises ``ValueError`` or ``MemoryError``; any other exception propagates."""
     points, segments, specs, cfg = args
     try:
         return [run_mc_test(points, segments, spec, cfg) for spec in specs]
-    except Exception as exc:  # collected by the batch driver
+    except (ValueError, MemoryError) as exc:  # collected by the batch driver
         return f"{points.bin.id}: {exc}"
 
 

@@ -8,14 +8,16 @@ test through one ``mc.run_mc_batch``, under the pool rule of ``batch``.
 clustered points, clustered segments) with testing assumptions (analytic
 binomial, uniform-points MC, preserve-interpoint, uniform-segments); it
 returns one p-value array per (assumption, column) cell, and
-``rejection_counts`` counts each cell's FDR-corrected rejections. Every
-rejection is a false one, so the counts measure how many false positives an
-under-preserving null model produces.
+``rejection_counts`` counts each cell's rejections at the FDR level it is
+given (the study's, ``STUDY_FDR``, is 0.20). Every rejection is a false one,
+so the counts measure how many false positives an under-preserving null
+model produces.
 
 ``run_ordering_experiment`` scores identical data under all four
-track-level null models to expose the preservation ordering of p-values;
-it returns one p-value array per model name, which ``decile_table`` and the
-ordering writers take as they are.
+track-level null models to expose the preservation ordering of p-values,
+with clustered segments when ``cluster_segments`` is set; it returns one
+p-value array per model name, which ``decile_table`` and the ordering
+writers take as they are.
 
 Replicates are pure functions of (master seed, experiment, replicate
 index); worker count never changes any output. ``run_clustering_survey``
@@ -83,26 +85,22 @@ ORDERING_MODELS = (
 )
 
 
+# The study's FDR level: a cell counts the tests whose q-value is at or below it.
+STUDY_FDR = 0.20
+
+
 @dataclass(frozen=True)
 class StudyConfig:
-    """Shared settings of both experiments.
-
-    ``cluster_segments`` picks the ordering experiment's segment generator;
-    the study's columns fix their own.
-    """
+    """The settings that both experiments read."""
 
     n_replicates: int = 100
     bin_length: int = 100_000
-    fdr_threshold: float = 0.20
     mc_samples: int = 1000
     master_seed: int = 0
-    cluster_segments: bool = False
 
     def __post_init__(self) -> None:
         if self.n_replicates < 1:
             raise ValueError(f"n_replicates must be >= 1, got {self.n_replicates}")
-        if not 0.0 < self.fdr_threshold < 1.0:
-            raise ValueError(f"fdr_threshold must lie in (0, 1), got {self.fdr_threshold}")
         if self.bin_length < 1:
             raise ValueError("bin_length must be positive")
 
@@ -153,21 +151,22 @@ def rejection_counts(
     pvalues: Mapping[tuple[str, str], np.ndarray], fdr: float
 ) -> dict[tuple[str, str], int]:
     """Per cell, the tests rejected when its p-values are corrected jointly
-    by q-values at FDR threshold ``fdr``."""
+    by q-values at FDR threshold ``fdr``, which must lie in (0, 1)."""
     return {
         cell: int(reject_at_fdr(qvalues(ps, estimate_pi0(ps)), fdr).sum())
         for cell, ps in pvalues.items()
     }
 
 
-def run_ordering_experiment(cfg: StudyConfig, workers: int = 1) -> dict[str, np.ndarray]:
+def run_ordering_experiment(cfg: StudyConfig, cluster_segments: bool = False,
+                            workers: int = 1) -> dict[str, np.ndarray]:
     """p-values for identical data under all four track-level null models.
 
     Returns one array of per-replicate p-values per model name, in
     ``ORDERING_MODELS`` order.
 
     Points are always clustered, and segments are when
-    ``cfg.cluster_segments`` is set; the headline comparison is the median
+    ``cluster_segments`` is set; the headline comparison is the median
     p under preserve-interpoint versus uniform-points.
 
     The tracks are generated independently of each other, so any departure
@@ -178,7 +177,7 @@ def run_ordering_experiment(cfg: StudyConfig, workers: int = 1) -> dict[str, np.
     (the nested pair of each side), and on clustered data each uniform
     model against the other side's preserve model.
     """
-    pairs = [_pair(cfg, ("ordering", rep), f"ordering-{rep:04d}", True, cfg.cluster_segments)
+    pairs = [_pair(cfg, ("ordering", rep), f"ordering-{rep:04d}", True, cluster_segments)
              for rep in range(cfg.n_replicates)]
     pvalues = _mc_pvalues(cfg, pairs, ORDERING_MODELS, Direction.TWO_SIDED, workers)
     return {m.to_string(): pvalues[:, j] for j, m in enumerate(ORDERING_MODELS)}

@@ -233,7 +233,8 @@ def _plain_lines(block: bytes, ncols: int) -> tuple[np.ndarray, np.ndarray]:
     """The offset of each line feed of ``block`` (whole lines, the last one
     ended by a line feed too), and whether each line is plain: ``ncols``
     fields joined by single tabs, each at most a leading '-' and then 1-18
-    ASCII digits. At most 18, so that the sum of two fields fits in int64."""
+    ASCII digits. At most 18: ``np.fromstring`` clamps an out-of-range field
+    without an error, so a longer one must take ``_parse_int``'s range check."""
     b = np.frombuffer(block, dtype=np.uint8)
     # Every byte but a digit, and the number of digits just before it.
     at = np.flatnonzero(b - np.uint8(ord("0")) > 9)

@@ -39,7 +39,7 @@ from trackmc import (
     to_binary_sequence,
 )
 from trackmc.cli import main as cli_main
-from trackmc.study import _pair
+from trackmc.study import STUDY_FDR, _pair
 from reference import enumerate_states, state_space_size, statistic_moments_under_stationarity
 
 SEED = 0
@@ -63,16 +63,16 @@ def full_study():
 
 @pytest.fixture(scope="session")
 def full_ordering():
-    cfg = StudyConfig(master_seed=SEED, cluster_segments=True)
+    cfg = StudyConfig(master_seed=SEED)
     t0 = time.perf_counter()
-    res = run_ordering_experiment(cfg, workers=WORKERS)
+    res = run_ordering_experiment(cfg, cluster_segments=True, workers=WORKERS)
     return cfg, res, time.perf_counter() - t0
 
 
 def test_criterion_1_false_rejection_study(full_study):
     cfg, pvalues, elapsed = full_study
     n = cfg.n_replicates
-    counts = rejection_counts(pvalues, cfg.fdr_threshold)
+    counts = rejection_counts(pvalues, STUDY_FDR)
     failures = []
 
     def cell(row, col):

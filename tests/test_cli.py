@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import trackmc
+from trackmc import MCConfig, PointGenConfig, SegmentGenConfig, StudyConfig
 from trackmc.cli import _COMMANDS, build_parser, main
+from trackmc.study import STUDY_FDR
 from testkit import write_lines
 
 
@@ -519,6 +521,18 @@ class TestStudyAndOrderingCommands:
 SMALL_STUDY_ARGS = ("--replicates", "1", "--bin-length", "5000", "--samples", "20")
 
 
+@pytest.mark.parametrize("fdr, shown", [("1.5", "1.5"), ("0", "0.0")])
+def test_bad_study_fdr_stops_before_any_pair(tmp_path, capsys, monkeypatch, fdr, shown):
+    def no_pair(*args):
+        raise AssertionError("a pair was generated")
+
+    monkeypatch.setattr(trackmc.study, "generate_points", no_pair)
+    out = tmp_path / "out.tsv"
+    assert run_cli("study", *SMALL_STUDY_ARGS, "--fdr", fdr, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: fdr_threshold must lie in (0, 1), got {shown}\n"
+    assert not out.exists()
+
+
 class TestFailedTestText:
     """What each command prints when a null model cannot resample its tracks."""
 
@@ -565,6 +579,28 @@ class TestFailedTestText:
         lines = out.read_text().splitlines()
         assert "# bins_tested=3" in lines
         assert [l.split("\t")[0] for l in lines if not l.startswith("#")] == ["bin_id", "a", "c"]
+
+
+def test_bug_in_a_test_stops_batch(tmp_path, capsys, monkeypatch):
+    # A TypeError is a bug, not a bin its null model cannot resample: it
+    # propagates out of main, with no warning line and no output.
+    real = trackmc.mc.run_mc_test
+
+    def buggy(points, segments, spec, cfg):
+        if points.bin.id == "b":
+            raise TypeError("a bug, not a failed bin")
+        return real(points, segments, spec, cfg)
+
+    monkeypatch.setattr(trackmc.mc, "run_mc_test", buggy)
+    bins = write_lines(tmp_path / "bins.tsv", ["a\t0\t100", "b\t100\t200", "c\t200\t300"])
+    points = write_lines(tmp_path / "p.tsv", ["5", "10", "150", "215", "250"])
+    segments = write_lines(tmp_path / "s.tsv", ["0\t50", "120\t180", "210\t260"])
+    out = tmp_path / "out.tsv"
+    with pytest.raises(TypeError, match="a bug, not a failed bin"):
+        run_cli("batch", "--bins", bins, "--points", points, "--segments", segments,
+                "--samples", "10", "--out", str(out))
+    assert "warning:" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["batch", "study", "ordering"])
@@ -688,6 +724,38 @@ class TestPerCommandParser:
             outcomes.append((exc.value.code, capsys.readouterr().err))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == 2 and outcomes[0][1].startswith("usage: trackmc")
+
+
+_MC, _STUDY = MCConfig(n_samples=1), StudyConfig()
+# Arguments each path needs besides the flag under test.
+_REQUIRED = {
+    ("test",): ("--points", "p.tsv", "--segments", "s.tsv", "--bin-end", "100"),
+    ("batch",): ("--bins", "b.tsv", "--points", "p.tsv", "--segments", "s.tsv"),
+    ("simulate", "points"): ("--bin-length", "100"),
+    ("simulate", "segments"): ("--bin-length", "100"),
+}
+
+
+@pytest.mark.parametrize("path, dest, default", [
+    *(((command,), dest, default) for command in ("test", "batch")
+      for dest, default in (("seed", _MC.master_seed), ("direction", _MC.direction.value),
+                            ("estimator", _MC.estimator_mode.value))),
+    (("simulate", "points"), "lambda_inter", PointGenConfig().lambda_inter),
+    (("simulate", "segments"), "gap_lambda", SegmentGenConfig().gap_lambda),
+    (("simulate", "segments"), "length_min", SegmentGenConfig().length_min),
+    (("simulate", "segments"), "length_max", SegmentGenConfig().length_max),
+    *(((command,), dest, default) for command in ("study", "ordering")
+      for dest, default in (("replicates", _STUDY.n_replicates),
+                            ("bin_length", _STUDY.bin_length),
+                            ("samples", _STUDY.mc_samples), ("seed", _STUDY.master_seed))),
+    (("study",), "fdr", STUDY_FDR),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
+def test_shared_flag_defaults_to_its_library_setting(path, dest, default):
+    # A flag that sets a library setting parses, when left out, to the
+    # default of that setting's config.
+    args = build_parser(path[0]).parse_args([*path, *_REQUIRED.get(path, ())])
+    value = getattr(args, dest)
+    assert (value, type(value)) == (default, type(default))
 
 
 def test_version_flag(capsys):

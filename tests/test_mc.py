@@ -375,6 +375,24 @@ class TestRunMcBatch:
             for spec in (UNIFORM_POINTS, PRESERVE_INTERPOINT)]
         assert errors == ["empty: distance-preserving resample needs at least one point"]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bug_in_a_test_propagates(self, monkeypatch, workers):
+        # Only a ValueError (a null model that cannot resample the tracks)
+        # or a MemoryError is collected as a failed pair; any other
+        # exception is a bug and stops the batch, in-process or pooled.
+        real = trackmc.mc.run_mc_test
+
+        def buggy(points, segments, spec, cfg):
+            if points.bin.id == "bin01":
+                raise TypeError("a bug, not a failed bin")
+            return real(points, segments, spec, cfg)
+
+        monkeypatch.setattr(trackmc.mc, "run_mc_test", buggy)
+        # workers=2 pools; its workers are forked, so they see the patch.
+        monkeypatch.setattr(trackmc.mc, "_POOL_MIN_WORK", 0)
+        with pytest.raises(TypeError, match="a bug, not a failed bin"):
+            run_mc_batch(self._bins(3), [UNIFORM_POINTS], MCConfig(n_samples=20), workers)
+
     @staticmethod
     def _bins(n):
         rng = np.random.default_rng(0)

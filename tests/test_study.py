@@ -25,13 +25,14 @@ from trackmc import (
 import trackmc.mc
 from trackmc.mc import MCConfig, run_mc_batch
 from trackmc.study import (
+    STUDY_FDR,
     _COLUMN_GENERATION,
     _pair,
     write_ordering_tsv,
     write_study_tsv,
     write_survey_tsv,
 )
-from dataclasses import replace
+from dataclasses import fields, replace
 
 
 SMALL_STUDY = StudyConfig(
@@ -50,7 +51,7 @@ class TestFalseRejectionStudy:
         for ps in pvalues.values():
             assert ps.dtype == np.float64 and ps.shape == (SMALL_STUDY.n_replicates,)
             assert np.all((ps >= 0.0) & (ps <= 1.0))
-        counts = rejection_counts(pvalues, SMALL_STUDY.fdr_threshold)
+        counts = rejection_counts(pvalues, STUDY_FDR)
         assert set(counts) == set(pvalues)
         for count in counts.values():
             assert 0 <= count <= SMALL_STUDY.n_replicates
@@ -82,7 +83,7 @@ class TestFalseRejectionStudy:
         assert rejection_counts(pvalues, 0.2) == {("a", "b"): 2, ("a", "c"): 0}
 
     def test_study_tsv(self, tmp_path):
-        counts = rejection_counts(run_false_rejection_study(SMALL_STUDY), SMALL_STUDY.fdr_threshold)
+        counts = rejection_counts(run_false_rejection_study(SMALL_STUDY), STUDY_FDR)
         out = tmp_path / "study.tsv"
         write_study_tsv(counts, out, {"seed": 404})
         lines = out.read_text().splitlines()
@@ -92,18 +93,17 @@ class TestFalseRejectionStudy:
         assert len(lines) == 2 + len(ASSUMPTIONS)
 
 
-SMALL_ORDERING = replace(SMALL_STUDY, cluster_segments=True, n_replicates=10)
+SMALL_ORDERING = replace(SMALL_STUDY, n_replicates=10)
 
 
 class TestOrderingExperiment:
     def test_shape_and_determinism_across_workers(self):
         # The ordering batch reaches the pool's threshold, so workers=2 pools.
-        pairs = [_pair(SMALL_ORDERING, ("ordering", rep), f"ordering-{rep:04d}", True,
-                       SMALL_ORDERING.cluster_segments)
+        pairs = [_pair(SMALL_ORDERING, ("ordering", rep), f"ordering-{rep:04d}", True, True)
                  for rep in range(SMALL_ORDERING.n_replicates)]
         assert _batch_work(pairs, ORDERING_MODELS, SMALL_ORDERING) >= trackmc.mc._POOL_MIN_WORK
-        serial = run_ordering_experiment(SMALL_ORDERING, workers=1)
-        parallel = run_ordering_experiment(SMALL_ORDERING, workers=2)
+        serial = run_ordering_experiment(SMALL_ORDERING, cluster_segments=True, workers=1)
+        parallel = run_ordering_experiment(SMALL_ORDERING, cluster_segments=True, workers=2)
         assert list(serial) == [
             "uniform-points",
             "preserve-interpoint",
@@ -131,14 +131,14 @@ class TestOrderingExperiment:
         assert abs(med_u - med_p) <= 0.1
 
     def test_decile_table_shape(self):
-        result = run_ordering_experiment(SMALL_ORDERING)
+        result = run_ordering_experiment(SMALL_ORDERING, cluster_segments=True)
         table = decile_table(result)
         assert [q for q, _ in table] == pytest.approx([i / 10 for i in range(1, 10)])
         for _, row in table:
             assert set(row) == set(result)
 
     def test_ordering_tsv(self, tmp_path):
-        result = run_ordering_experiment(SMALL_ORDERING)
+        result = run_ordering_experiment(SMALL_ORDERING, cluster_segments=True)
         out = tmp_path / "ord.tsv"
         write_ordering_tsv(result, out, {"replicates": 10})
         lines = out.read_text().splitlines()
@@ -198,5 +198,17 @@ class TestStudyConfigValidation:
             StudyConfig(n_replicates=0)
 
     def test_bad_fdr(self):
-        with pytest.raises(ValueError):
-            StudyConfig(fdr_threshold=1.0)
+        pvalues = {("a", "b"): np.array([0.8, 0.001, 0.9, 0.002])}
+        with pytest.raises(ValueError, match=r"FDR threshold must lie in \(0, 1\), got 1.0"):
+            rejection_counts(pvalues, 1.0)
+
+    @pytest.mark.parametrize("field", [{"fdr_threshold": 0.1}, {"cluster_segments": True}],
+                             ids=lambda field: next(iter(field)))
+    def test_no_inert_fields(self, field):
+        # Each field is one that both experiments read; the FDR level is an
+        # argument of rejection_counts, and the segment switch one of
+        # run_ordering_experiment.
+        assert [f.name for f in fields(StudyConfig)] == [
+            "n_replicates", "bin_length", "mc_samples", "master_seed"]
+        with pytest.raises(TypeError):
+            StudyConfig(**field)

@@ -6,12 +6,14 @@ Extracts ``src/`` at REV with ``git archive`` into a temporary directory,
 then runs one fixed list of CLI calls under that tree and under this
 checkout's ``src/``, each call in a fresh interpreter, on the synthetic
 genome of ``perfbench/genome.py`` for seeds 1 and 2; the calls include
-``--help`` of trackmc and of every subcommand, and clustered ``simulate``
-calls that set ``--lambda-intra`` and ``--new-cluster-prob``. Every output
-file, exit code, stdout and stderr is compared; each difference is printed
-with the first line that differs, under both trees, and the exit status is
-1 if there is any, or if any call fails (every call on the list is valid),
-else 0.
+``--help`` of trackmc and of every subcommand, clustered ``simulate``
+calls that set ``--lambda-intra`` and ``--new-cluster-prob``, and ``test``
+calls on a 2 Mb bin too long for the count kernels' lookup tables, so that
+both kernels count by binary search, one call with ``--direction less``.
+Every output file, exit code, stdout and stderr is compared; each
+difference is printed with the first line that differs, under both trees,
+and the exit status is 1 if there is any, or if any call fails (every call
+on the list is valid), else 0.
 
 A change that must alter outputs (a new seed contract, a new header line)
 shows here as a difference to explain, not to hide.
@@ -127,8 +129,8 @@ def calls(seed: int, genome_length: int) -> list[list[str]]:
           for kind, clustered in (("points", ("--mode", "clustered")),
                                   ("segments", ("--clustered",)))),
         # A sparse 200 kb bin at 1,000 samples: about 1,000 points and 480
-        # segments, so each test's 15 full 64-row chunks read the coverage
-        # mask or prefix count and its last 40-row chunk binary-searches.
+        # segments. Each test builds its coverage mask or prefix count once,
+        # and its 15 full 64-row chunks and its last 40-row chunk read it.
         ["simulate", "points", "--bin-length", "200000", "--lambda-inter", "0.005",
          "--seed", s, "--out", "sparse_points.tsv"],
         ["simulate", "segments", "--bin-length", "200000", "--gap-lambda", "0.0025",
@@ -137,6 +139,17 @@ def calls(seed: int, genome_length: int) -> list[list[str]]:
            "--bin-end", "200000", "--null-model", model, "--samples", "1000", "--seed", s,
            "--out", f"sparse_test{i}.tsv"]
           for i, model in enumerate(("preserve-interpoint", "preserve-intersegment"))),
+        # A 2 Mb bin with about as many points and segments is too long for
+        # a table, so both counters binary-search, one test with --direction less.
+        ["simulate", "points", "--bin-length", "2000000", "--lambda-inter", "0.0005",
+         "--seed", s, "--out", "long_points.tsv"],
+        ["simulate", "segments", "--bin-length", "2000000", "--gap-lambda", "0.00025",
+         "--seed", s, "--out", "long_segments.tsv"],
+        *(["test", "--points", "long_points.tsv", "--segments", "long_segments.tsv",
+           "--bin-end", "2000000", "--null-model", model, "--samples", "200", "--seed", s,
+           "--direction", direction, "--out", f"long_test{i}.tsv"]
+          for i, (model, direction) in enumerate((("preserve-interpoint", "greater"),
+                                                  ("preserve-intersegment", "less")))),
         # simulate's own outputs read back: 1-column points behind '#' lines.
         ["test", "--points", "sim_points.tsv", "--segments", "sim_segments.tsv",
          "--bin-end", "20000", "--seed", s, "--out", "sim_test.tsv"],
