@@ -11,6 +11,9 @@ generator flags, --fdr belongs to study, --cluster-segments and
 --deciles-out to ordering. --lambda-intra and --new-cluster-prob act only on
 clustered generation; without it, a value but their default is an error.
 
+Every runner checks each setting by the one rule that owns it before it
+reads an input or generates a pair, so a bad setting is reported first.
+
 ``_COMMANDS`` gives each subcommand its help line, argument adder and
 runner. The parser is built per call with every subcommand registered under
 its help, so usage, help and error text are the full parser's, but only the
@@ -26,7 +29,7 @@ import sys
 from . import __version__
 from .mc import ConfigError, Direction, EstimatorMode, MCConfig, run_mc_batch, run_mc_test, write_results_tsv
 from .null_models import SPELLINGS, NullModelSpec
-from .qvalues import estimate_pi0, qvalues, reject_at_fdr
+from .qvalues import check_fdr, check_pi0, estimate_pi0, qvalues, reject_at_fdr
 from .ripley import DEFAULT_SCALES
 from .simulate import (
     LAMBDA_INTRA, NEW_CLUSTER_PROB, PointGenConfig, SegmentGenConfig, generate_points,
@@ -65,15 +68,17 @@ def _out(path: str):
     return sys.stdout if path == "-" else path
 
 
-def _workers(text: str) -> int:
-    """The --workers value: a process count of at least 1."""
-    try:
-        workers = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
-    return workers
+def _at_least(minimum: int):
+    """An argparse type: an int of at least ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
 
 
 def _scales(text: str) -> list[int]:
@@ -105,19 +110,15 @@ def _add_mc_args(p: argparse.ArgumentParser, default_samples: int) -> None:
                    default=MCConfig.estimator_mode.value)
 
 
-def _mc_config(args: argparse.Namespace) -> MCConfig:
-    return MCConfig(
-        n_samples=args.samples,
-        master_seed=args.seed,
-        estimator_mode=EstimatorMode(args.estimator),
-        direction=Direction(args.direction),
-    )
-
-
-def _mc_echo(command: str, spec: NullModelSpec, cfg: MCConfig) -> dict:
-    """The header lines that test and batch share."""
-    return {
-        "command": command,
+def _mc_settings(args: argparse.Namespace) -> tuple[NullModelSpec, MCConfig, dict]:
+    """The null model and MC config of test and batch, checked in that order,
+    and the header lines that echo them."""
+    spec = NullModelSpec.from_string(args.null_model)
+    cfg = MCConfig(n_samples=args.samples, master_seed=args.seed,
+                   estimator_mode=EstimatorMode(args.estimator),
+                   direction=Direction(args.direction))
+    return spec, cfg, {
+        "command": args.command,
         "null_model": spec.to_string(),
         "samples": cfg.n_samples,
         "seed": cfg.master_seed,
@@ -128,27 +129,24 @@ def _mc_echo(command: str, spec: NullModelSpec, cfg: MCConfig) -> dict:
 
 def _cmd_test(args: argparse.Namespace) -> int:
     bin = Bin(args.bin_id, args.bin_start, args.bin_end)
+    spec, cfg, echo = _mc_settings(args)
     points = load_point_track(args.points, bin)
     segments = load_segment_track(args.segments, bin)
-    spec = NullModelSpec.from_string(args.null_model)
-    cfg = _mc_config(args)
     result = run_mc_test(points, segments, spec, cfg)
-    echo = _mc_echo("test", spec, cfg)
     write_results_tsv([result], _out(args.out), echo)
     return 0
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    spec, cfg, echo = _mc_settings(args)
     tracks = partition(load_bins(args.bins), read_points(args.points), read_segments(args.segments))
     tests = [(points, segments) for points, segments in tracks
              if len(points) >= args.min_points and len(segments) >= args.min_segments]
-    spec = NullModelSpec.from_string(args.null_model)
-    cfg = _mc_config(args)
     if not tests:
         raise ConfigError("no bins left after filtering")
     results, errors = run_mc_batch(tests, [spec], cfg, workers=args.workers)
     echo = {
-        **_mc_echo("batch", spec, cfg),
+        **echo,
         "bins_tested": len(tests),
         "min_points": args.min_points,
         "min_segments": args.min_segments,
@@ -160,6 +158,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_qvalue(args: argparse.Namespace) -> int:
+    for value, check in ((args.pi0, check_pi0), (args.fdr, check_fdr)):
+        if value is not None:
+            check(value)
     header, table, ps = read_pvalues(args.input, args.column)
     pi0 = args.pi0 if args.pi0 is not None else estimate_pi0(ps)
     q = qvalues(ps, pi0)
@@ -206,16 +207,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _study_config(args: argparse.Namespace) -> StudyConfig:
-    """The StudyConfig of study and ordering, from the flags they share."""
-    return StudyConfig(n_replicates=args.replicates, bin_length=args.bin_length,
-                       mc_samples=args.samples, master_seed=args.seed)
-
-
-def _study_echo(command: str, cfg: StudyConfig, **extra) -> dict:
-    """The header lines of study and ordering; ``extra`` goes before the seed."""
-    return {
-        "command": command,
+def _study_settings(args: argparse.Namespace, **extra) -> tuple[StudyConfig, dict]:
+    """The StudyConfig of study and ordering, from the flags they share, and
+    the header lines that echo it; ``extra`` goes before the seed."""
+    cfg = StudyConfig(n_replicates=args.replicates, bin_length=args.bin_length,
+                      mc_samples=args.samples, master_seed=args.seed)
+    return cfg, {
+        "command": args.command,
         "replicates": cfg.n_replicates,
         "bin_length": cfg.bin_length,
         "samples": cfg.mc_samples,
@@ -225,19 +223,16 @@ def _study_echo(command: str, cfg: StudyConfig, **extra) -> dict:
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
-    cfg = _study_config(args)
-    if not 0.0 < args.fdr < 1.0:  # checked before any pair is generated
-        raise ValueError(f"fdr_threshold must lie in (0, 1), got {args.fdr}")
+    cfg, echo = _study_settings(args, fdr=args.fdr)
+    check_fdr(args.fdr)
     pvalues = run_false_rejection_study(cfg, workers=args.workers)
-    echo = _study_echo("study", cfg, fdr=args.fdr)
     write_study_tsv(rejection_counts(pvalues, args.fdr), _out(args.out), echo)
     return 0
 
 
 def _cmd_ordering(args: argparse.Namespace) -> int:
-    cfg = _study_config(args)
+    cfg, echo = _study_settings(args, cluster_segments=int(args.cluster_segments))
     result = run_ordering_experiment(cfg, args.cluster_segments, workers=args.workers)
-    echo = _study_echo("ordering", cfg, cluster_segments=int(args.cluster_segments))
     write_ordering_tsv(result, _out(args.out), echo)
     if args.deciles_out:
         write_deciles_tsv(result, _out(args.deciles_out), echo)
@@ -257,9 +252,9 @@ def _add_batch_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--points", required=True)
     p.add_argument("--segments", required=True)
     _add_mc_args(p, default_samples=1000)
-    p.add_argument("--min-points", type=int, default=0)
-    p.add_argument("--min-segments", type=int, default=0)
-    p.add_argument("--workers", type=_workers, default=1)
+    p.add_argument("--min-points", type=_at_least(0), default=0)
+    p.add_argument("--min-segments", type=_at_least(0), default=0)
+    p.add_argument("--workers", type=_at_least(1), default=1)
     p.add_argument("--out", default="-")
 
 
@@ -302,7 +297,7 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bin-length", type=int, default=StudyConfig.bin_length)
     p.add_argument("--samples", type=int, default=StudyConfig.mc_samples)
     p.add_argument("--seed", type=int, default=StudyConfig.master_seed)
-    p.add_argument("--workers", type=_workers, default=1)
+    p.add_argument("--workers", type=_at_least(1), default=1)
     p.add_argument("--out", default="-")
 
 

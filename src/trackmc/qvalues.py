@@ -20,6 +20,18 @@ def _as_pvalues(pvalues: Sequence[float]) -> np.ndarray:
     return p
 
 
+def check_pi0(pi0: float) -> None:
+    """Raise ``ValueError`` unless ``pi0`` lies in (0, 1]."""
+    if not 0.0 < pi0 <= 1.0:
+        raise ValueError(f"pi0 must lie in (0, 1], got {pi0}")
+
+
+def check_fdr(threshold: float) -> None:
+    """Raise ``ValueError`` unless the FDR level ``threshold`` lies in (0, 1)."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"FDR threshold must lie in (0, 1), got {threshold}")
+
+
 def estimate_pi0(pvalues: Sequence[float]) -> float:
     """Pounds-Cheng style estimate: min(1, 2 * mean(p)).
 
@@ -44,8 +56,7 @@ def qvalues(pvalues: Sequence[float], pi0: float) -> np.ndarray:
     p = _as_pvalues(pvalues)
     if p.size == 0:
         raise ValueError("empty p-value list")
-    if not 0.0 < pi0 <= 1.0:
-        raise ValueError(f"pi0 must lie in (0, 1], got {pi0}")
+    check_pi0(pi0)
 
     m = p.size
     order = np.argsort(p, kind="stable")
@@ -58,6 +69,5 @@ def qvalues(pvalues: Sequence[float], pi0: float) -> np.ndarray:
 
 def reject_at_fdr(q_values: np.ndarray, threshold: float) -> np.ndarray:
     """Boolean mask of the tests whose q-value is at or below the FDR threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"FDR threshold must lie in (0, 1), got {threshold}")
+    check_fdr(threshold)
     return np.asarray(q_values) <= threshold

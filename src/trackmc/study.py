@@ -103,6 +103,7 @@ class StudyConfig:
             raise ValueError(f"n_replicates must be >= 1, got {self.n_replicates}")
         if self.bin_length < 1:
             raise ValueError("bin_length must be positive")
+        MCConfig(n_samples=self.mc_samples)  # the sample count's rule, before any pair
 
 
 def _pair(cfg: StudyConfig, key: tuple, bin_id: str, cluster_points: bool,

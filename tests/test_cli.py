@@ -61,38 +61,12 @@ class TestTestCommand:
             assert code == 0
             assert model in out.read_text()
 
-    def test_unknown_model_fails(self, track_files, capsys):
-        points, segments = track_files
-        code = run_cli("test", "--points", points, "--segments", segments,
-                       "--bin-end", "200", "--null-model", "nonsense")
-        assert code == 1
-        assert "unknown null model" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("model,message", [
-        ("nonsense", "unknown null model 'nonsense'; expected one of ['preserve-interpoint', "
-                     "'preserve-intersegment', 'uniform-points', 'uniform-segments'] or block:<k>"),
-        ("block", "unknown null model 'block'; expected one of ['preserve-interpoint', "
-                  "'preserve-intersegment', 'uniform-points', 'uniform-segments'] or block:<k>"),
-        ("block:0", "block size must be >= 1, got 0"),
-        ("block:x", "bad block size in null model 'block:x'"),
-        ("block:5_0", "bad block size in null model 'block:5_0'"),
-        ("block: 5", "bad block size in null model 'block: 5'"),
-        ("block:+5", "bad block size in null model 'block:+5'"),
-        ("block:\u0665", "bad block size in null model 'block:\u0665'"),
-    ])
-    def test_bad_null_model_error_line(self, track_files, capsys, model, message):
-        points, segments = track_files
-        code = run_cli("test", "--points", points, "--segments", segments,
-                       "--bin-end", "200", "--null-model", model)
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-
     def test_out_of_bin_point_fails(self, tmp_path, capsys):
         points = write_lines(tmp_path / "p.tsv", ["500"])
         segments = write_lines(tmp_path / "s.tsv", ["0\t40"])
         code = run_cli("test", "--points", points, "--segments", segments, "--bin-end", "200")
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: bin 'bin': position outside [0, 200)\n"
 
     def test_deterministic_output_bytes(self, track_files, tmp_path):
         points, segments = track_files
@@ -142,6 +116,7 @@ class TestBatchCommand:
         code = run_cli("batch", "--bins", bins, "--points", points, "--segments", segments,
                        "--min-points", "10")
         assert code == 1
+        assert capsys.readouterr().err == "error: no bins left after filtering\n"
 
     def test_duplicate_bin_id_fails(self, tmp_path, capsys):
         bins = write_lines(tmp_path / "bins.tsv", ["a\t0\t100", "a\t100\t200"])
@@ -271,21 +246,6 @@ class TestOutOfRangeCoordinate:
             f"{self.HUGE!r}\n"
         )
 
-    @pytest.mark.parametrize("command", ["test", "simulate"])
-    def test_bin_flag_rejected(self, track_files, tmp_path, capsys, command):
-        # Flags do not pass the readers' check, so the bin itself rejects them.
-        points, segments = track_files
-        out = tmp_path / "out.tsv"
-        argv = {
-            "test": ["test", "--points", points, "--segments", segments, "--bin-end", self.HUGE],
-            "simulate": ["simulate", "points", "--bin-length", self.HUGE],
-        }[command]
-        assert run_cli(*argv, "--out", str(out)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "coordinates must fit in int64" in err
-        assert "Traceback" not in err and not out.exists()
-
-
 class TestQvalueCommand:
     def test_appends_qvalues_and_flags(self, tmp_path):
         table = write_lines(tmp_path / "p.tsv", [
@@ -397,46 +357,6 @@ class TestRipleyCommand:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("command,bin_id", [("test", "a\tb"), ("ripley", "a\nb")])
-def test_bin_id_with_tab_or_line_break_rejected(tmp_path, capsys, command, bin_id):
-    # Written as is, the id would add a field to the row or split it.
-    points = write_lines(tmp_path / "p.tsv", ["10", "11", "40"])
-    inputs = ("--segments", write_lines(tmp_path / "s.tsv", ["0\t20"])) if command == "test" else ()
-    out = tmp_path / "out.tsv"
-    code = run_cli(command, "--points", points, *inputs, "--bin-id", bin_id, "--bin-end", "1000",
-                   "--out", str(out))
-    assert code == 1
-    assert "id must not contain a tab or line break" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command,bin_id", [("test", "#a"), ("ripley", " #a")])
-def test_bin_id_starting_with_hash_rejected(tmp_path, capsys, command, bin_id):
-    # Written as is, the row would read back as a comment and be dropped.
-    points = write_lines(tmp_path / "p.tsv", ["10", "11", "40"])
-    inputs = ("--segments", write_lines(tmp_path / "s.tsv", ["0\t20"])) if command == "test" else ()
-    out = tmp_path / "out.tsv"
-    code = run_cli(command, "--points", points, *inputs, "--bin-id", bin_id, "--bin-end", "1000",
-                   "--out", str(out))
-    assert code == 1
-    assert "id must not start with '#'" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command,bin_id", [("test", "chr1 "), ("ripley", " chr1")])
-def test_bin_id_with_outer_whitespace_rejected(tmp_path, capsys, command, bin_id):
-    # Read back, the id would be stripped: qvalue would rename the row, and
-    # batch would score the bin on another seed stream.
-    points = write_lines(tmp_path / "p.tsv", ["10", "11", "40"])
-    inputs = ("--segments", write_lines(tmp_path / "s.tsv", ["0\t20"])) if command == "test" else ()
-    out = tmp_path / "out.tsv"
-    code = run_cli(command, "--points", points, *inputs, "--bin-id", bin_id, "--bin-end", "1000",
-                   "--out", str(out))
-    assert code == 1
-    assert "id must not start or end with whitespace" in capsys.readouterr().err
-    assert not out.exists()
-
-
 class TestSimulateCommand:
     def test_points_round_trip(self, tmp_path):
         out = tmp_path / "sim.tsv"
@@ -521,16 +441,80 @@ class TestStudyAndOrderingCommands:
 SMALL_STUDY_ARGS = ("--replicates", "1", "--bin-length", "5000", "--samples", "20")
 
 
-@pytest.mark.parametrize("fdr, shown", [("1.5", "1.5"), ("0", "0.0")])
-def test_bad_study_fdr_stops_before_any_pair(tmp_path, capsys, monkeypatch, fdr, shown):
-    def no_pair(*args):
-        raise AssertionError("a pair was generated")
+_MODELS = "['preserve-interpoint', 'preserve-intersegment', 'uniform-points', 'uniform-segments']"
+_BAD_MODELS = [
+    ("nonsense", f"unknown null model 'nonsense'; expected one of {_MODELS} or block:<k>"),
+    ("block", f"unknown null model 'block'; expected one of {_MODELS} or block:<k>"),
+    ("block:0", "block size must be >= 1, got 0"),
+    *((model, f"bad block size in null model {model!r}")
+      for model in ("block:x", "block:5_0", "block: 5", "block:+5", "block:\u0665")),
+]
+_HUGE = TestOutOfRangeCoordinate.HUGE
+# Each command with valid settings; the files it names are never read.
+_VALID = {
+    "test": ("test", "--points", "p.tsv", "--segments", "s.tsv", "--bin-end", "1000"),
+    "batch": ("batch", "--bins", "b.tsv", "--points", "p.tsv", "--segments", "s.tsv"),
+    "qvalue": ("qvalue", "--input", "q.tsv"),
+    "ripley": ("ripley", "--points", "p.tsv", "--bin-end", "1000"),
+    "simulate": ("simulate", "points", "--bin-length", "1000"),
+    "study": ("study", *SMALL_STUDY_ARGS),
+    "ordering": ("ordering", *SMALL_STUDY_ARGS),
+}
+# (command, the flags that make it bad, exit code, last stderr line).
+_BAD_SETTINGS = [
+    *((command, ("--null-model", model), 1, f"error: {message}")
+      for command in ("test", "batch") for model, message in _BAD_MODELS),
+    *((command, ("--samples", "0"), 1, "error: n_samples must be >= 1, got 0")
+      for command in ("test", "batch", "study", "ordering")),
+    ("study", ("--fdr", "1.5"), 1, "error: FDR threshold must lie in (0, 1), got 1.5"),
+    ("study", ("--fdr", "0"), 1, "error: FDR threshold must lie in (0, 1), got 0.0"),
+    ("qvalue", ("--fdr", "1.5"), 1, "error: FDR threshold must lie in (0, 1), got 1.5"),
+    ("qvalue", ("--pi0", "0"), 1, "error: pi0 must lie in (0, 1], got 0.0"),
+    ("qvalue", ("--pi0", "1.5"), 1, "error: pi0 must lie in (0, 1], got 1.5"),
+    # Written as is, the id would split its row, read back as a comment, or
+    # (stripped on reading back) rename the row in qvalue and move the bin to
+    # another seed stream in batch.
+    *((command, ("--bin-id", bin_id), 1, f"error: bin {bin_id!r}: id must not {rule}")
+      for command, bin_id, rule in [
+          ("test", "a\tb", "contain a tab or line break"),
+          ("ripley", "a\nb", "contain a tab or line break"),
+          ("test", "#a", "start with '#'"),
+          ("ripley", " #a", "start with '#'"),
+          ("test", "chr1 ", "start or end with whitespace"),
+          ("ripley", " chr1", "start or end with whitespace")]),
+    # Flags do not pass the readers' int64 check, so the bin itself rejects them.
+    ("test", ("--bin-end", _HUGE), 1,
+     f"error: bin 'bin': coordinates must fit in int64, got [0, {_HUGE})"),
+    ("simulate", ("--bin-length", _HUGE), 1,
+     f"error: bin 'sim': coordinates must fit in int64, got [0, {_HUGE})"),
+    *(("batch", (flag, "-3"), 2,
+       f"trackmc batch: error: argument {flag}: must be at least 0, got -3")
+      for flag in ("--min-points", "--min-segments")),
+]
 
-    monkeypatch.setattr(trackmc.study, "generate_points", no_pair)
-    out = tmp_path / "out.tsv"
-    assert run_cli("study", *SMALL_STUDY_ARGS, "--fdr", fdr, "--out", str(out)) == 1
-    assert capsys.readouterr().err == f"error: fdr_threshold must lie in (0, 1), got {shown}\n"
-    assert not out.exists()
+
+@pytest.mark.parametrize("command, flags, code, line", [
+    pytest.param(*row, id=" ".join(row[:1] + row[1])) for row in _BAD_SETTINGS])
+def test_bad_setting_fails_before_any_work(tmp_path, capsys, monkeypatch, command, flags, code,
+                                           line):
+    # Every input read goes through tracks._text, and every generated track
+    # through one of the two generators.
+    def no_work(*args):
+        raise AssertionError("work began before every setting was checked")
+
+    monkeypatch.setattr(trackmc.tracks, "_text", no_work)
+    for module in (trackmc.cli, trackmc.study):
+        monkeypatch.setattr(module, "generate_points", no_work)
+        monkeypatch.setattr(module, "generate_segments", no_work)
+    monkeypatch.chdir(tmp_path)
+    try:
+        exit_code = run_cli(*_VALID[command], *flags, "--out", "out.tsv")
+    except SystemExit as exc:  # argparse's errors
+        exit_code = exc.code
+    assert exit_code == code
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == line and (len(err) == 1 or code == 2)  # argparse's usage lines come first
+    assert not any(tmp_path.iterdir())
 
 
 class TestFailedTestText:

@@ -197,6 +197,13 @@ class TestStudyConfigValidation:
         with pytest.raises(ValueError):
             StudyConfig(n_replicates=0)
 
+    def test_bad_samples(self):
+        # MCConfig's rule and text, checked after the replicates and bin length.
+        with pytest.raises(ValueError, match=r"^n_samples must be >= 1, got 0$"):
+            StudyConfig(mc_samples=0)
+        with pytest.raises(ValueError, match="^bin_length must be positive$"):
+            StudyConfig(bin_length=0, mc_samples=0)
+
     def test_bad_fdr(self):
         pvalues = {("a", "b"): np.array([0.8, 0.001, 0.9, 0.002])}
         with pytest.raises(ValueError, match=r"FDR threshold must lie in \(0, 1\), got 1.0"):

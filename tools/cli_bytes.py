@@ -10,10 +10,11 @@ genome of ``perfbench/genome.py`` for seeds 1 and 2; the calls include
 calls that set ``--lambda-intra`` and ``--new-cluster-prob``, and ``test``
 calls on a 2 Mb bin too long for the count kernels' lookup tables, so that
 both kernels count by binary search, one call with ``--direction less``.
-Every output file, exit code, stdout and stderr is compared; each
-difference is printed with the first line that differs, under both trees,
-and the exit status is 1 if there is any, or if any call fails (every call
-on the list is valid), else 0.
+After the valid calls come a few invalid ones (``invalid_calls``), one per
+kind of bad setting, each of which is meant to exit non-zero. Every output
+file, exit code, stdout and stderr is compared; each difference is printed
+with the first line that differs, under both trees, and the exit status is
+1 if there is any, or if any valid call fails, else 0.
 
 A change that must alter outputs (a new seed contract, a new header line)
 shows here as a difference to explain, not to hide.
@@ -179,6 +180,31 @@ def calls(seed: int, genome_length: int) -> list[list[str]]:
     return out
 
 
+def invalid_calls(seed: int, genome_length: int) -> list[list[str]]:
+    """One call per kind of bad setting, on the same files as ``calls``."""
+    s = str(seed)
+    batch = ["batch", "--bins", "bins.tsv", "--points", "points.tsv",
+             "--segments", "segments.tsv", "--samples", "100", "--seed", s]
+    test = ["test", "--points", "points.tsv", "--segments", "segments.tsv",
+            "--bin-end", str(genome_length), "--samples", "100", "--seed", s]
+    study = ["--replicates", "2", "--bin-length", "20000", "--samples", "100", "--seed", s]
+    return [
+        [*test, "--null-model", "blok:100", "--out", "bad_test_model.tsv"],
+        [*batch, "--null-model", "block:0", "--out", "bad_batch_model.tsv"],
+        [*test, "--samples", "0", "--out", "bad_test_samples.tsv"],
+        [*batch, "--samples", "0", "--out", "bad_batch_samples.tsv"],
+        ["study", *study, "--samples", "0", "--out", "bad_study_samples.tsv"],
+        ["ordering", *study, "--samples", "0", "--out", "bad_ordering_samples.tsv"],
+        ["study", *study, "--fdr", "1.5", "--out", "bad_study_fdr.tsv"],
+        ["qvalue", "--input", "batch0.tsv", "--fdr", "1.5", "--out", "bad_qvalue_fdr.tsv"],
+        ["qvalue", "--input", "batch0.tsv", "--pi0", "0", "--out", "bad_qvalue_pi0.tsv"],
+        [*test, "--bin-id", "#a", "--out", "bad_test_bin_id.tsv"],
+        ["simulate", "points", "--bin-length", str(2**63), "--out", "bad_sim_length.tsv"],
+        [*batch, "--min-points", "-3", "--out", "bad_min_points.tsv"],
+        [*batch, "--min-segments", "-3", "--out", "bad_min_segments.tsv"],
+    ]
+
+
 def extract_src(rev: str, dest: Path) -> Path:
     """Extract ``src/`` at git revision ``rev`` under ``dest``; return it."""
     archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT,
@@ -229,6 +255,8 @@ def main(argv: list[str]) -> int:
         for seed in SEEDS:
             genome = make_genome(seed)
             argvs = calls(seed, genome.length)
+            n_valid = len(argvs)
+            argvs += invalid_calls(seed, genome.length)
             runs = {}
             for name, src in trees.items():
                 rundir = tmp / f"{seed}-{len(runs)}"
@@ -238,7 +266,7 @@ def main(argv: list[str]) -> int:
             (old, old_files), (new, new_files) = runs.values()
             n_calls += len(argvs)
             for name, (results, _) in runs.items():
-                for argv, (code, _, err) in zip(argvs, results):
+                for argv, (code, _, err) in zip(argvs[:n_valid], results):
                     if code != 0:
                         n_failed += 1
                         print(f"seed {seed}: {' '.join(argv)}: exit {code} under {name}:\n"
@@ -259,11 +287,12 @@ def main(argv: list[str]) -> int:
                 line, x, y = first_difference(x, y)
                 print(f"seed {seed}: {what} differs at line {line}:\n"
                       f"  {rev}: {x!r}\n  working tree: {y!r}")
-            print(f"seed {seed}: {len(argvs)} calls, {len(new_files)} output files compared")
+            print(f"seed {seed}: {len(argvs)} calls ({len(argvs) - n_valid} invalid), "
+                  f"{len(new_files)} output files compared")
     verdict = "identical" if n_diffs == 0 else f"{n_diffs} differences"
     print(f"{n_calls} calls against {rev}: {verdict} ({time.perf_counter() - start:.0f} s)")
     if n_failed:
-        # Every call on the list is valid; a failing one compares nothing.
+        # A valid call that fails compares nothing.
         print(f"{n_failed} runs exited non-zero, so the comparison is incomplete")
     return 1 if n_diffs or n_failed else 0
 
