@@ -26,6 +26,16 @@ def track_files(tmp_path):
     return points, segments
 
 
+_MODELS = "['preserve-interpoint', 'preserve-intersegment', 'uniform-points', 'uniform-segments']"
+_BAD_MODELS = [
+    ("nonsense", f"unknown null model 'nonsense'; expected one of {_MODELS} or block:<k>"),
+    ("block", f"unknown null model 'block'; expected one of {_MODELS} or block:<k>"),
+    ("block:0", "block size must be >= 1, got 0"),
+    *((model, f"bad block size in null model {model!r}")
+      for model in ("block:x", "block:5_0", "block: 5", "block:+5", "block:\u0665")),
+]
+
+
 class TestTestCommand:
     def test_basic_run(self, track_files, tmp_path, capsys):
         points, segments = track_files
@@ -60,6 +70,21 @@ class TestTestCommand:
                            "--null-model", model, "--out", str(out))
             assert code == 0
             assert model in out.read_text()
+
+    def test_unknown_model_fails(self, track_files, capsys):
+        points, segments = track_files
+        code = run_cli("test", "--points", points, "--segments", segments,
+                       "--bin-end", "200", "--null-model", "nonsense")
+        assert code == 1
+        assert "unknown null model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model,message", _BAD_MODELS)
+    def test_bad_null_model_error_line(self, track_files, capsys, model, message):
+        points, segments = track_files
+        code = run_cli("test", "--points", points, "--segments", segments,
+                       "--bin-end", "200", "--null-model", model)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_out_of_bin_point_fails(self, tmp_path, capsys):
         points = write_lines(tmp_path / "p.tsv", ["500"])
@@ -441,14 +466,6 @@ class TestStudyAndOrderingCommands:
 SMALL_STUDY_ARGS = ("--replicates", "1", "--bin-length", "5000", "--samples", "20")
 
 
-_MODELS = "['preserve-interpoint', 'preserve-intersegment', 'uniform-points', 'uniform-segments']"
-_BAD_MODELS = [
-    ("nonsense", f"unknown null model 'nonsense'; expected one of {_MODELS} or block:<k>"),
-    ("block", f"unknown null model 'block'; expected one of {_MODELS} or block:<k>"),
-    ("block:0", "block size must be >= 1, got 0"),
-    *((model, f"bad block size in null model {model!r}")
-      for model in ("block:x", "block:5_0", "block: 5", "block:+5", "block:\u0665")),
-]
 _HUGE = TestOutOfRangeCoordinate.HUGE
 # Each command with valid settings; the files it names are never read.
 _VALID = {
